@@ -14,7 +14,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import graph as graphmod
 from .classify import koszul_report
-from .graph import BrauerGraph, BrauerGraphError, HypothesisError, is_reduced, validate
+from .graph import (
+    BrauerGraph,
+    BrauerGraphError,
+    HypothesisError,
+    is_reduced,
+    uniform_degree,
+    validate,
+)
 from .oracle.fields import field_from_spec
 from .oracle.verify import Fault, verify_graph
 from .presentation import (
@@ -47,11 +54,6 @@ def _load(path: str) -> BrauerGraph:
             sys.stderr.write(item + "\n")
         raise SystemExit(EXIT_INVALID)
     return g
-
-
-def _uniform_degree(g: BrauerGraph):
-    vals = {g.valency(v) * g.multiplicity(v) for v in g.vertex_ids}
-    return vals.pop() if len(vals) == 1 else None
 
 
 def cmd_quiver(args) -> int:
@@ -101,7 +103,7 @@ def cmd_resolve(args) -> int:
     if is_reduced(g) and not g.has_truncated_edge() and not g.is_a2_trivial():
         steps = resolve_simple(g, args.edge, args.max)
     else:
-        d = _uniform_degree(g)
+        d = uniform_degree(g)
         if d is None or d < 3 or g.has_truncated_edge():
             raise HypothesisError(
                 "explicit resolutions need either a reduced graph without "
@@ -145,14 +147,13 @@ def cmd_walk(args) -> int:
 
 
 def cmd_ext(args) -> int:
-    from .resolution import ext_dim
-
     g = _load(args.input)
+    # dim Ext^n(S_from, S_to) counts ``to`` in the top of the n-th syzygy
+    trace = iterate_syzygy(g, getattr(args, "from"), args.max)
     doc = {
         "from": getattr(args, "from"),
         "to": args.to,
-        "dims": [ext_dim(g, getattr(args, "from"), args.to, n)
-                 for n in range(args.max + 1)],
+        "dims": [trace.descriptors[n].top()[args.to] for n in range(args.max + 1)],
     }
 
     def text(d):
@@ -211,14 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="graph file (.bg.json)")
-        p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-        p.add_argument("--field", default="q", help="q or fp:<prime>")
+    def common(p, formats=("json", "text")):
+        p.add_argument("--input", required=True, help="graph file (.bg.json)")
+        p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("quiver", help="the quiver of the algebra")
-    common(p)
+    common(p, formats=("json", "dot", "text"))
     p.set_defaults(func=cmd_quiver)
 
     p = sub.add_parser("relations", help="defining relations")

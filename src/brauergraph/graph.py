@@ -429,6 +429,12 @@ def is_length_graded(g: BrauerGraph) -> bool:
     return True
 
 
+def uniform_degree(g: BrauerGraph) -> Optional[int]:
+    """The common valency x multiplicity of every vertex, or None."""
+    vals = {g.valency(v) * g.multiplicity(v) for v in g.vertex_ids}
+    return vals.pop() if len(vals) == 1 else None
+
+
 def star_centers(g: BrauerGraph) -> list[str]:
     """Vertices exhibiting the graph as a star (center + valency-one tips)."""
     out = []

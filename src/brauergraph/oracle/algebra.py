@@ -15,13 +15,17 @@ Two reduction strategies give the same quotient:
 * ``build_algebra_naive`` enumerates every path and every translate of
   every relation and reduces densely.  It exists as an independent check
   and is only usable on tiny inputs.
+
+``WordSpace`` holds the surviving words and the translate rows; the
+algebra and the ideal-membership test ``is_redundant_relation`` both
+reduce its rows and differ only in how a product word maps to a column.
 """
 from __future__ import annotations
 
 from typing import Optional
 
 from ..graph import BrauerGraph
-from ..presentation import Path, Presentation, Relation, present
+from ..presentation import Path, Presentation, Relation
 from . import linalg
 from .fields import QQ
 
@@ -32,24 +36,20 @@ class OracleSizeError(RuntimeError):
 
 Word = tuple[str, tuple[int, ...]]  # (source edge, arrow indices)
 
+WORD_CAP = 200_000
 
-class FiniteDimAlgebra:
-    """Path normal forms with exact structure constants."""
 
-    def __init__(self, pres: Presentation, field=QQ,
-                 relations: Optional[list[Relation]] = None,
-                 word_cap: int = 200_000):
-        self.presentation = pres
-        self.graph: BrauerGraph = pres.graph
-        self.quiver = pres.quiver
-        self.field = field
-        self.relations = list(pres.all_relations if relations is None else relations)
-        self.maxlen = self.graph.nilpotency_bound() + 1
-        self.graded = all(r.is_length_homogeneous() for r in self.relations)
+class WordSpace:
+    """Paths of length at most ``maxlen`` with no monomial relation as a
+    subword, and the translates u*r*v of the two-term relations among them."""
 
+    def __init__(self, quiver, maxlen: int, relations: list[Relation],
+                 word_cap: int = WORD_CAP):
+        self.quiver = quiver
+        self.maxlen = maxlen
         self._monomials: list[tuple[int, ...]] = []
         self._two_term: list[Relation] = []
-        for r in self.relations:
+        for r in relations:
             if len(r.terms) == 1:
                 self._monomials.append(self._path_key(r.terms[0][1]))
             else:
@@ -57,12 +57,7 @@ class FiniteDimAlgebra:
         self._mono_by_len: dict[int, set[tuple[int, ...]]] = {}
         for m in self._monomials:
             self._mono_by_len.setdefault(len(m), set()).add(m)
-
         self._enumerate_words(word_cap)
-        self._reduce()
-        self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
-
-    # -- word plumbing --------------------------------------------------
 
     def _path_key(self, p: Path) -> tuple[int, ...]:
         idx = self.quiver.arrow_index
@@ -116,33 +111,60 @@ class FiniteDimAlgebra:
         self.words_by_source = by_source
         self.words_by_target = by_target
 
-    @staticmethod
-    def _column_key(w: Word):
-        return (len(w[1]), w[0], w[1])
-
-    def _reduce(self):
-        f = self.field
-        reducer = linalg.SparseReducer(f)
+    def translate_rows(self, field, column):
+        """One sparse row per translate u*r*v of a two-term relation; a
+        product word goes to ``column(source, arrows)`` and is dropped when
+        that is None."""
         for r in self._two_term:
-            src, tgt = r.source, r.target
-            terms = [(f.from_fraction(c), self._path_key(p)) for c, p in r.terms]
+            terms = [(field.from_fraction(c), self._path_key(p)) for c, p in r.terms]
             min_len = min(len(t[1]) for t in terms)
-            for u in self.words_by_target[src]:
+            for u in self.words_by_target[r.source]:
                 lu = len(u[1])
                 if lu + min_len > self.maxlen:
                     continue
-                for v in self.words_by_source[tgt]:
+                for v in self.words_by_source[r.target]:
                     if lu + min_len + len(v[1]) > self.maxlen:
                         continue
                     row: dict = {}
                     for coeff, mid in terms:
                         arrows = u[1] + mid + v[1]
-                        if len(arrows) > self.maxlen or not self.word_is_allowed(arrows):
+                        if len(arrows) > self.maxlen:
                             continue
-                        key = (len(arrows), u[0], arrows)
-                        row[key] = f.add(row.get(key, f.zero), coeff)
+                        key = column(u[0], arrows)
+                        if key is not None:
+                            row[key] = field.add(row.get(key, field.zero), coeff)
                     if row:
-                        reducer.add(row)
+                        yield row
+
+
+class FiniteDimAlgebra(WordSpace):
+    """Path normal forms with exact structure constants."""
+
+    def __init__(self, pres: Presentation, field=QQ,
+                 relations: Optional[list[Relation]] = None,
+                 word_cap: int = WORD_CAP):
+        self.presentation = pres
+        self.graph: BrauerGraph = pres.graph
+        self.field = field
+        self.relations = list(pres.all_relations if relations is None else relations)
+        self.graded = all(r.is_length_homogeneous() for r in self.relations)
+        super().__init__(pres.quiver, self.graph.nilpotency_bound() + 1,
+                         self.relations, word_cap)
+        self._reduce()
+        self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
+
+    @staticmethod
+    def _column_key(w: Word):
+        return (len(w[1]), w[0], w[1])
+
+    def _reduce(self):
+        reducer = linalg.SparseReducer(self.field)
+
+        def column(source, arrows):
+            return (len(arrows), source, arrows) if self.word_is_allowed(arrows) else None
+
+        for row in self.translate_rows(self.field, column):
+            reducer.add(row)
         self._reducer = reducer
         pivots = set(reducer.pivot_rows)
         self.basis: list[Word] = sorted(
@@ -254,88 +276,24 @@ def is_redundant_relation(pres: Presentation, index: int, field=QQ) -> bool:
     generators plus all translates u*r*v with at least one of u, v a real
     path, inside the length-truncated path space.
     """
-    rels = pres.all_relations
-    target = rels[index]
+    target = pres.all_relations[index]
     if len(target.terms) != 1:
         raise ValueError("membership test is for monomial relations")
-    target_word = tuple(pres.quiver.arrow_index[a] for a in target.terms[0][1].arrows)
-    target_src = target.source
-
-    g = pres.graph
-    maxlen = g.nilpotency_bound() + 1
-    monomials = []
-    for i, r in enumerate(rels):
-        if len(r.terms) == 1:
-            monomials.append(tuple(pres.quiver.arrow_index[a] for a in r.terms[0][1].arrows))
-    mono_by_len: dict[int, set[tuple[int, ...]]] = {}
-    for m in monomials:
-        mono_by_len.setdefault(len(m), set()).add(m)
-
-    def contains_monomial(arrows: tuple[int, ...]) -> bool:
-        n = len(arrows)
-        for length, monos in mono_by_len.items():
-            if length > n:
-                continue
-            for i in range(n - length + 1):
-                if arrows[i:i + length] in monos:
-                    return True
-        return False
-
-    # words with no monomial subword at all
-    quiver = pres.quiver
-    clean: list[Word] = []
-    frontier: list[Word] = [(v, ()) for v in quiver.vertices]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            clean.append(w)
-            if len(w[1]) >= maxlen:
-                continue
-            tgt = w[0] if not w[1] else quiver.arrows[w[1][-1]].target
-            for a in quiver.arrows_from.get(tgt, ()):
-                arrows = w[1] + (quiver.arrow_index[a],)
-                if not contains_monomial(arrows):
-                    nxt.append((w[0], arrows))
-        frontier = nxt
-    by_target: dict[str, list[Word]] = {}
-    by_source: dict[str, list[Word]] = {}
-    for w in clean:
-        tgt = w[0] if not w[1] else quiver.arrows[w[1][-1]].target
-        by_target.setdefault(tgt, []).append(w)
-        by_source.setdefault(w[0], []).append(w)
+    space = WordSpace(pres.quiver, pres.graph.nilpotency_bound() + 1, pres.all_relations)
+    target_word = space._path_key(target.terms[0][1])
 
     def column(source: str, arrows: tuple[int, ...]):
-        """Column key of a product word, or None when it dies."""
-        if len(arrows) > maxlen:
-            return None
-        if source == target_src and arrows == target_word:
+        """The target relation's own column, or the word's; None when it dies."""
+        if source == target.source and arrows == target_word:
             return ("R",)
-        if contains_monomial(arrows):
+        if not space.word_is_allowed(arrows):
             return None
         return (len(arrows), source, arrows)
 
-    f = field
-    reducer = linalg.SparseReducer(f)
-    for r in rels:
-        if len(r.terms) != 2:
-            continue
-        terms = [(f.from_fraction(c), tuple(quiver.arrow_index[a] for a in p.arrows))
-                 for c, p in r.terms]
-        min_len = min(len(t[1]) for t in terms)
-        for u in by_target.get(r.source, ()):
-            if len(u[1]) + min_len > maxlen:
-                continue
-            for v in by_source.get(r.target, ()):
-                if len(u[1]) + min_len + len(v[1]) > maxlen:
-                    continue
-                row: dict = {}
-                for coeff, mid in terms:
-                    col = column(u[0], u[1] + mid + v[1])
-                    if col is not None:
-                        row[col] = f.add(row.get(col, f.zero), coeff)
-                if row:
-                    reducer.add(row)
-    return reducer.contains({("R",): f.one})
+    reducer = linalg.SparseReducer(field)
+    for row in space.translate_rows(field, column):
+        reducer.add(row)
+    return reducer.contains({("R",): field.one})
 
 
 def build_algebra_naive(pres: Presentation, field=QQ, path_cap: int = 4000) -> dict:

@@ -2,6 +2,11 @@
 projectives, chain-map lifting, Yoneda products, and closure of the
 subalgebra generated in low degrees.
 
+``ProjResolution.from_oracle`` is the one cover-then-kernel walk over the
+oracle: it keeps every syzygy it computes and ``grow`` extends it on
+demand, so a caller resolves each simple once and reads syzygies, summands
+and generation degrees of any depth off the same object.
+
 A degree-n cohomology element of the simple at s is a functional on the
 generators of the n-th projective in a fixed resolution of s; the basis
 dual to the generators is the canonical basis.  Products are computed by
@@ -20,11 +25,11 @@ from .modules import (
     ModuleMap,
     _apply,
     direct_sum,
+    generator_index,
     kernel_module,
     projective_cover,
     projective_module,
     simple_module,
-    zero_module,
 )
 
 
@@ -34,6 +39,8 @@ class ProjResolution:
     ``summands[n]`` lists (edge, generation degree or None, position or
     None) per summand of the n-th projective; ``generators[n]`` holds the
     flat basis index of each summand's generator inside ``modules[n]``.
+    An oracle resolution also keeps ``syzygies[n]``, the n-th syzygy of
+    the simple (``syzygies[0]`` is the simple itself).
     """
 
     def __init__(self, la: FiniteDimAlgebra, source: str):
@@ -43,6 +50,8 @@ class ProjResolution:
         self.maps: list[Optional[ModuleMap]] = [None]  # maps[n]: Q^n -> Q^{n-1}
         self.summands: list[list[tuple[str, Optional[int], Optional[int]]]] = []
         self.generators: list[list[tuple[str, int]]] = []  # (vertex, index in block)
+        self.syzygies: list[Module] = []
+        self._inclusion: Optional[ModuleMap] = None  # last syzygy -> Q^{n-1}
 
     # -- constructors ----------------------------------------------------
 
@@ -63,11 +72,8 @@ class ProjResolution:
             big, offsets = direct_sum(projs)
             res.modules.append(big)
             res.summands.append(info)
-            gens = []
-            for k, (edge, _, _) in enumerate(info):
-                local = projs[k]._proj_pos[la.basis_index[(edge, ())]]
-                gens.append((edge, offsets[k][edge] + local))
-            res.generators.append(gens)
+            res.generators.append([(edge, generator_index(projs[k], offsets[k]))
+                                   for k, (edge, _, _) in enumerate(info)])
             if offsets_prev is not None:
                 res.maps.append(
                     _map_from_paths(la, res.modules[-1], res.modules[-2],
@@ -80,24 +86,26 @@ class ProjResolution:
 
     @classmethod
     def from_oracle(cls, la: FiniteDimAlgebra, source: str, n_max: int) -> "ProjResolution":
+        """Minimal resolution of the simple at ``source`` through degree
+        ``n_max`` by projective covers of kernels; ``n_max = -1`` starts an
+        empty walk for ``grow``."""
         res = cls(la, source)
-        cur = simple_module(la, source)
-        prev_incl: Optional[ModuleMap] = None
-        for n in range(n_max + 1):
-            P, cover, summ = projective_cover(cur)
-            res.modules.append(P)
-            res.summands.append([(e, d, None) for e, d in summ])
-            gens = []
-            for k, (e, _) in enumerate(summ):
-                proj = P._cover_projs[k]
-                local = proj._proj_pos[la.basis_index[(e, ())]]
-                gens.append((e, P._cover_offsets[k][e] + local))
-            res.generators.append(gens)
-            if prev_incl is not None:
-                res.maps.append(cover.compose(prev_incl))
-            K, incl = kernel_module(cover)
-            cur, prev_incl = K, incl
-        return res
+        res.syzygies.append(simple_module(la, source))
+        return res.grow(n_max)
+
+    def grow(self, n_max: int) -> "ProjResolution":
+        """Extend an oracle resolution through degree ``n_max``; degrees
+        already walked are kept as they are."""
+        for _ in range(len(self.modules), n_max + 1):
+            P, cover, summ = projective_cover(self.syzygies[-1])
+            self.modules.append(P)
+            self.summands.append([(e, d, None) for e, d, _ in summ])
+            self.generators.append([(e, i) for e, _, i in summ])
+            if self._inclusion is not None:
+                self.maps.append(cover.compose(self._inclusion))
+            K, self._inclusion = kernel_module(cover)
+            self.syzygies.append(K)
+        return self
 
     # -- checks ----------------------------------------------------------
 
@@ -294,7 +302,7 @@ def _map_on_generators(src: ProjResolution, n: int, target: Module,
             local_index[v] = li + 1
             row = offset[v] + li
             arrows = [la.quiver.arrows[tt] for tt in word[1]]
-            tv, img = _apply_target(target, gv, gvec, arrows, f)
+            tv, img = _apply(target, gv, gvec, arrows)
             if any(not f.is_zero(xx) for xx in img):
                 blocks[tv][row] = [
                     f.add(blocks[tv][row][c], img[c]) for c in range(len(img))
@@ -302,10 +310,6 @@ def _map_on_generators(src: ProjResolution, n: int, target: Module,
         for v in offset:
             offset[v] += sizes.get(v, 0)
     return ModuleMap(big, target, blocks)
-
-
-def _apply_target(target: Module, v: str, vec: list, arrows: list, f):
-    return _apply(target, v, vec, arrows)
 
 
 def yoneda_multiply(y: ExtElement, x: ExtElement,
@@ -333,11 +337,6 @@ def yoneda_multiply(y: ExtElement, x: ExtElement,
         if not f.is_zero(total):
             out[j] = total
     return ExtElement(x.res, x.degree + y.degree, out)
-
-
-def ext_space_dims(res: ProjResolution, n: int) -> Counter:
-    """dim Ext^n(S, T) per target simple T, read off the summands."""
-    return res.summand_multiset(n)
 
 
 def generated_subalgebra_dims(resolutions: dict[str, ProjResolution],

@@ -78,10 +78,6 @@ def rank(rows: list[list], field) -> int:
     return len(rref(rows, field)[0])
 
 
-def row_space_basis(rows: list[list], field) -> list[list]:
-    return rref(rows, field)[0]
-
-
 def right_kernel(rows: list[list], ncols: int, field) -> list[list]:
     """Basis of {x : A x = 0}, x of length ncols."""
     red, pivots = rref(rows, field)
@@ -114,19 +110,10 @@ def solve_left(a: list[list], b: list, field) -> Optional[list]:
         return None
     v = [field.zero] * nrows
     for i, pc in enumerate(pivots):
-        v[pc] = red[i][nrows]
+        x = red[i][nrows]
+        if not field.is_zero(x):  # keep the shared zero: results are stored densely
+            v[pc] = x
     return v
-
-
-def in_row_space(rows: list[list], vec: list, field) -> bool:
-    red, pivots = rref(rows, field)
-    residual = list(vec)
-    for i, pc in enumerate(pivots):
-        x = residual[pc]
-        if field.is_zero(x):
-            continue
-        residual = [field.sub(a, field.mul(x, b)) for a, b in zip(residual, red[i])]
-    return all(field.is_zero(x) for x in residual)
 
 
 class SparseReducer:

@@ -8,13 +8,16 @@ to exact rank computations on these matrices.
 When the algebra is length graded, basis vectors carry degrees, arrows
 raise degree by one, and kernels are computed degreewise so that graded
 generation degrees come out exactly.
+
+``projective_cover`` and ``kernel_module`` are the two steps of a minimal
+resolution; the walk that alternates them is ``ProjResolution.from_oracle``
+in ``oracle/ext.py``, and ``min_resolution`` here is a view of that walk.
 """
 from __future__ import annotations
 
 from collections import Counter
 from typing import Optional
 
-from ..presentation import Path
 from . import linalg
 from .algebra import FiniteDimAlgebra
 
@@ -63,21 +66,6 @@ class Module:
             out[v] = n - linalg.rank(rad.get(v, []), self.la.field)
             if out[v] == 0:
                 del out[v]
-        return out
-
-    def top_degrees(self) -> Counter:
-        """Degrees of top generators, per (vertex, degree)."""
-        out = Counter()
-        rad = self.radical_rows()
-        f = self.la.field
-        for v in self.degrees:
-            n = self.dim(v)
-            if n == 0:
-                continue
-            red, pivots = linalg.rref(rad.get(v, []), f)
-            free = [i for i in range(n) if i not in set(pivots)]
-            for i in free:
-                out[(v, self.degrees[v][i])] += 1
         return out
 
     def socle(self) -> Counter:
@@ -236,12 +224,20 @@ def direct_sum(mods: list[Module]) -> tuple[Module, list[dict[str, int]]]:
     return Module(la, degrees, action), offsets
 
 
-def projective_cover(mod: Module) -> tuple[Module, "ModuleMap", list[tuple[str, object]]]:
-    """Cover by projectives indexed by the top; returns (P, map, summands)."""
+def generator_index(proj: Module, offsets: dict[str, int]) -> int:
+    """Index of a projective's generator in its vertex block of a direct sum
+    that places ``proj`` at ``offsets``."""
+    e = proj._proj_edge
+    return offsets[e] + proj._proj_pos[proj.la.basis_index[(e, ())]]
+
+
+def projective_cover(mod: Module) -> tuple[Module, "ModuleMap", list[tuple]]:
+    """Cover by projectives indexed by the top; returns (P, map, summands)
+    with one (vertex, generation degree, generator index) per summand."""
     la = mod.la
     f = la.field
     rad = mod.radical_rows()
-    summands: list[tuple[str, object]] = []
+    summands: list[tuple[str, Optional[int]]] = []
     lifts: list[tuple[str, list]] = []
     for v in la.quiver.vertices:
         n = mod.dim(v)
@@ -271,10 +267,9 @@ def projective_cover(mod: Module) -> tuple[Module, "ModuleMap", list[tuple[str, 
                 _, img = _apply(mod, v_gen, lift, arrows)
                 row = offsets[k][v] + local
                 blocks[v][row] = img
-    big._cover_offsets = offsets  # noqa: SLF001 - summand bookkeeping
-    big._cover_projs = projs
     cover = ModuleMap(big, mod, blocks)
-    return big, cover, summands
+    return big, cover, [(v, d, generator_index(proj, offsets[k]))
+                        for k, ((v, d), proj) in enumerate(zip(summands, projs))]
 
 
 def _apply(mod: Module, v: str, vec: list, arrows: list) -> tuple[str, list]:
@@ -356,43 +351,22 @@ def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
     return K, incl
 
 
-def syzygy_module(mod: Module) -> tuple[Module, Module, ModuleMap, list]:
-    """(Omega, cover P, cover map, summand list)."""
-    P, cover, summands = projective_cover(mod)
-    K, _ = kernel_module(cover)
-    return K, P, cover, summands
-
-
 def min_resolution(la: FiniteDimAlgebra, e: str, n: int) -> list[dict]:
     """Resolution data of the simple at ``e``: per degree, cover summands
-    with generation degrees and the syzygy descriptor."""
-    mod = simple_module(la, e)
-    out = []
-    cur = mod
-    for k in range(n + 1):
-        P, cover, summands = projective_cover(cur)
-        K, _ = kernel_module(cover)
-        out.append({
+    with generation degrees and the syzygy descriptor, read off
+    ``ProjResolution.from_oracle``."""
+    from .ext import ProjResolution
+
+    res = ProjResolution.from_oracle(la, e, n)
+    return [
+        {
             "degree": k,
-            "summands": Counter(s[0] for s in summands),
+            "summands": res.summand_multiset(k),
             "generation_degrees": sorted(
-                {s[1] for s in summands}, key=lambda x: (x is None, x)
+                {d for _, d, _ in res.summands[k]}, key=lambda x: (x is None, x)
             ),
-            "syzygy_descriptor": K.descriptor(),
-            "syzygy_dim": K.total_dim,
-        })
-        cur = K
-    return out
-
-
-def ext_dims(la: FiniteDimAlgebra, e: str, n: int) -> list[Counter]:
-    """For k = 0..n the multiset of tops of the k-th syzygy of the simple.
-
-    The k-th entry, viewed per edge t, is dim Ext^k(S_e, S_t).
-    """
-    cur = simple_module(la, e)
-    out = [cur.top()]
-    for _ in range(n):
-        cur = syzygy_module(cur)[0]
-        out.append(cur.top())
-    return out
+            "syzygy_descriptor": res.syzygies[k + 1].descriptor(),
+            "syzygy_dim": res.syzygies[k + 1].total_dim,
+        }
+        for k in range(n + 1)
+    ]

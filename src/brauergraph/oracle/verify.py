@@ -5,15 +5,19 @@ returns a structured diff; an empty diff means full agreement.  Faults can
 be injected - flipping one differential sign, dropping one relation from
 the oracle's algebra - to confirm that the harness actually detects
 corruption.
+
+Each simple is resolved once per ``verify_graph`` call: one oracle walk
+(``ProjResolution.from_oracle``, grown to the deepest degree any check
+reads), one string trace and one combinatorial complex per edge, shared
+by every check that reads them.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..classify import koszul_report, quadratic_family_check, two_d_conditions
-from ..graph import BrauerGraph, is_length_graded, is_reduced, validate
+from ..graph import BrauerGraph, is_length_graded, is_reduced, uniform_degree, validate
 from ..presentation import homogeneity, present
 from ..resolution import (
     CanonicalExtElement,
@@ -36,7 +40,7 @@ from .ext import (
     yoneda_multiply,
 )
 from .fields import QQ
-from .modules import min_resolution, projective_module, simple_module, syzygy_module
+from .modules import projective_module
 
 
 @dataclass
@@ -144,46 +148,48 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
 
     reduced = is_reduced(g) and not g.is_a2_trivial() and g.quantizer_trivial()
     graded = is_length_graded(g) and la.graded
+    # oracle walks start empty; each check grows them to the depth it reads
+    walks = {e: ProjResolution.from_oracle(la, e, -1) for e in g.edge_ids}
+    traces = None
 
     if reduced:
-        _check_strings(report, g, la, max_degree)
+        traces = {e: iterate_syzygy(g, e, max_degree) for e in g.edge_ids}
+        _check_strings(report, g, la, max_degree, traces, walks)
 
     no_trunc = not g.has_truncated_edge()
-    if reduced and no_trunc:
-        _check_resolution(report, g, la, max_degree, fault, two_d=False)
-        if obstruction_element(g) is not None:
+    d = uniform_degree(g)
+    two_d = (not reduced and no_trunc and d is not None and d >= 3
+             and g.quantizer_trivial())
+    if (reduced and no_trunc) or two_d:
+        resolver = resolve_simple_2d if two_d else resolve_simple
+        steps = {e: resolver(g, e, max_degree + 1) for e in g.edge_ids}
+        complexes = {e: ProjResolution.from_steps(la, e, steps[e]) for e in g.edge_ids}
+        _check_resolution(report, g, la, max_degree, fault, steps, complexes,
+                          walks, traces)
+        if not two_d and obstruction_element(g) is not None:
             report.add("obstruction", "no truncated edges yet a walk witness appeared")
         cert_cap = certificate_degree if certificate_degree is not None else min(4, max_degree)
-        _check_certificates(report, g, la, cert_cap, max_degree)
-    elif no_trunc and _uniform_d(g) and _uniform_d(g) >= 3 and g.quantizer_trivial():
-        _check_resolution(report, g, la, max_degree, fault, two_d=True)
-        cert_cap = certificate_degree if certificate_degree is not None else min(4, max_degree)
-        _check_certificates(report, g, la, cert_cap, max_degree, two_d=True)
+        _check_certificates(report, g, la, cert_cap, complexes)
 
     if reduced and g.has_truncated_edge() and g.has_nontruncated_edge():
-        _check_obstruction(report, g, la, max_degree)
+        _check_obstruction(report, g, la, walks)
 
     if graded and g.has_truncated_edge() and h.kind == "DHomogeneous":
-        _check_nakayama_degrees(report, g, la, max_degree, h.d)
+        _check_nakayama_degrees(report, g, max_degree, h.d, walks)
 
     kr = koszul_report(g)
     if kr.is_koszul and graded:
-        _check_linear(report, g, la, min(5, max_degree + 1))
+        _check_linear(report, g, min(5, max_degree + 1), walks)
 
     return report
 
 
-def _uniform_d(g: BrauerGraph) -> Optional[int]:
-    vals = {g.valency(v) * g.multiplicity(v) for v in g.vertex_ids}
-    return vals.pop() if len(vals) == 1 else None
-
-
-def _check_strings(report: DiffReport, g, la, n_max: int):
+def _check_strings(report: DiffReport, g, la, n_max: int, traces, walks):
     for e in g.edge_ids:
-        trace = iterate_syzygy(g, e, n_max)
-        mod = simple_module(la, e)
+        trace = traces[e]
+        syzygies = walks[e].grow(n_max - 1).syzygies
         for n in range(1, n_max + 1):
-            om = syzygy_module(mod)[0]
+            om = syzygies[n]
             pred = trace.descriptors[n]
             want = (dimension(g, pred), dict(pred.top()), dict(pred.socle()))
             got = (om.total_dim, dict(om.top()), dict(om.socle()))
@@ -193,7 +199,6 @@ def _check_strings(report: DiffReport, g, la, n_max: int):
                     f"degree {n} of the simple at {e}: descriptor predicts "
                     f"{want}, oracle kernel computes {got}",
                 )
-            mod = om
         # reversal compatibility along the trace; literal for genuine strings,
         # up to the reversal identification for the palindromic simples
         for n in range(n_max):
@@ -215,13 +220,16 @@ def _check_strings(report: DiffReport, g, la, n_max: int):
                            f"explicit module for {sig} disagrees with the descriptor")
 
 
-def _check_resolution(report: DiffReport, g, la, n_max: int, fault, two_d: bool):
-    oracle_steps = {e: min_resolution(la, e, n_max) for e in g.edge_ids}
+def _check_resolution(report: DiffReport, g, la, n_max: int, fault, steps,
+                      complexes, walks, traces):
+    """The complexes against the oracle walks; the flip fault corrupts only
+    the complex examined here, never the shared one."""
+    d_val = uniform_degree(g)
     for e in g.edge_ids:
-        resolver = resolve_simple_2d if two_d else resolve_simple
-        steps = resolver(g, e, n_max + 1)
-        steps = _apply_fault(steps, fault, e)
-        res = ProjResolution.from_steps(la, e, steps)
+        faulted = _apply_fault(steps[e], fault, e)
+        res = (complexes[e] if faulted is steps[e]
+               else ProjResolution.from_steps(la, e, faulted))
+        oracle = walks[e].grow(n_max)
         bad = res.complex_is_zero()
         if bad:
             report.add("complex",
@@ -237,7 +245,7 @@ def _check_resolution(report: DiffReport, g, la, n_max: int, fault, two_d: bool)
                        f"differential entries outside the radical in degrees {bad}")
         for n in range(n_max + 1):
             want = dict(res.summand_multiset(n))
-            got = dict(oracle_steps[e][n]["summands"])
+            got = dict(oracle.summand_multiset(n))
             if want != got:
                 report.add("summands",
                            f"degree {n} of {e}: matrix resolution uses {want}, "
@@ -245,8 +253,7 @@ def _check_resolution(report: DiffReport, g, la, n_max: int, fault, two_d: bool)
         if la.graded:
             for n in range(n_max + 1):
                 want = res.generation_degrees(n)
-                got = [d for d in oracle_steps[e][n]["generation_degrees"]
-                       if d is not None]
+                got = oracle.generation_degrees(n)
                 if want != got:
                     report.add("generation-degrees",
                                f"degree {n} of {e}: predicted {want}, oracle {got}")
@@ -255,25 +262,19 @@ def _check_resolution(report: DiffReport, g, la, n_max: int, fault, two_d: bool)
                     report.add("generation-degrees",
                                f"degree {n} of {e}: summands say {want}, "
                                f"formula says {formula}")
-                d_val = _uniform_d(g)
                 if want and max(want) > delta(n, d_val):
                     report.add("delta-bound",
                                f"degree {n} of {e} exceeds the degree bound")
-        if is_reduced(g):
+        if traces is not None:
             for n in range(n_max + 1):
-                total = sum(ext_dim(g, e, t, n) for t in g.edge_ids)
+                top = traces[e].descriptors[n].top()
+                total = sum(top[t] for t in g.edge_ids)
                 if total != n + 1:
                     report.add("ext-count",
                                f"degree {n} of {e}: canonical count {total} != {n + 1}")
 
 
-def _check_certificates(report: DiffReport, g, la, cert_cap: int, n_max: int,
-                        two_d: bool = False):
-    resolver = resolve_simple_2d if two_d else resolve_simple
-    resolutions = {
-        e: ProjResolution.from_steps(la, e, resolver(g, e, n_max + 1))
-        for e in g.edge_ids
-    }
+def _check_certificates(report: DiffReport, g, la, cert_cap: int, resolutions):
     f = la.field
     for e in g.edge_ids:
         chain = _Chain(g, e, cert_cap)
@@ -312,7 +313,7 @@ def _scalar_multiple(value: ExtElement, target: ExtElement, f) -> bool:
     return all(f.is_zero(f.sub(x, vals[0])) for x in vals)
 
 
-def _check_obstruction(report: DiffReport, g, la, n_max: int):
+def _check_obstruction(report: DiffReport, g, la, walks):
     witness = obstruction_element(g)
     if witness is None:
         report.add("obstruction", "both edge kinds present but no walk witness")
@@ -322,36 +323,37 @@ def _check_obstruction(report: DiffReport, g, la, n_max: int):
     if ext_dim(g, s0, sn, n + 1) != 1:
         report.add("obstruction",
                    f"string count of the witness class is {ext_dim(g, s0, sn, n + 1)}")
-    resolutions = {e: ProjResolution.from_oracle(la, e, n + 1) for e in g.edge_ids}
-    r0 = resolutions[s0]
+    for res in walks.values():
+        res.grow(n + 1)
+    r0 = walks[s0]
     idxs = [i for i, (e, _, _) in enumerate(r0.summands[n + 1]) if e == sn]
     if len(idxs) != 1:
         report.add("obstruction",
                    f"oracle sees {len(idxs)} copies of the witness target")
         return
     w = ExtElement(r0, n + 1, {idxs[0]: la.field.one})
-    if element_in_span(resolutions, w, n):
+    if element_in_span(walks, w, n):
         report.add("obstruction",
                    "witness class lies in the subalgebra generated in degrees "
                    f"at most {n}")
 
 
-def _check_nakayama_degrees(report: DiffReport, g, la, n_max: int, d: int):
+def _check_nakayama_degrees(report: DiffReport, g, n_max: int, d: int, walks):
     for e in g.edge_ids:
-        steps = min_resolution(la, e, n_max)
-        for n, step in enumerate(steps):
-            degs = [x for x in step["generation_degrees"] if x is not None]
+        res = walks[e].grow(n_max)
+        for n in range(n_max + 1):
+            degs = res.generation_degrees(n)
             if degs != [delta(n, d)]:
                 report.add("nakayama-degrees",
                            f"degree {n} of {e}: generated in {degs}, "
                            f"expected degree {delta(n, d)}")
 
 
-def _check_linear(report: DiffReport, g, la, n_max: int):
+def _check_linear(report: DiffReport, g, n_max: int, walks):
     for e in g.edge_ids:
-        steps = min_resolution(la, e, n_max)
-        for n, step in enumerate(steps):
-            degs = [x for x in step["generation_degrees"] if x is not None]
+        res = walks[e].grow(n_max)
+        for n in range(n_max + 1):
+            degs = res.generation_degrees(n)
             if degs and degs != [n]:
                 report.add("linearity",
                            f"degree {n} of {e}: generated in {degs}, not linearly")

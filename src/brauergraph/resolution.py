@@ -16,11 +16,17 @@ whose vertices all satisfy valency x multiplicity = d.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .graph import BrauerGraph, HypothesisError, is_length_graded, is_reduced
-from .presentation import Path, Quiver, arrow_run, build_quiver
+from .graph import (
+    BrauerGraph,
+    HypothesisError,
+    is_length_graded,
+    is_reduced,
+    uniform_degree,
+)
+from .presentation import Quiver, arrow_run, build_quiver
 from .strings import PLUS, StringDescriptor, iterate_syzygy
 
 
@@ -196,7 +202,7 @@ def resolve_simple(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep]:
     if not g.quantizer_trivial():
         raise HypothesisError("resolve_simple requires the trivial quantizer")
     q = build_quiver(g)
-    d = _uniform_degree(g)
+    d = uniform_degree(g)
     return _resolve(g, q, e, n_max, d)
 
 
@@ -207,7 +213,7 @@ def resolve_simple_2d(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep
     """
     if not g.quantizer_trivial():
         raise HypothesisError("resolve_simple_2d requires the trivial quantizer")
-    d = _uniform_degree(g)
+    d = uniform_degree(g)
     if d is None:
         raise HypothesisError(
             "resolve_simple_2d needs valency x multiplicity constant over vertices"
@@ -218,11 +224,6 @@ def resolve_simple_2d(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep
         raise HypothesisError("resolve_simple_2d requires no truncated edges")
     q = build_quiver(g)
     return _resolve(g, q, e, n_max, d)
-
-
-def _uniform_degree(g: BrauerGraph) -> Optional[int]:
-    vals = {g.valency(v) * g.multiplicity(v) for v in g.vertex_ids}
-    return vals.pop() if len(vals) == 1 else None
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +248,7 @@ def generation_degrees(g: BrauerGraph, e: str, n: int) -> list[int]:
         raise HypothesisError("generation degrees need a length-graded algebra")
     if g.has_truncated_edge():
         raise HypothesisError("generation degrees via positions need no truncated edges")
-    d = _uniform_degree(g)
+    d = uniform_degree(g)
     if d is None:
         raise HypothesisError("no uniform degree")
     return sorted({n + j * (d - 2) for j in range(n // 2 + 1)})
@@ -259,7 +260,7 @@ def is_weakly_delta_bounded(g: BrauerGraph, n_max: int) -> bool:
     if not is_length_graded(g):
         raise HypothesisError("the degree bound needs a length-graded algebra")
     if not g.has_truncated_edge():
-        d = _uniform_degree(g)
+        d = uniform_degree(g)
         if d is None:
             raise HypothesisError("no uniform degree")
         return True  # degrees n + j(d-2) with j <= n/2 peak exactly at delta(n)
@@ -291,7 +292,7 @@ def graded_generation_degrees(g: BrauerGraph, e: str, n_max: int) -> list[set[in
     """
     if not is_reduced(g):
         raise HypothesisError("degree tracking requires a reduced graph")
-    from .strings import MINUS, _dist, _left_action, links, syzygy_of_simple
+    from .strings import _dist, _left_action, links, syzygy_of_simple
 
     def degree_map(sigma: StringDescriptor, plus_degrees: list[int]) -> list[int]:
         """Degrees of every entry, minus entries interpolated from a plus neighbor."""

@@ -135,3 +135,28 @@ def test_text_format(graph_files):
     code, out, _ = invoke(["syzygy", "--edge", "e1", "--max", "3",
                            "--format", "text", "--input", graph_files["a4"]])
     assert code == 0 and "Omega^3: e3+" in out
+
+
+SUBCOMMANDS = {
+    "quiver": [],
+    "relations": [],
+    "classify": [],
+    "resolve": ["--edge", "e1"],
+    "syzygy": ["--edge", "e1"],
+    "walk": ["--edge", "e1"],
+    "ext": ["--from", "e1", "--to", "e2"],
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[([cmd, *req, "--field", "q"], "unrecognized arguments")
+      for cmd, req in SUBCOMMANDS.items()],
+    *[([cmd, *req, "--format", "dot"], "invalid choice")
+      for cmd, req in SUBCOMMANDS.items() if cmd != "quiver"],
+])
+def test_unread_options_rejected(graph_files, argv, message):
+    """Only verify reads --field and only quiver renders dot."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        run(argv + ["--input", graph_files["triangle"]])
+    assert exc.value.code == 2 and message in err.getvalue()

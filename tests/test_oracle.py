@@ -21,13 +21,7 @@ from brauergraph.oracle.ext import (
     yoneda_multiply,
 )
 from brauergraph.oracle.fields import QQ, PrimeField, field_from_spec
-from brauergraph.oracle.modules import (
-    ext_dims,
-    min_resolution,
-    projective_module,
-    simple_module,
-    syzygy_module,
-)
+from brauergraph.oracle.modules import min_resolution, projective_module
 from brauergraph.presentation import present
 from brauergraph.resolution import resolve_simple
 from conftest import desk_graphs
@@ -125,12 +119,14 @@ def test_redundancy(a4, a3):
 
 def test_oracle_syzygy_chain(a4):
     la = build_algebra(present(a4))
-    mod = simple_module(la, "e1")
-    dims = [mod.total_dim]
-    for _ in range(6):
-        mod = syzygy_module(mod)[0]
-        dims.append(mod.total_dim)
-    assert dims == [1, 2, 2, 1, 2, 2, 1]
+    walk = ProjResolution.from_oracle(la, "e1", 5)
+    assert [m.total_dim for m in walk.syzygies] == [1, 2, 2, 1, 2, 2, 1]
+    # growing in steps walks the same resolution as one call
+    grown = ProjResolution.from_oracle(la, "e1", -1).grow(2).grow(5).grow(3)
+    assert len(grown.modules) == 6
+    assert [m.descriptor() for m in grown.syzygies] == [
+        m.descriptor() for m in walk.syzygies]
+    assert [grown.summands[n] for n in range(6)] == [walk.summands[n] for n in range(6)]
 
 
 def test_min_resolution_and_ext_dims(triangle):
@@ -139,9 +135,9 @@ def test_min_resolution_and_ext_dims(triangle):
     for n, step in enumerate(res):
         assert sum(step["summands"].values()) == n + 1
         assert step["generation_degrees"] == [n]
-    tops = ext_dims(la, "e1", 4)
-    for n, counter in enumerate(tops):
-        assert sum(counter.values()) == n + 1
+    walk = ProjResolution.from_oracle(la, "e1", 3)
+    for n in range(5):
+        assert sum(walk.syzygies[n].top().values()) == n + 1
 
 
 def test_yoneda_identity_products(triangle):
