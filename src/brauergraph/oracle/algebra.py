@@ -43,8 +43,7 @@ class WordSpace:
     """Paths of length at most ``maxlen`` with no monomial relation as a
     subword, and the translates u*r*v of the two-term relations among them."""
 
-    def __init__(self, quiver, maxlen: int, relations: list[Relation],
-                 word_cap: int = WORD_CAP):
+    def __init__(self, quiver, maxlen: int, relations: list[Relation], word_cap: int):
         self.quiver = quiver
         self.maxlen = maxlen
         self._monomials: list[tuple[int, ...]] = []
@@ -246,7 +245,7 @@ class FiniteDimAlgebra(WordSpace):
 
 def build_algebra(pres: Presentation, field=QQ,
                   relations: Optional[list[Relation]] = None,
-                  word_cap: int = 200_000) -> FiniteDimAlgebra:
+                  word_cap: int = WORD_CAP) -> FiniteDimAlgebra:
     return FiniteDimAlgebra(pres, field, relations, word_cap)
 
 
@@ -279,7 +278,8 @@ def is_redundant_relation(pres: Presentation, index: int, field=QQ) -> bool:
     target = pres.all_relations[index]
     if len(target.terms) != 1:
         raise ValueError("membership test is for monomial relations")
-    space = WordSpace(pres.quiver, pres.graph.nilpotency_bound() + 1, pres.all_relations)
+    space = WordSpace(pres.quiver, pres.graph.nilpotency_bound() + 1, pres.all_relations,
+                      WORD_CAP)
     target_word = space._path_key(target.terms[0][1])
 
     def column(source: str, arrows: tuple[int, ...]):
