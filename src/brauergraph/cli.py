@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation failure (report on standard error),
-2 hypothesis failure (an operation outside its regime), 3 verification
+Exit codes: 0 success, 1 invalid or unreadable input (report on standard
+error), 2 a bad option value or a hypothesis failure (an operation outside
+its regime, or an injected fault that corrupts nothing), 3 verification
 mismatch.  Output is deterministic: identical input and flags produce
 byte-identical output.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -148,6 +150,8 @@ def cmd_walk(args) -> int:
 
 def cmd_ext(args) -> int:
     g = _load(args.input)
+    if args.to not in g.edge_ids:
+        raise BrauerGraphError(f"unknown edge {args.to!r}")
     # dim Ext^n(S_from, S_to) counts ``to`` in the top of the n-th syzygy
     trace = iterate_syzygy(g, getattr(args, "from"), args.max)
     doc = {
@@ -163,34 +167,27 @@ def cmd_ext(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(path: str, max_degree: int, field_spec: str,
+def _verify_one(path: str, max_degree: int, field_obj,
                 fault: Fault | None) -> tuple[str, int, dict]:
     g = graphmod.load_file(path)
     report = validate(g)
     if not report.ok:
         return path, EXIT_INVALID, {"ok": False, "diffs": report.violations}
-    rep = verify_graph(g, max_degree=max_degree,
-                       field_obj=field_from_spec(field_spec), fault=fault)
+    rep = verify_graph(g, max_degree=max_degree, field_obj=field_obj, fault=fault)
     return path, EXIT_OK if rep.ok else EXIT_MISMATCH, rep.to_json()
 
 
 def cmd_verify(args) -> int:
     fault = None
-    if args.inject_flip:
-        edge, n, row, col = args.inject_flip.split(":")
-        fault = Fault(flip_sign=(edge, int(n), int(row), int(col)))
-    if args.inject_drop is not None:
-        fault = Fault(drop_relation=args.inject_drop) if fault is None else Fault(
-            flip_sign=fault.flip_sign, drop_relation=args.inject_drop
-        )
+    if args.inject_flip or args.inject_drop is not None:
+        fault = Fault(flip_sign=args.inject_flip, drop_relation=args.inject_drop)
     if args.input_dir:
-        import os
-
-        paths = sorted(
-            os.path.join(args.input_dir, p)
-            for p in os.listdir(args.input_dir)
-            if p.endswith(".bg.json")
-        )
+        try:
+            names = os.listdir(args.input_dir)
+        except OSError as exc:
+            raise BrauerGraphError(f"cannot read {args.input_dir}: {exc.strerror}") from exc
+        paths = sorted(os.path.join(args.input_dir, p) for p in names
+                       if p.endswith(".bg.json"))
         results = []
         with ProcessPoolExecutor() as pool:
             for path, code, doc in pool.map(
@@ -203,6 +200,31 @@ def cmd_verify(args) -> int:
     _, code, doc = _verify_one(args.input, args.max, args.field, fault)
     _emit(doc, args.format)
     return code
+
+
+def _degree(text: str) -> int:
+    """A --max value: a cohomological degree, so at least zero."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
+def _field(spec: str):
+    """A --field value: ``q`` or ``fp:<prime>``."""
+    try:
+        return field_from_spec(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _flip_spec(text: str) -> tuple[str, int, int, int]:
+    """An --inject-flip value: EDGE:N:ROW:COL."""
+    try:
+        edge, n, row, col = text.split(":")
+        return edge, int(n), int(row), int(col)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected EDGE:N:ROW:COL, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="explicit minimal projective resolution")
     common(p)
     p.add_argument("--edge", required=True)
-    p.add_argument("--max", type=int, default=4)
+    p.add_argument("--max", type=_degree, default=4)
     p.add_argument("--graded", action="store_true",
                    help="attach generation degrees to summands")
     p.set_defaults(func=cmd_resolve)
@@ -243,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("syzygy", help="syzygy descriptors of a simple module")
     common(p)
     p.add_argument("--edge", required=True)
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument("--max", type=_degree, default=6)
     p.set_defaults(func=cmd_syzygy)
 
     p = sub.add_parser("walk", help="walk between truncated edges")
@@ -255,16 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument("--max", type=_degree, default=6)
     p.set_defaults(func=cmd_ext)
 
     p = sub.add_parser("verify", help="cross-check everything against the oracle")
     p.add_argument("--input")
     p.add_argument("--input-dir", help="verify every .bg.json in a directory")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--field", default="q", help="q or fp:<prime>")
-    p.add_argument("--max", type=int, default=4)
-    p.add_argument("--inject-flip", metavar="EDGE:N:ROW:COL",
+    p.add_argument("--field", type=_field, default="q", help="q or fp:<prime>")
+    p.add_argument("--max", type=_degree, default=4)
+    p.add_argument("--inject-flip", type=_flip_spec, metavar="EDGE:N:ROW:COL",
                    help="testing hook: flip one differential sign")
     p.add_argument("--inject-drop", type=int, metavar="K",
                    help="testing hook: drop the K-th relation from the oracle")

@@ -584,9 +584,11 @@ def to_dict(g: BrauerGraph) -> dict:
 
 
 def load_file(path: str) -> BrauerGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BrauerGraphError(f"not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise BrauerGraphError(f"cannot read {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BrauerGraphError(f"not valid JSON: {exc}") from exc
     return from_dict(doc)

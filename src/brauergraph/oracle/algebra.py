@@ -173,8 +173,17 @@ class FiniteDimAlgebra(WordSpace):
         self.basis_index: dict[Word, int] = {w: i for i, w in enumerate(self.basis)}
         self.dim = len(self.basis)
         self.basis_by_source: dict[str, list[int]] = {v: [] for v in self.quiver.vertices}
+        # the basis of the projective at e, block by block: projective_words[e][v]
+        # lists the words from e to v, and word_position[i] is word i's place there
+        self.projective_words: dict[str, dict[str, list[int]]] = {
+            e: {v: [] for v in self.quiver.vertices} for e in self.quiver.vertices
+        }
+        self.word_position: list[int] = []
         for i, w in enumerate(self.basis):
             self.basis_by_source[w[0]].append(i)
+            block = self.projective_words[w[0]][self.word_target(w)]
+            self.word_position.append(len(block))
+            block.append(i)
 
     # -- public API -----------------------------------------------------
 

@@ -7,6 +7,13 @@ oracle: it keeps every syzygy it computes and ``grow`` extends it on
 demand, so a caller resolves each simple once and reads syzygies, summands
 and generation degrees of any depth off the same object.
 
+Every map between the projectives of a resolution is built by
+``modules.map_from_generators`` from the images of the generators: the
+covers of an oracle walk, the path matrices of ``from_steps`` (each
+column's generator goes to the signed sum of its paths) and the chain maps
+of ``lift_through`` (each generator goes to a solution of one linear
+system).
+
 A degree-n cohomology element of the simple at s is a functional on the
 generators of the n-th projective in a fixed resolution of s; the basis
 dual to the generators is the canonical basis.  Products are computed by
@@ -23,12 +30,10 @@ from .algebra import FiniteDimAlgebra
 from .modules import (
     Module,
     ModuleMap,
-    _apply,
-    direct_sum,
-    generator_index,
+    ProjectiveSum,
     kernel_module,
+    map_from_generators,
     projective_cover,
-    projective_module,
     simple_module,
 )
 
@@ -36,20 +41,19 @@ from .modules import (
 class ProjResolution:
     """Explicit complex of projectives over a simple module.
 
-    ``summands[n]`` lists (edge, generation degree or None, position or
-    None) per summand of the n-th projective; ``generators[n]`` holds the
-    flat basis index of each summand's generator inside ``modules[n]``.
-    An oracle resolution also keeps ``syzygies[n]``, the n-th syzygy of
-    the simple (``syzygies[0]`` is the simple itself).
+    ``modules[n]`` is the n-th projective, a ``ProjectiveSum`` whose
+    ``generators`` place each summand's generator; ``summands[n]`` lists
+    (edge, generation degree or None, position or None) per summand.  An
+    oracle resolution also keeps ``syzygies[n]``, the n-th syzygy of the
+    simple (``syzygies[0]`` is the simple itself).
     """
 
     def __init__(self, la: FiniteDimAlgebra, source: str):
         self.la = la
         self.source = source
-        self.modules: list[Module] = []
+        self.modules: list[ProjectiveSum] = []
         self.maps: list[Optional[ModuleMap]] = [None]  # maps[n]: Q^n -> Q^{n-1}
         self.summands: list[list[tuple[str, Optional[int], Optional[int]]]] = []
-        self.generators: list[list[tuple[str, int]]] = []  # (vertex, index in block)
         self.syzygies: list[Module] = []
         self._inclusion: Optional[ModuleMap] = None  # last syzygy -> Q^{n-1}
 
@@ -59,29 +63,16 @@ class ProjResolution:
     def from_steps(cls, la: FiniteDimAlgebra, source: str,
                    steps: list[ResolutionStep]) -> "ProjResolution":
         res = cls(la, source)
-        offsets_prev: Optional[list[dict[str, int]]] = None
-        mods_prev = None
         for step in steps:
             gen_by_pos = dict(step.generation_degrees or ())
-            projs = []
-            info = []
-            for pos, edge in step.summands:
-                deg = gen_by_pos.get(pos)
-                projs.append(projective_module(la, edge, gen_degree=deg or 0))
-                info.append((edge, deg, pos))
-            big, offsets = direct_sum(projs)
-            res.modules.append(big)
+            info = [(edge, gen_by_pos.get(pos), pos) for pos, edge in step.summands]
+            P = ProjectiveSum(la, [(edge, deg) for edge, deg, _ in info])
+            if res.modules:
+                Q = res.modules[-1]
+                res.maps.append(map_from_generators(
+                    P, Q, _path_images(P, Q, step.differential)))
+            res.modules.append(P)
             res.summands.append(info)
-            res.generators.append([(edge, generator_index(projs[k], offsets[k]))
-                                   for k, (edge, _, _) in enumerate(info)])
-            if offsets_prev is not None:
-                res.maps.append(
-                    _map_from_paths(la, res.modules[-1], res.modules[-2],
-                                    offsets, offsets_prev, projs, mods_prev,
-                                    step.differential)
-                )
-            offsets_prev = offsets
-            mods_prev = projs
         return res
 
     @classmethod
@@ -99,8 +90,7 @@ class ProjResolution:
         for _ in range(len(self.modules), n_max + 1):
             P, cover, summ = projective_cover(self.syzygies[-1])
             self.modules.append(P)
-            self.summands.append([(e, d, None) for e, d, _ in summ])
-            self.generators.append([(e, i) for e, _, i in summ])
+            self.summands.append([(e, d, None) for e, d in summ])
             if self._inclusion is not None:
                 self.maps.append(cover.compose(self._inclusion))
             K, self._inclusion = kernel_module(cover)
@@ -138,7 +128,7 @@ class ProjResolution:
         bad = []
         for n in range(1, len(self.modules)):
             fmap = self.maps[n]
-            for gv, gi in self.generators[n - 1]:
+            for gv, gi in self.modules[n - 1].generators:
                 block = fmap.blocks.get(gv, [])
                 for row in block:
                     if row and not self.la.field.is_zero(row[gi]):
@@ -153,39 +143,19 @@ class ProjResolution:
         return sorted({d for _, d, _ in self.summands[n] if d is not None})
 
 
-def _block_sizes(la: FiniteDimAlgebra, e: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for i in la.basis_by_source[e]:
-        v = la.word_target(la.basis[i])
-        out[v] = out.get(v, 0) + 1
-    return out
-
-
-def _map_from_paths(la: FiniteDimAlgebra, source_mod: Module, target_mod: Module,
-                    col_offsets, row_offsets, col_projs, row_projs,
-                    differential: dict) -> ModuleMap:
-    """Evaluate a sparse path matrix as a module map between explicit sums."""
+def _path_images(P: ProjectiveSum, Q: ProjectiveSum, differential: dict) -> list[list]:
+    """Generator images of a sparse path matrix P -> Q: the generator of
+    column ``col`` goes to the sum over rows of sign times the path, read in
+    the summand ``row`` of Q."""
+    la = P.la
     f = la.field
-    blocks = {
-        v: linalg.zeros(source_mod.dim(v), target_mod.dim(v), f)
-        for v in la.quiver.vertices
-    }
+    images = [[f.zero] * Q.dim(e) for e, _ in P.generators]
     for (row, col), (sign, path) in differential.items():
-        pk = tuple(la.quiver.arrow_index[a] for a in path.arrows)
-        proj = col_projs[col]
-        for v, idxs in proj._proj_words.items():
-            for local, i in enumerate(idxs):
-                word = la.basis[i]
-                vec = la.word_to_vec(path.source, pk + word[1])
-                if not vec:
-                    continue
-                r = col_offsets[col][v] + local
-                for j, coeff in vec.items():
-                    tv = la.word_target(la.basis[j])
-                    tc = row_offsets[row][tv] + row_projs[row]._proj_pos[j]
-                    val = coeff if sign > 0 else f.neg(coeff)
-                    blocks[tv][r][tc] = f.add(blocks[tv][r][tc], val)
-    return ModuleMap(source_mod, target_mod, blocks)
+        offset = Q.offsets[row][P.generators[col][0]]
+        for j, c in la.path_to_vec(path).items():
+            k = offset + la.word_position[j]
+            images[col][k] = f.add(images[col][k], c if sign > 0 else f.neg(c))
+    return images
 
 
 # ----------------------------------------------------------------------
@@ -246,21 +216,22 @@ def lift_through(x: ExtElement, target_res: ProjResolution, m: int) -> ModuleMap
         if not f.is_zero(c) and src.summands[n][i][0] != t:
             raise ValueError("element does not map into the requested simple")
 
-    # psi_0 on generators: scalar times the generator of Q^0 of the target
-    psi = _map_on_generators(
-        src, n, target_res.modules[0],
-        {
-            i: (target_res.generators[0][0][0],
-                _unit_vec(target_res.modules[0], target_res.generators[0][0], f,
-                          x.coeffs.get(i, f.zero)))
-            for i in range(len(src.summands[n]))
-        },
-    )
+    # psi_0 sends each generator to its coefficient times the generator of
+    # the target's Q^0, and a generator at another edge to zero
+    q0 = target_res.modules[0]
+    _, t_gen = q0.generators[0]
+    images = []
+    for i, (e, _) in enumerate(src.modules[n].generators):
+        image = [f.zero] * q0.dim(e)
+        if e == t:
+            image[t_gen] = x.coeffs.get(i, f.zero)
+        images.append(image)
+    psi = map_from_generators(src.modules[n], q0, images)
     for k in range(1, m + 1):
         rhs = src.maps[n + k].compose(psi)
         g = target_res.maps[k]
-        assignments = {}
-        for j, (gv, gi) in enumerate(src.generators[n + k]):
+        images = []
+        for gv, gi in src.modules[n + k].generators:
             b = rhs.blocks.get(gv, [])
             bvec = list(b[gi]) if b else [f.zero] * target_res.modules[k - 1].dim(gv)
             gblock = g.blocks.get(gv, [])
@@ -270,46 +241,9 @@ def lift_through(x: ExtElement, target_res: ProjResolution, m: int) -> ModuleMap
             y = linalg.solve_left(gblock, bvec, f)
             if y is None:
                 raise RuntimeError("comparison lifting failed; complex not exact?")
-            assignments[j] = (gv, y)
-        psi = _map_on_generators(src, n + k, target_res.modules[k], assignments)
+            images.append(y)
+        psi = map_from_generators(src.modules[n + k], target_res.modules[k], images)
     return psi
-
-
-def _unit_vec(mod: Module, gen: tuple[str, int], f, scalar) -> list:
-    v, idx = gen
-    out = [f.zero] * mod.dim(v)
-    out[idx] = scalar
-    return out
-
-
-def _map_on_generators(src: ProjResolution, n: int, target: Module,
-                       assignments: dict[int, tuple[str, list]]) -> ModuleMap:
-    """Extend generator images to a module map on the n-th projective."""
-    la = src.la
-    f = la.field
-    big = src.modules[n]
-    blocks = {v: linalg.zeros(big.dim(v), target.dim(v), f) for v in la.quiver.vertices}
-    # walk each summand's basis words and push the generator image along them
-    offset: dict[str, int] = {v: 0 for v in la.quiver.vertices}
-    for j, (edge, _, _) in enumerate(src.summands[n]):
-        gv, gvec = assignments[j]
-        sizes = _block_sizes(la, edge)
-        local_index: dict[str, int] = {}
-        for i in la.basis_by_source[edge]:
-            word = la.basis[i]
-            v = la.word_target(word)
-            li = local_index.get(v, 0)
-            local_index[v] = li + 1
-            row = offset[v] + li
-            arrows = [la.quiver.arrows[tt] for tt in word[1]]
-            tv, img = _apply(target, gv, gvec, arrows)
-            if any(not f.is_zero(xx) for xx in img):
-                blocks[tv][row] = [
-                    f.add(blocks[tv][row][c], img[c]) for c in range(len(img))
-                ]
-        for v in offset:
-            offset[v] += sizes.get(v, 0)
-    return ModuleMap(big, target, blocks)
 
 
 def yoneda_multiply(y: ExtElement, x: ExtElement,
@@ -321,8 +255,7 @@ def yoneda_multiply(y: ExtElement, x: ExtElement,
         if y.res.source != t:
             raise ValueError("factors not composable")
     psi = lift_through(x, y.res, y.degree)
-    for j in range(len(x.res.summands[x.degree + y.degree])):
-        gv, gi = x.res.generators[x.degree + y.degree][j]
+    for j, (gv, gi) in enumerate(x.res.modules[x.degree + y.degree].generators):
         block = psi.blocks.get(gv, [])
         if not block:
             continue
@@ -331,7 +264,7 @@ def yoneda_multiply(y: ExtElement, x: ExtElement,
         for i, c in y.coeffs.items():
             if f.is_zero(c):
                 continue
-            tgv, tgi = y.res.generators[y.degree][i]
+            tgv, tgi = y.res.modules[y.degree].generators[i]
             if tgv == gv:
                 total = f.add(total, f.mul(c, row[tgi]))
         if not f.is_zero(total):

@@ -9,6 +9,14 @@ When the algebra is length graded, basis vectors carry degrees, arrows
 raise degree by one, and kernels are computed degreewise so that graded
 generation degrees come out exactly.
 
+A sum of indecomposable projectives is a ``ProjectiveSum``, which records
+per summand only its edge, its offsets and its generator; the word layout
+of each projective is ``FiniteDimAlgebra.projective_words``.  A module map
+out of such a sum is fixed by where each generator goes, and
+``map_from_generators`` is the one constructor that turns generator images
+into such a map: projective covers here, and the path-matrix differentials
+and lifted chain maps of ``oracle/ext.py``, are all built by it.
+
 ``projective_cover`` and ``kernel_module`` are the two steps of a minimal
 resolution; the walk that alternates them is ``ProjResolution.from_oracle``
 in ``oracle/ext.py``, and ``min_resolution`` here is a view of that walk.
@@ -148,14 +156,10 @@ class ModuleMap:
         return total
 
 
-def zero_module(la: FiniteDimAlgebra) -> Module:
-    degrees = {v: [] for v in la.quiver.vertices}
-    action = {a.name: [] for a in la.quiver.arrows}
-    return Module(la, degrees, action)
-
-
-def simple_module(la: FiniteDimAlgebra, e: str, degree: int = 0) -> Module:
-    degrees = {v: ([degree] if v == e else []) for v in la.quiver.vertices}
+def simple_module(la: FiniteDimAlgebra, e: str) -> Module:
+    """The simple at ``e``, in degree 0 when the algebra is graded."""
+    degrees = {v: ([0 if la.graded else None] if v == e else [])
+               for v in la.quiver.vertices}
     action = {}
     for a in la.quiver.arrows:
         rows = len(degrees[a.source])
@@ -164,134 +168,104 @@ def simple_module(la: FiniteDimAlgebra, e: str, degree: int = 0) -> Module:
     return Module(la, degrees, action)
 
 
-def projective_module(la: FiniteDimAlgebra, e: str, gen_degree: int = 0) -> Module:
+class ProjectiveSum(Module):
+    """Direct sum of indecomposable projectives, one per (edge, generation
+    degree or None) in ``summands``.
+
+    Summand k starts at ``offsets[k][v]`` in the block of each vertex v; its
+    generator is row ``generators[k][1]`` of the block of its edge
+    ``generators[k][0]``.
+    """
+
+    def __init__(self, la: FiniteDimAlgebra, summands: list[tuple[str, Optional[int]]]):
+        f = la.field
+        degrees: dict[str, list[Optional[int]]] = {v: [] for v in la.quiver.vertices}
+        self.offsets: list[dict[str, int]] = []
+        self.generators: list[tuple[str, int]] = []
+        for e, d in summands:
+            offsets = {v: len(degrees[v]) for v in degrees}
+            self.offsets.append(offsets)
+            self.generators.append(
+                (e, offsets[e] + la.word_position[la.basis_index[(e, ())]]))
+            for v, words in la.projective_words[e].items():
+                degrees[v].extend(((d or 0) + la.degree(i)) if la.graded else None
+                                  for i in words)
+        action = {}
+        for a in la.quiver.arrows:
+            m = linalg.zeros(len(degrees[a.source]), len(degrees[a.target]), f)
+            ai = la.quiver.arrow_index[a]
+            for (e, _), offsets in zip(self.generators, self.offsets):
+                row0, col0 = offsets[a.source], offsets[a.target]
+                for r, i in enumerate(la.projective_words[e][a.source]):
+                    source, arrows = la.basis[i]
+                    for j, c in la.word_to_vec(source, arrows + (ai,)).items():
+                        m[row0 + r][col0 + la.word_position[j]] = c
+            action[a.name] = m
+        super().__init__(la, degrees, action)
+
+
+def projective_module(la: FiniteDimAlgebra, e: str) -> ProjectiveSum:
     """The right ideal at the vertex of ``e``: basis are normal words from e."""
-    words = la.basis_by_source[e]
-    by_vertex: dict[str, list[int]] = {v: [] for v in la.quiver.vertices}
-    for i in words:
-        by_vertex[la.word_target(la.basis[i])].append(i)
-    pos: dict[int, int] = {}
-    degrees: dict[str, list[Optional[int]]] = {}
-    for v, idxs in by_vertex.items():
-        degrees[v] = [
-            (gen_degree + la.degree(i)) if la.graded else None for i in idxs
-        ]
-        for k, i in enumerate(idxs):
-            pos[i] = k
+    return ProjectiveSum(la, [(e, 0)])
+
+
+def map_from_generators(source: ProjectiveSum, target: Module,
+                        images: list[list]) -> ModuleMap:
+    """The module map out of a sum of projectives that sends the generator of
+    summand k to ``images[k]``, a row vector in the target's block at that
+    summand's edge; each basis word w of the summand goes to ``images[k]``
+    times w."""
+    la = source.la
     f = la.field
-    action = {}
-    for a in la.quiver.arrows:
-        src, tgt = by_vertex[a.source], by_vertex[a.target]
-        m = linalg.zeros(len(src), len(tgt), f)
-        ai = la.quiver.arrow_index[a]
-        for r, i in enumerate(src):
-            word = la.basis[i]
-            vec = la.word_to_vec(word[0], word[1] + (ai,))
-            for j, c in vec.items():
-                m[r][pos[j]] = c
-        action[a.name] = m
-    mod = Module(la, degrees, action)
-    mod._proj_edge = e  # noqa: SLF001 - bookkeeping for covers
-    mod._proj_words = by_vertex
-    mod._proj_pos = pos
-    return mod
+    blocks = {v: linalg.zeros(source.dim(v), target.dim(v), f) for v in la.quiver.vertices}
+    for (e, _), offsets, image in zip(source.generators, source.offsets, images):
+        if all(f.is_zero(x) for x in image):
+            continue
+        pushed = {(): image}
+        for v, words in la.projective_words[e].items():
+            for r, i in enumerate(words):
+                blocks[v][offsets[v] + r] = _push(target, pushed, la.basis[i][1])
+    return ModuleMap(source, target, blocks)
 
 
-def direct_sum(mods: list[Module]) -> tuple[Module, list[dict[str, int]]]:
-    """Concatenate blocks; returns per-summand offsets at each vertex."""
-    if not mods:
-        raise ValueError("empty direct sum needs an algebra; use zero_module")
-    la = mods[0].la
-    f = la.field
-    offsets: list[dict[str, int]] = []
-    degrees: dict[str, list[Optional[int]]] = {v: [] for v in la.quiver.vertices}
-    for m in mods:
-        offsets.append({v: len(degrees[v]) for v in degrees})
-        for v in degrees:
-            degrees[v].extend(m.degrees.get(v, []))
-    action = {}
-    for a in la.quiver.arrows:
-        rows = len(degrees[a.source])
-        cols = len(degrees[a.target])
-        big = linalg.zeros(rows, cols, f)
-        for k, m in enumerate(mods):
-            sub = m.action[a.name]
-            ro, co = offsets[k][a.source], offsets[k][a.target]
-            for i, row in enumerate(sub):
-                for j, x in enumerate(row):
-                    big[ro + i][co + j] = x
-        action[a.name] = big
-    return Module(la, degrees, action), offsets
+def _push(mod: Module, pushed: dict[tuple, list], arrows: tuple[int, ...]) -> list:
+    """``pushed[()]`` times the path ``arrows`` in ``mod``; ``pushed`` keeps
+    the image of every prefix walked so far."""
+    if arrows not in pushed:
+        vec = _push(mod, pushed, arrows[:-1])
+        a = mod.la.quiver.arrows[arrows[-1]]
+        m = mod.action[a.name]
+        pushed[arrows] = (linalg.mat_mul([vec], m, mod.la.field)[0] if m
+                          else [mod.la.field.zero] * mod.dim(a.target))
+    return pushed[arrows]
 
 
-def generator_index(proj: Module, offsets: dict[str, int]) -> int:
-    """Index of a projective's generator in its vertex block of a direct sum
-    that places ``proj`` at ``offsets``."""
-    e = proj._proj_edge
-    return offsets[e] + proj._proj_pos[proj.la.basis_index[(e, ())]]
-
-
-def projective_cover(mod: Module) -> tuple[Module, "ModuleMap", list[tuple]]:
+def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]]:
     """Cover by projectives indexed by the top; returns (P, map, summands)
-    with one (vertex, generation degree, generator index) per summand."""
+    with one (vertex, generation degree) per summand."""
     la = mod.la
     f = la.field
     rad = mod.radical_rows()
     summands: list[tuple[str, Optional[int]]] = []
-    lifts: list[tuple[str, list]] = []
+    images: list[list] = []
     for v in la.quiver.vertices:
         n = mod.dim(v)
         if n == 0:
             continue
-        red, pivots = linalg.rref(rad.get(v, []), f)
-        free = [i for i in range(n) if i not in set(pivots)]
-        for i in free:
-            deg = mod.degrees[v][i]
-            summands.append((v, deg))
-            unit = [f.zero] * n
-            unit[i] = f.one
-            lifts.append((v, unit))
-    if not summands:
-        return zero_module(la), ModuleMap(zero_module(la), mod, {}), []
-    projs = [projective_module(la, e, gen_degree=(d if d is not None else 0))
-             for e, d in summands]
-    big, offsets = direct_sum(projs)
-    blocks: dict[str, list[list]] = {
-        v: linalg.zeros(big.dim(v), mod.dim(v), f) for v in la.quiver.vertices
-    }
-    for k, (proj, (v_gen, lift)) in enumerate(zip(projs, lifts)):
-        for v, idxs in proj._proj_words.items():
-            for local, i in enumerate(idxs):
-                word = la.basis[i]
-                arrows = [la.quiver.arrows[t] for t in word[1]]
-                _, img = _apply(mod, v_gen, lift, arrows)
-                row = offsets[k][v] + local
-                blocks[v][row] = img
-    cover = ModuleMap(big, mod, blocks)
-    return big, cover, [(v, d, generator_index(proj, offsets[k]))
-                        for k, ((v, d), proj) in enumerate(zip(summands, projs))]
-
-
-def _apply(mod: Module, v: str, vec: list, arrows: list) -> tuple[str, list]:
-    f = mod.la.field
-    cur_v, cur = v, list(vec)
-    for a in arrows:
-        m = mod.action[a.name]
-        ncols = len(m[0]) if m else mod.dim(a.target)
-        out = [f.zero] * ncols
-        for i, x in enumerate(cur):
-            if f.is_zero(x):
-                continue
-            row = m[i]
-            for j, y in enumerate(row):
-                if not f.is_zero(y):
-                    out[j] = f.add(out[j], f.mul(x, y))
-        cur_v, cur = a.target, out
-    return cur_v, cur
+        _, pivots = linalg.rref(rad.get(v, []), f)
+        for i in range(n):
+            if i not in pivots:
+                summands.append((v, mod.degrees[v][i]))
+                unit = [f.zero] * n
+                unit[i] = f.one
+                images.append(unit)
+    P = ProjectiveSum(la, summands)
+    return P, map_from_generators(P, mod, images), summands
 
 
 def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
-    """Kernel with its inclusion; degreewise when the algebra is graded."""
+    """Kernel with its inclusion, computed degreewise; an ungraded module
+    has the single degree None."""
     P, M = phi.source, phi.target
     la = P.la
     f = la.field
@@ -304,47 +278,33 @@ def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
         if n == 0:
             continue
         block = phi.blocks.get(v) or linalg.zeros(n, M.dim(v), f)
-        if la.graded:
-            slots: dict[Optional[int], list[int]] = {}
-            for i, d in enumerate(P.degrees[v]):
-                slots.setdefault(d, []).append(i)
-            tgt_slots: dict[Optional[int], list[int]] = {}
-            for j, d in enumerate(M.degrees[v]):
-                tgt_slots.setdefault(d, []).append(j)
-            for d in sorted(slots, key=lambda x: (x is None, x)):
-                rows = slots[d]
-                cols = tgt_slots.get(d, [])
-                sub = [[block[i][j] for j in cols] for i in rows]
-                if cols:
-                    kern = linalg.left_kernel(sub, f)
-                else:
-                    kern = linalg.identity(len(rows), f)
-                for kv in kern:
-                    full = [f.zero] * n
-                    for local, i in enumerate(rows):
-                        full[i] = kv[local]
-                    basis_rows[v].append(full)
-                    degrees[v].append(d)
-        else:
-            kern = linalg.left_kernel(block, f) if M.dim(v) else linalg.identity(n, f)
+        slots: dict[Optional[int], list[int]] = {}
+        for i, d in enumerate(P.degrees[v]):
+            slots.setdefault(d, []).append(i)
+        tgt_slots: dict[Optional[int], list[int]] = {}
+        for j, d in enumerate(M.degrees[v]):
+            tgt_slots.setdefault(d, []).append(j)
+        for d in sorted(slots, key=lambda x: (x is None, x)):
+            rows = slots[d]
+            cols = tgt_slots.get(d, [])
+            if cols:
+                kern = linalg.left_kernel([[block[i][j] for j in cols] for i in rows], f)
+            else:
+                kern = linalg.identity(len(rows), f)
             for kv in kern:
-                basis_rows[v].append(list(kv))
-                degrees[v].append(None)
+                full = [f.zero] * n
+                for local, i in enumerate(rows):
+                    full[i] = kv[local]
+                basis_rows[v].append(full)
+                degrees[v].append(d)
     action = {}
     for a in la.quiver.arrows:
-        src_basis = basis_rows[a.source]
-        tgt_basis = basis_rows[a.target]
-        m = linalg.zeros(len(src_basis), len(tgt_basis), f)
-        amat = P.action[a.name]
-        for i, kv in enumerate(src_basis):
-            _, img = _apply(P, a.source, kv, [a])
-            if tgt_basis:
-                coords = linalg.solve_left(tgt_basis, img, f)
-                if coords is None:
-                    raise RuntimeError("kernel is not closed under the action")
-                m[i] = coords
-            elif any(not f.is_zero(x) for x in img):
+        m = []
+        for img in linalg.mat_mul(basis_rows[a.source], P.action[a.name], f):
+            coords = linalg.solve_left(basis_rows[a.target], img, f)
+            if coords is None:
                 raise RuntimeError("kernel is not closed under the action")
+            m.append(coords)
         action[a.name] = m
     K = Module(la, degrees, action)
     incl = ModuleMap(K, P, {v: basis_rows[v] for v in basis_rows})

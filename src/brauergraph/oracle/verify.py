@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..classify import koszul_report, quadratic_family_check, two_d_conditions
-from ..graph import BrauerGraph, is_length_graded, is_reduced, uniform_degree, validate
+from ..graph import (
+    BrauerGraph,
+    HypothesisError,
+    is_length_graded,
+    is_reduced,
+    uniform_degree,
+    validate,
+)
 from ..presentation import homogeneity, present
 from ..resolution import (
     CanonicalExtElement,
@@ -45,7 +52,9 @@ from .modules import projective_module
 
 @dataclass
 class Fault:
-    """Deliberate corruption for harness self-tests."""
+    """Deliberate corruption for harness self-tests.  ``verify_graph``
+    raises HypothesisError for a fault that names no entry or relation of
+    the graph, and for a sign flip that cannot change anything."""
 
     flip_sign: Optional[tuple[str, int, int, int]] = None  # edge, degree, row, col
     drop_relation: Optional[int] = None
@@ -68,23 +77,18 @@ class DiffReport:
         return {"ok": self.ok, "diffs": self.entries}
 
 
-def _apply_fault(steps, fault: Optional[Fault], edge: str):
-    if fault is None or fault.flip_sign is None:
-        return steps
-    fe, fn, fr, fc = fault.flip_sign
-    if fe != edge:
-        return steps
-    out = []
-    for s in steps:
-        if s.degree != fn:
-            out.append(s)
-            continue
-        diff = dict(s.differential)
-        if (fr, fc) in diff:
-            sign, path = diff[(fr, fc)]
-            diff[(fr, fc)] = (-sign, path)
-        out.append(type(s)(s.degree, s.summands, diff, s.generation_degrees))
-    return out
+def _flip(steps, flip: tuple[str, int, int, int]):
+    """A copy of ``steps`` with the sign of one differential entry flipped."""
+    _, n, row, col = flip
+    for k, s in enumerate(steps):
+        if s.degree == n and (row, col) in s.differential:
+            diff = dict(s.differential)
+            sign, path = diff[(row, col)]
+            diff[(row, col)] = (-sign, path)
+            return [*steps[:k], type(s)(s.degree, s.summands, diff, s.generation_degrees),
+                    *steps[k + 1:]]
+    raise HypothesisError(f"flip fault corrupts nothing: the differential in degree "
+                          f"{n} has no entry ({row}, {col})")
 
 
 def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
@@ -97,9 +101,29 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
             report.add("validation", v)
         return report
 
+    reduced = is_reduced(g) and not g.is_a2_trivial() and g.quantizer_trivial()
+    no_trunc = not g.has_truncated_edge()
+    d = uniform_degree(g)
+    two_d = (not reduced and no_trunc and d is not None and d >= 3
+             and g.quantizer_trivial())
+    explicit = (reduced and no_trunc) or two_d
+    flip = fault.flip_sign if fault is not None else None
+    if flip is not None:
+        if not explicit:
+            raise HypothesisError("flip fault corrupts nothing: the graph has no "
+                                  "explicit resolution")
+        if flip[0] not in g.edge_ids:
+            raise HypothesisError(f"flip fault corrupts nothing: unknown edge {flip[0]!r}")
+        if field_obj.is_zero(field_obj.add(field_obj.one, field_obj.one)):
+            raise HypothesisError("flip fault corrupts nothing: a sign flip is the "
+                                  "identity in characteristic 2")
+
     pres = present(g)
     relations = list(pres.all_relations)
     if fault is not None and fault.drop_relation is not None:
+        if not 0 <= fault.drop_relation < len(relations):
+            raise HypothesisError(f"drop fault corrupts nothing: no relation "
+                                  f"{fault.drop_relation} among {len(relations)}")
         relations = [r for i, r in enumerate(relations) if i != fault.drop_relation]
     la = build_algebra(pres, field_obj, relations=relations)
 
@@ -146,7 +170,6 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
         report.add("classification",
                    f"{h} but neither two-degree shape condition holds")
 
-    reduced = is_reduced(g) and not g.is_a2_trivial() and g.quantizer_trivial()
     graded = is_length_graded(g) and la.graded
     # oracle walks start empty; each check grows them to the depth it reads
     walks = {e: ProjResolution.from_oracle(la, e, -1) for e in g.edge_ids}
@@ -156,16 +179,17 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
         traces = {e: iterate_syzygy(g, e, max_degree) for e in g.edge_ids}
         _check_strings(report, g, la, max_degree, traces, walks)
 
-    no_trunc = not g.has_truncated_edge()
-    d = uniform_degree(g)
-    two_d = (not reduced and no_trunc and d is not None and d >= 3
-             and g.quantizer_trivial())
-    if (reduced and no_trunc) or two_d:
+    if explicit:
         resolver = resolve_simple_2d if two_d else resolve_simple
         steps = {e: resolver(g, e, max_degree + 1) for e in g.edge_ids}
         complexes = {e: ProjResolution.from_steps(la, e, steps[e]) for e in g.edge_ids}
-        _check_resolution(report, g, la, max_degree, fault, steps, complexes,
-                          walks, traces)
+        # the flip fault corrupts only the complexes examined by
+        # _check_resolution, never the shared ones
+        examined = dict(complexes)
+        if flip is not None:
+            examined[flip[0]] = ProjResolution.from_steps(la, flip[0],
+                                                          _flip(steps[flip[0]], flip))
+        _check_resolution(report, g, la, max_degree, examined, walks, traces)
         if not two_d and obstruction_element(g) is not None:
             report.add("obstruction", "no truncated edges yet a walk witness appeared")
         cert_cap = certificate_degree if certificate_degree is not None else min(4, max_degree)
@@ -220,15 +244,11 @@ def _check_strings(report: DiffReport, g, la, n_max: int, traces, walks):
                            f"explicit module for {sig} disagrees with the descriptor")
 
 
-def _check_resolution(report: DiffReport, g, la, n_max: int, fault, steps,
-                      complexes, walks, traces):
-    """The complexes against the oracle walks; the flip fault corrupts only
-    the complex examined here, never the shared one."""
+def _check_resolution(report: DiffReport, g, la, n_max: int, complexes, walks, traces):
+    """The complexes against the oracle walks."""
     d_val = uniform_degree(g)
     for e in g.edge_ids:
-        faulted = _apply_fault(steps[e], fault, e)
-        res = (complexes[e] if faulted is steps[e]
-               else ProjResolution.from_steps(la, e, faulted))
+        res = complexes[e]
         oracle = walks[e].grow(n_max)
         bad = res.complex_is_zero()
         if bad:

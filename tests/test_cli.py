@@ -2,11 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brauergraph
 from brauergraph.cli import run
-from brauergraph.graph import path_graph, to_dict, triangle_graph
+from brauergraph.graph import path_graph, star_graph, to_dict, triangle_graph
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.oracle.ext import ProjResolution
 from brauergraph.presentation import present
@@ -91,6 +95,74 @@ def test_ext(graph_files):
     # syzygy, read here off the oracle's exact resolution
     walk = ProjResolution.from_oracle(build_algebra(present(path_graph(4))), "e1", 3)
     assert doc["dims"] == [walk.syzygies[n].top()["e3"] for n in range(4)]
+
+
+def test_ext_unknown_edge(graph_files):
+    """An unknown --to is an input error, exactly like an unknown --from."""
+    for flag in ("--from", "--to"):
+        edges = {"--from": "e1", "--to": "e1", flag: "zz"}
+        code, out, err = invoke(["ext", "--from", edges["--from"], "--to", edges["--to"],
+                                 "--input", graph_files["a4"]])
+        assert (code, out, err) == (1, "", "unknown edge 'zz'\n"), flag
+
+
+def usage_exit(argv):
+    """Exit code and standard error of a run that argparse may stop."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        run(argv)
+    return exc.value.code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--from", "e1", "--to", "e3"],
+    ["syzygy", "--edge", "e1"],
+    ["resolve", "--edge", "e1"],
+    ["verify"],
+], ids=lambda argv: argv[0])
+def test_negative_max_rejected(graph_files, argv):
+    code, err = usage_exit(argv + ["--max", "-1", "--input", graph_files["a4"]])
+    assert code == 2 and "argument --max: must be at least 0" in err
+
+
+@pytest.mark.parametrize("g, fault", [
+    (triangle_graph(), ["--inject-drop", "99"]),
+    (triangle_graph(), ["--inject-drop", "-1"]),
+    (triangle_graph(), ["--inject-flip", "e9:2:0:0"]),
+    (triangle_graph(), ["--inject-flip", "e1:2:7:7"]),
+    (triangle_graph(), ["--inject-flip", "e1:2:0:0", "--field", "fp:2"]),
+    (star_graph(3), ["--inject-flip", "e1:2:0:0"]),
+], ids=["drop 99", "drop -1", "unknown edge", "missing entry", "flip in char 2",
+        "no explicit resolution"])
+def test_fault_that_corrupts_nothing_rejected(tmp_path, g, fault):
+    """A fault hook that corrupts nothing must not report success."""
+    path = tmp_path / "g.bg.json"
+    path.write_text(json.dumps(to_dict(g)))
+    code, out, err = invoke(["verify", "--max", "3", *fault, "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "corrupts nothing" in err
+
+
+@pytest.mark.parametrize("args, code", [
+    (["verify", "--field", "fp:4"], 2),
+    (["verify", "--field", "xx"], 2),
+    (["verify", "--inject-flip", "bad"], 2),
+    (["verify", "--input", "missing.bg.json"], 1),
+    (["classify", "--input", "missing.bg.json"], 1),
+    (["verify", "--input-dir", "missing"], 1),
+])
+def test_bad_input_exits_without_traceback(graph_files, tmp_path, args, code):
+    """A bad option value is a usage error (2), unreadable input is invalid
+    input (1); neither escapes as a Python traceback."""
+    if "--input" not in args and "--input-dir" not in args:
+        args = args + ["--input", graph_files["triangle"]]
+    src = str(Path(brauergraph.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "brauergraph.cli", *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verify_ok_and_exit_codes(graph_files):

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from brauergraph.graph import loop_graph, path_graph, star_graph, triangle_graph
+from brauergraph.graph import (
+    HypothesisError,
+    loop_graph,
+    path_graph,
+    star_graph,
+    triangle_graph,
+)
 from brauergraph.oracle import linalg
 from brauergraph.oracle.algebra import (
     OracleSizeError,
@@ -18,12 +24,13 @@ from brauergraph.oracle.ext import (
     element_in_span,
     full_ext_dims,
     generated_subalgebra_dims,
+    lift_through,
     yoneda_multiply,
 )
 from brauergraph.oracle.fields import QQ, PrimeField, field_from_spec
-from brauergraph.oracle.modules import min_resolution, projective_module
+from brauergraph.oracle.modules import min_resolution, projective_cover, projective_module
 from brauergraph.presentation import present
-from brauergraph.resolution import resolve_simple
+from brauergraph.resolution import resolve_simple, resolve_simple_2d
 from conftest import desk_graphs
 
 
@@ -172,3 +179,56 @@ def test_oracle_resolution_exact(triangle, a4):
             assert res.complex_is_zero() == []
             assert res.exactness_defects(3) == []
             assert res.minimality_defects() == []
+
+
+def _commutes(phi) -> bool:
+    """source.action[a] * block[a.target] == block[a.source] * target.action[a]
+    for every arrow a."""
+    la = phi.source.la
+    f = la.field
+
+    def block(v):
+        return phi.blocks.get(v) or linalg.zeros(phi.source.dim(v), phi.target.dim(v), f)
+
+    def entries(m):
+        return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)
+                if not f.is_zero(x)}
+
+    return all(
+        entries(linalg.mat_mul(phi.source.action[a.name], block(a.target), f))
+        == entries(linalg.mat_mul(block(a.source), phi.target.action[a.name], f))
+        for a in la.quiver.arrows
+    )
+
+
+def _explicit_complexes(g, la, n):
+    """The path-matrix complexes of every simple, when the graph has them."""
+    for resolver in (resolve_simple, resolve_simple_2d):
+        try:
+            return {e: ProjResolution.from_steps(la, e, resolver(g, e, n))
+                    for e in g.edge_ids}
+        except HypothesisError:
+            continue
+    return {}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["q", "f2"])
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_oracle_maps_commute_with_arrows(name, g, field):
+    """Covers, the differentials of oracle walks and of path-matrix
+    complexes, and lifted chain maps are all module maps."""
+    la = build_algebra(present(g), field)
+    walks = {e: ProjResolution.from_oracle(la, e, 3) for e in g.edge_ids}
+    complexes = _explicit_complexes(g, la, 3)
+    for res in [*walks.values(), *complexes.values()]:
+        assert all(_commutes(phi) for phi in res.maps[1:]), res.source
+    for walk in walks.values():
+        for syz in walk.syzygies[:3]:
+            assert _commutes(projective_cover(syz)[1])
+    for resolutions in (walks, complexes):
+        for res in resolutions.values():
+            for n in range(3):
+                for i, (t, _, _) in enumerate(res.summands[n]):
+                    x = ExtElement(res, n, {i: field.one})
+                    for m in range(3 - n + 1):
+                        assert _commutes(lift_through(x, resolutions[t], m)), (n, i, m)
