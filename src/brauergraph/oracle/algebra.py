@@ -229,13 +229,16 @@ class FiniteDimAlgebra(WordSpace):
         return out
 
     def check_associativity(self, cap: int = 40) -> bool:
+        """(b_i b_j) b_k == b_i (b_j b_k) over every composable triple of
+        basis words; a triple that is not composable is zero on both sides.
+        An algebra above ``cap`` dimensions is not checked."""
         if self.dim > cap:
             return True
         f = self.field
         for i in range(self.dim):
-            for j in range(self.dim):
+            for j in self.basis_by_source[self.word_target(self.basis[i])]:
                 ij = self.mult(i, j)
-                for k in range(self.dim):
+                for k in self.basis_by_source[self.word_target(self.basis[j])]:
                     left: dict[int, object] = {}
                     for t, c in ij.items():
                         for u, d in self.mult(t, k).items():

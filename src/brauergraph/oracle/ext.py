@@ -125,16 +125,13 @@ class ProjResolution:
 
     def minimality_defects(self) -> list[int]:
         """Degrees whose differential has an entry outside the radical."""
-        bad = []
-        for n in range(1, len(self.modules)):
-            fmap = self.maps[n]
-            for gv, gi in self.modules[n - 1].generators:
-                block = fmap.blocks.get(gv, [])
-                for row in block:
-                    if row and not self.la.field.is_zero(row[gi]):
-                        bad.append(n)
-                        break
-        return sorted(set(bad))
+        f = self.la.field
+        return [
+            n for n in range(1, len(self.modules))
+            if any(not f.is_zero(row[gi])
+                   for gv, gi in self.modules[n - 1].generators
+                   for row in self.maps[n].blocks[gv])
+        ]
 
     def summand_multiset(self, n: int) -> Counter:
         return Counter(e for e, _, _ in self.summands[n])
@@ -230,18 +227,19 @@ def lift_through(x: ExtElement, target_res: ProjResolution, m: int) -> ModuleMap
     for k in range(1, m + 1):
         rhs = src.maps[n + k].compose(psi)
         g = target_res.maps[k]
-        images = []
-        for gv, gi in src.modules[n + k].generators:
-            b = rhs.blocks.get(gv, [])
-            bvec = list(b[gi]) if b else [f.zero] * target_res.modules[k - 1].dim(gv)
-            gblock = g.blocks.get(gv, [])
-            if not gblock:
-                gblock = linalg.zeros(target_res.modules[k].dim(gv),
-                                      target_res.modules[k - 1].dim(gv), f)
-            y = linalg.solve_left(gblock, bvec, f)
-            if y is None:
+        generators = src.modules[n + k].generators
+        # one system per vertex: every generator there solves against g's block
+        by_vertex: dict[str, list[int]] = {}
+        for j, (gv, _) in enumerate(generators):
+            by_vertex.setdefault(gv, []).append(j)
+        images: list = [None] * len(generators)
+        for gv, js in by_vertex.items():
+            ys = linalg.solve_left(
+                g.blocks[gv], [rhs.blocks[gv][generators[j][1]] for j in js], f)
+            if ys is None:
                 raise RuntimeError("comparison lifting failed; complex not exact?")
-            images.append(y)
+            for j, y in zip(js, ys):
+                images[j] = y
         psi = map_from_generators(src.modules[n + k], target_res.modules[k], images)
     return psi
 
@@ -256,10 +254,7 @@ def yoneda_multiply(y: ExtElement, x: ExtElement,
             raise ValueError("factors not composable")
     psi = lift_through(x, y.res, y.degree)
     for j, (gv, gi) in enumerate(x.res.modules[x.degree + y.degree].generators):
-        block = psi.blocks.get(gv, [])
-        if not block:
-            continue
-        row = block[gi]
+        row = psi.blocks[gv][gi]
         total = f.zero
         for i, c in y.coeffs.items():
             if f.is_zero(c):

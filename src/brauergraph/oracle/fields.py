@@ -1,30 +1,39 @@
 """Exact coefficient fields for the oracle: rationals and prime fields.
 
-A field object carries the arithmetic; elements are plain Fractions or
-plain ints, which keeps the dense row reduction fast.  No floating point
-exists anywhere in the oracle.
+A field object carries the arithmetic; elements are plain Python numbers,
+which keeps the dense row reduction fast.  A prime-field element is an int
+in ``range(p)``.  A rational is an int whenever it is integral and a
+``Fraction`` only when it is genuinely fractional: every operation of
+``Rationals`` turns an integral ``Fraction`` back into an int, so the common
+small-integer entries never pay for ``Fraction`` arithmetic.  No floating
+point exists anywhere in the oracle.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 
+def _integral(q):
+    """An integral Fraction as an int; anything else unchanged."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
 class Rationals:
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
     def add(a, b):
-        return a + b
+        return _integral(a + b)
 
     @staticmethod
     def sub(a, b):
-        return a - b
+        return _integral(a - b)
 
     @staticmethod
     def mul(a, b):
-        return a * b
+        return _integral(a * b)
 
     @staticmethod
     def neg(a):
@@ -32,11 +41,11 @@ class Rationals:
 
     @staticmethod
     def inv(a):
-        return 1 / a
+        return _integral(Fraction(1, a))
 
     @staticmethod
     def from_fraction(q: Fraction):
-        return Fraction(q)
+        return _integral(Fraction(q))
 
     @staticmethod
     def is_zero(a) -> bool:

@@ -98,22 +98,32 @@ def left_kernel(a: list[list], field) -> list[list]:
     return right_kernel(transpose(a), len(a), field)
 
 
-def solve_left(a: list[list], b: list, field) -> Optional[list]:
-    """One solution v of v A = b, or None when inconsistent."""
+def solve_left(a: list[list], bs: list[list], field) -> Optional[list[list]]:
+    """One solution v of v A = b for every row b of ``bs``, or None when any
+    of them is inconsistent.
+
+    A is row reduced once, transposed with every b appended as one more
+    column; a pivot in the columns of A does not depend on the columns after
+    it, so each solution is the one a reduction with b alone would give.
+    """
     nrows = len(a)
     if nrows == 0:
-        return [] if all(field.is_zero(x) for x in b) else None
-    at = transpose(a)  # (ncols x nrows)
-    aug = [row + [b[j]] for j, row in enumerate(at)]
+        if any(not field.is_zero(x) for b in bs for x in b):
+            return None
+        return [[] for _ in bs]
+    aug = [row + list(rhs) for row, rhs in zip(transpose(a), zip(*bs))]
     red, pivots = rref(aug, field)
-    if nrows in pivots:
+    if pivots and pivots[-1] >= nrows:
         return None
-    v = [field.zero] * nrows
-    for i, pc in enumerate(pivots):
-        x = red[i][nrows]
-        if not field.is_zero(x):  # keep the shared zero: results are stored densely
-            v[pc] = x
-    return v
+    solutions = []
+    for k in range(nrows, nrows + len(bs)):
+        v = [field.zero] * nrows
+        for i, pc in enumerate(pivots):
+            x = red[i][k]
+            if not field.is_zero(x):  # keep the shared zero: results are stored densely
+                v[pc] = x
+        solutions.append(v)
+    return solutions
 
 
 class SparseReducer:

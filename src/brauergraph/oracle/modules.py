@@ -119,15 +119,15 @@ class ModuleMap:
         self.target = target
         self.blocks = blocks
 
-    def block(self, v: str) -> list[list]:
-        return self.blocks.get(v, [])
-
     def compose(self, then: "ModuleMap") -> "ModuleMap":
+        """This map followed by ``then``; every block has the composite's
+        shape, zero where the middle module is zero."""
         f = self.source.la.field
         blocks = {}
-        for v in self.blocks:
-            a, b = self.blocks[v], then.blocks.get(v, [])
-            blocks[v] = linalg.mat_mul(a, b, f) if a and b else []
+        for v, a in self.blocks.items():
+            b = then.blocks[v]
+            blocks[v] = (linalg.mat_mul(a, b, f) if b
+                         else linalg.zeros(self.source.dim(v), then.target.dim(v), f))
         return ModuleMap(self.source, then.target, blocks)
 
     def is_zero(self) -> bool:
@@ -277,7 +277,7 @@ def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
         basis_rows[v] = []
         if n == 0:
             continue
-        block = phi.blocks.get(v) or linalg.zeros(n, M.dim(v), f)
+        block = phi.blocks[v]
         slots: dict[Optional[int], list[int]] = {}
         for i, d in enumerate(P.degrees[v]):
             slots.setdefault(d, []).append(i)
@@ -299,13 +299,11 @@ def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
                 degrees[v].append(d)
     action = {}
     for a in la.quiver.arrows:
-        m = []
-        for img in linalg.mat_mul(basis_rows[a.source], P.action[a.name], f):
-            coords = linalg.solve_left(basis_rows[a.target], img, f)
-            if coords is None:
-                raise RuntimeError("kernel is not closed under the action")
-            m.append(coords)
-        action[a.name] = m
+        images = linalg.mat_mul(basis_rows[a.source], P.action[a.name], f)
+        coords = linalg.solve_left(basis_rows[a.target], images, f)
+        if coords is None:
+            raise RuntimeError("kernel is not closed under the action")
+        action[a.name] = coords
     K = Module(la, degrees, action)
     incl = ModuleMap(K, P, {v: basis_rows[v] for v in basis_rows})
     return K, incl

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauergraph.graph import (
     HypothesisError,
@@ -43,9 +45,97 @@ def test_linalg_basics():
     v = k[0]
     assert v[0] * 1 + v[1] * 2 == 0
     sol = linalg.solve_left([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]],
-                            [Fraction(3), Fraction(2)], f)
-    assert sol == [Fraction(1), Fraction(2)]
-    assert linalg.solve_left([[Fraction(0)]], [Fraction(1)], f) is None
+                            [[Fraction(3), Fraction(2)]], f)
+    assert sol == [[Fraction(1), Fraction(2)]]
+    assert linalg.solve_left([[Fraction(0)]], [[Fraction(1)]], f) is None
+
+
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _is_canonical_rational(x) -> bool:
+    """An int when integral, a Fraction only when genuinely fractional."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@given(small_fractions, small_fractions)
+def test_rationals_match_fraction_arithmetic(a, b):
+    x, y = QQ.from_fraction(a), QQ.from_fraction(b)
+    expected = [(x, a), (y, b), (QQ.add(x, y), a + b), (QQ.sub(x, y), a - b),
+                (QQ.mul(x, y), a * b), (QQ.neg(x), -a)]
+    if a:
+        expected.append((QQ.inv(x), 1 / a))
+    for got, want in expected:
+        assert got == want
+        assert _is_canonical_rational(got), (got, want)
+    assert QQ.is_zero(x) == (a == 0)
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6).filter(bool))
+def test_rationals_inverse_of_int_is_exact(n):
+    inv = QQ.inv(n)
+    assert type(inv) is not float
+    assert _is_canonical_rational(inv)
+    assert inv == Fraction(1, n)
+    assert QQ.mul(inv, n) == 1 and type(QQ.mul(inv, n)) is int
+
+
+def test_rationals_units_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_oracle_entries_over_q_are_exact(name, g):
+    """No float, and no integral Fraction, in any matrix of an oracle
+    resolution or of a lifted chain map over Q up to degree 3."""
+    la = build_algebra(present(g), QQ)
+    walks = {e: ProjResolution.from_oracle(la, e, 3) for e in g.edge_ids}
+    matrices = []
+    for res in walks.values():
+        for mod in [*res.modules, *res.syzygies]:
+            matrices.extend(mod.action.values())
+        for phi in res.maps[1:]:
+            matrices.extend(phi.blocks.values())
+        for n in range(3):
+            for i, (t, _, _) in enumerate(res.summands[n]):
+                x = ExtElement(res, n, {i: QQ.one})
+                for m in range(3 - n + 1):
+                    matrices.extend(lift_through(x, walks[t], m).blocks.values())
+    assert all(_is_canonical_rational(x) for m in matrices for row in m for x in row)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_solve_left_many_rows_matches_one_at_a_time(data):
+    """One reduction with every right-hand side gives the solutions each
+    would get alone, and None as soon as one of them is inconsistent."""
+    f = PrimeField(3)
+    nrows, ncols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    rows = st.lists(st.integers(0, 2), min_size=ncols, max_size=ncols)
+    a = data.draw(st.lists(rows, min_size=nrows, max_size=nrows))
+    bs = data.draw(st.lists(rows, max_size=4))
+    alone = [linalg.solve_left(a, [b], f) for b in bs]
+    got = linalg.solve_left(a, bs, f)
+    if any(sol is None for sol in alone):
+        assert got is None
+        return
+    assert got == [sol[0] for sol in alone]
+    for v, b in zip(got, bs):
+        assert len(v) == len(a)
+        assert [sum(v[i] * a[i][j] for i in range(len(a))) % 3 for j in range(ncols)] == b
+
+
+def test_solve_left_edge_cases():
+    f = QQ
+    a = [[1, 0], [1, 1]]
+    assert linalg.solve_left(a, [[3, 2], [0, 1], [0, 0]], f) == [[1, 2], [-1, 1], [0, 0]]
+    assert linalg.solve_left([[0, 1]], [[0, 1], [1, 0]], f) is None
+    assert linalg.solve_left(a, [], f) == []
+    # no rows: only zero right-hand sides are reached, by the empty vector
+    assert linalg.solve_left([], [[0, 0], [0, 0]], f) == [[], []]
+    assert linalg.solve_left([], [[0, 0], [0, 1]], f) is None
 
 
 def test_sparse_reducer():
@@ -98,6 +188,45 @@ def test_associativity_and_selfinjectivity(triangle):
         P = projective_module(la, e)
         assert dict(P.top()) == {e: 1}
         assert dict(P.socle()) == {e: 1}
+
+
+def _associative_brute_force(la) -> bool:
+    """(b_i b_j) b_k == b_i (b_j b_k) over every triple of basis words."""
+    f = la.field
+
+    def times(vec, k, left):
+        out = {}
+        for t, c in vec.items():
+            for u, d in (la.mult(t, k) if left else la.mult(k, t)).items():
+                out[u] = f.add(out.get(u, f.zero), f.mul(c, d))
+        return {u: c for u, c in out.items() if not f.is_zero(c)}
+
+    return all(
+        times(la.mult(i, j), k, True) == times(la.mult(j, k), i, False)
+        for i in range(la.dim) for j in range(la.dim) for k in range(la.dim)
+    )
+
+
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_associativity_over_composable_triples(name, g):
+    """The composable-triple check agrees with the full triple loop on the
+    algebra, and again after any one nonzero structure constant b_i b_j is
+    corrupted (doubled, over Q); some of those corruptions are caught."""
+    la = build_algebra(present(g))
+    assert la.dim <= 40
+    assert la.check_associativity() and _associative_brute_force(la)
+    caught = 0
+    for i in range(la.dim):
+        for j in range(la.dim):
+            kept = la.mult(i, j)
+            if not kept:
+                continue
+            la._mult_cache[(i, j)] = {u: 2 * c for u, c in kept.items()}
+            verdict = la.check_associativity()
+            assert verdict == _associative_brute_force(la), (i, j)
+            caught += not verdict
+            la._mult_cache[(i, j)] = kept
+    assert caught
 
 
 def test_graded_normal_forms(triangle, star3_m2):
@@ -181,22 +310,35 @@ def test_oracle_resolution_exact(triangle, a4):
             assert res.minimality_defects() == []
 
 
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_composite_blocks_have_full_shape(name, g):
+    """Every block of a composite map, the differentials of an oracle walk
+    among them, is source.dim(v) x target.dim(v), also where the middle
+    module is zero at v."""
+    la = build_algebra(present(g))
+    for e in g.edge_ids:
+        res = ProjResolution.from_oracle(la, e, 3)
+        composites = [res.maps[n].compose(res.maps[n - 1]) for n in range(2, 4)]
+        for phi in [*res.maps[1:], *composites]:
+            for v in la.quiver.vertices:
+                block = phi.blocks[v]
+                assert len(block) == phi.source.dim(v)
+                assert all(len(row) == phi.target.dim(v) for row in block)
+
+
 def _commutes(phi) -> bool:
     """source.action[a] * block[a.target] == block[a.source] * target.action[a]
     for every arrow a."""
     la = phi.source.la
     f = la.field
 
-    def block(v):
-        return phi.blocks.get(v) or linalg.zeros(phi.source.dim(v), phi.target.dim(v), f)
-
     def entries(m):
         return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)
                 if not f.is_zero(x)}
 
     return all(
-        entries(linalg.mat_mul(phi.source.action[a.name], block(a.target), f))
-        == entries(linalg.mat_mul(block(a.source), phi.target.action[a.name], f))
+        entries(linalg.mat_mul(phi.source.action[a.name], phi.blocks[a.target], f))
+        == entries(linalg.mat_mul(phi.blocks[a.source], phi.target.action[a.name], f))
         for a in la.quiver.arrows
     )
 

@@ -1,5 +1,6 @@
 import pytest
 
+from brauergraph.census import census
 from brauergraph.graph import cycle_graph, triangle_graph
 from brauergraph.oracle import ext, modules
 from brauergraph.oracle.fields import QQ, PrimeField
@@ -11,6 +12,20 @@ def test_desk_graphs_verify_clean():
     for name, g in desk_graphs():
         rep = verify_graph(g, max_degree=3)
         assert rep.ok, (name, rep.entries)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["q", "f2", "f3"])
+def test_census_3_2_verifies_clean(field):
+    """The combinatorics and the oracle agree on every graph with at most
+    three edges and multiplicities at most two."""
+    graphs = list(census(3, 2))
+    assert len(graphs) == 140
+    diffs = {}
+    for i, g in enumerate(graphs):
+        rep = verify_graph(g, max_degree=3, field_obj=field)
+        if not rep.ok:
+            diffs[i] = rep.entries
+    assert diffs == {}
 
 
 def test_flip_fault_detected(triangle):
