@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .graph import BrauerGraph, HypothesisError, is_length_graded, star_centers
-from .presentation import Homogeneity, homogeneity
+from .presentation import Homogeneity, far_successor_truncated, homogeneity
 
 
 @dataclass
@@ -143,26 +143,12 @@ def d_homog_star_check(g: BrauerGraph, d: int) -> bool:
     return False
 
 
-def _two_successors_truncated(g: BrauerGraph) -> Optional[tuple[str, str]]:
-    """A truncated edge whose successor at the far end is truncated too."""
-    for e in g.edge_ids:
-        trunc = g.truncated_ends(e)
-        if not trunc:
-            continue
-        beta = g.other_end(e, trunc[0])
-        succ_half = g.successor_half(g.half_at(e, beta))
-        t = succ_half.edge
-        far = succ_half.other()
-        if g.is_truncated(t, g.vertex_of(far)):
-            return (e, t)
-    return None
-
-
 def two_d_conditions(g: BrauerGraph, d: int) -> str:
     """Which of the two shape conditions for a 2-d-homogeneous algebra holds:
     ``Cond1`` (every vertex has valency x multiplicity = d), ``Cond2``
-    (a truncated edge exists, no two successors truncated, every vertex has
-    valency x multiplicity 1 or d), or ``Neither``."""
+    (a truncated edge exists, no truncated edge has a truncated far
+    successor, every vertex has valency x multiplicity 1 or d), or
+    ``Neither``."""
     if d < 3:
         raise HypothesisError("the two-degree conditions assume d > 2")
     if all(g.valency(v) * g.multiplicity(v) == d for v in g.vertex_ids):
@@ -170,7 +156,8 @@ def two_d_conditions(g: BrauerGraph, d: int) -> str:
     if (
         g.has_truncated_edge()
         and not g.is_a2_trivial()
-        and _two_successors_truncated(g) is None
+        and not any(far_successor_truncated(g, e)
+                    for e in g.edge_ids if g.edge_is_truncated(e))
         and all(g.valency(v) * g.multiplicity(v) in (1, d) for v in g.vertex_ids)
     ):
         return "Cond2"

@@ -31,19 +31,19 @@ from .fields import QQ
 
 
 class OracleSizeError(RuntimeError):
-    """The truncated path space exceeded the configured cap."""
+    """The truncated path space has more than ``WORD_CAP`` words."""
 
 
 Word = tuple[str, tuple[int, ...]]  # (source edge, arrow indices)
 
-WORD_CAP = 200_000
+WORD_CAP = 200_000  # read at each word enumeration
 
 
 class WordSpace:
     """Paths of length at most ``maxlen`` with no monomial relation as a
     subword, and the translates u*r*v of the two-term relations among them."""
 
-    def __init__(self, quiver, maxlen: int, relations: list[Relation], word_cap: int):
+    def __init__(self, quiver, maxlen: int, relations: list[Relation]):
         self.quiver = quiver
         self.maxlen = maxlen
         self._monomials: list[tuple[int, ...]] = []
@@ -56,7 +56,7 @@ class WordSpace:
         self._mono_by_len: dict[int, set[tuple[int, ...]]] = {}
         for m in self._monomials:
             self._mono_by_len.setdefault(len(m), set()).add(m)
-        self._enumerate_words(word_cap)
+        self._enumerate_words()
 
     def _path_key(self, p: Path) -> tuple[int, ...]:
         idx = self.quiver.arrow_index
@@ -84,7 +84,7 @@ class WordSpace:
                 return False
         return True
 
-    def _enumerate_words(self, cap: int):
+    def _enumerate_words(self):
         self.allowed: list[Word] = []
         by_source: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
         by_target: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
@@ -98,8 +98,8 @@ class WordSpace:
                 self.allowed.append(w)
                 by_source[w[0]].append(w)
                 by_target[self.word_target(w)].append(w)
-                if len(self.allowed) > cap:
-                    raise OracleSizeError(f"more than {cap} words in the path space")
+                if len(self.allowed) > WORD_CAP:
+                    raise OracleSizeError(f"more than {WORD_CAP} words in the path space")
                 if len(w[1]) >= self.maxlen:
                     continue
                 for a in self.quiver.arrows_from.get(self.word_target(w), ()):
@@ -140,15 +140,13 @@ class FiniteDimAlgebra(WordSpace):
     """Path normal forms with exact structure constants."""
 
     def __init__(self, pres: Presentation, field=QQ,
-                 relations: Optional[list[Relation]] = None,
-                 word_cap: int = WORD_CAP):
+                 relations: Optional[list[Relation]] = None):
         self.presentation = pres
         self.graph: BrauerGraph = pres.graph
         self.field = field
         self.relations = list(pres.all_relations if relations is None else relations)
         self.graded = all(r.is_length_homogeneous() for r in self.relations)
-        super().__init__(pres.quiver, self.graph.nilpotency_bound() + 1,
-                         self.relations, word_cap)
+        super().__init__(pres.quiver, self.graph.nilpotency_bound() + 1, self.relations)
         self._reduce()
         self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
 
@@ -256,9 +254,8 @@ class FiniteDimAlgebra(WordSpace):
 
 
 def build_algebra(pres: Presentation, field=QQ,
-                  relations: Optional[list[Relation]] = None,
-                  word_cap: int = WORD_CAP) -> FiniteDimAlgebra:
-    return FiniteDimAlgebra(pres, field, relations, word_cap)
+                  relations: Optional[list[Relation]] = None) -> FiniteDimAlgebra:
+    return FiniteDimAlgebra(pres, field, relations)
 
 
 def expected_projective_dims(g: BrauerGraph) -> dict[str, int]:
@@ -290,8 +287,7 @@ def is_redundant_relation(pres: Presentation, index: int, field=QQ) -> bool:
     target = pres.all_relations[index]
     if len(target.terms) != 1:
         raise ValueError("membership test is for monomial relations")
-    space = WordSpace(pres.quiver, pres.graph.nilpotency_bound() + 1, pres.all_relations,
-                      WORD_CAP)
+    space = WordSpace(pres.quiver, pres.graph.nilpotency_bound() + 1, pres.all_relations)
     target_word = space._path_key(target.terms[0][1])
 
     def column(source: str, arrows: tuple[int, ...]):

@@ -18,6 +18,9 @@ A degree-n cohomology element of the simple at s is a functional on the
 generators of the n-th projective in a fixed resolution of s; the basis
 dual to the generators is the canonical basis.  Products are computed by
 lifting one factor through the resolution of its target and composing.
+The subalgebra generated in low degrees is closed degree by degree from
+its generators: each new span is the products of a lower span with one
+generator (``_closure_spans``).
 """
 from __future__ import annotations
 
@@ -178,14 +181,6 @@ class ExtElement:
             if not self.res.la.field.is_zero(c)
         }
 
-    def restrict_to_target(self, t: str) -> "ExtElement":
-        coeffs = {
-            i: c
-            for i, c in self.coeffs.items()
-            if self.res.summands[self.degree][i][0] == t
-        }
-        return ExtElement(self.res, self.degree, coeffs)
-
     def is_zero(self) -> bool:
         f = self.res.la.field
         return all(f.is_zero(c) for c in self.coeffs.values())
@@ -244,8 +239,7 @@ def lift_through(x: ExtElement, target_res: ProjResolution, m: int) -> ModuleMap
     return psi
 
 
-def yoneda_multiply(y: ExtElement, x: ExtElement,
-                    resolutions: Optional[dict[str, ProjResolution]] = None) -> ExtElement:
+def yoneda_multiply(y: ExtElement, x: ExtElement) -> ExtElement:
     """Composite class y o x where x ends at the simple y starts from."""
     f = x.res.la.field
     out: dict[int, object] = {}
@@ -296,31 +290,34 @@ def element_in_span(resolutions: dict[str, ProjResolution], elem: ExtElement,
 
 
 def _closure_spans(resolutions, max_gen_degree, n_max):
-    la = next(iter(resolutions.values())).la
-    f = la.field
+    """Per degree d up to ``n_max``, classes spanning degree d of the
+    subalgebra generated in degrees at most ``max_gen_degree``.
+
+    In a generator degree the span is every basis class, and no products
+    are formed.  Above, every word in the generators ends in a generator
+    and the product is bilinear, so the span in degree d is spanned by
+    the products y o g with g a basis class of degree k <= max_gen_degree
+    (it has exactly one target) and y in the span of degree d - k
+    starting at that target.
+    """
+    f = next(iter(resolutions.values())).la.field
     spans: dict[int, list[ExtElement]] = {}
     for d in range(1, n_max + 1):
+        if d <= max_gen_degree:
+            spans[d] = [ExtElement(res, d, {i: f.one})
+                        for res in resolutions.values()
+                        for i in range(len(res.summands[d]))]
+            continue
         reducer = linalg.SparseReducer(f)
         spans[d] = []
-        if d <= max_gen_degree:
-            candidates = []
-            for s, res in resolutions.items():
-                for i in range(len(res.summands[d])):
-                    candidates.append(ExtElement(res, d, {i: f.one}))
-        else:
-            candidates = []
-            for a in range(1, d):
-                b = d - a
-                for x in spans[a]:
-                    for t in x.targets():
-                        xt = x.restrict_to_target(t)
-                        for y in spans[b]:
-                            if y.source != t:
-                                continue
-                            candidates.append(yoneda_multiply(y, xt, resolutions))
-        for cand in candidates:
-            key = {(cand.source, i): c for i, c in cand.coeffs.items()
-                   if not f.is_zero(c)}
-            if reducer.add(key):
-                spans[d].append(cand)
+        for k in range(1, min(d, max_gen_degree + 1)):
+            for g in spans[k]:
+                (t,) = g.targets()
+                for y in spans[d - k]:
+                    if y.source != t:
+                        continue
+                    cand = yoneda_multiply(y, g)
+                    if reducer.add({(cand.source, i): c for i, c in cand.coeffs.items()
+                                    if not f.is_zero(c)}):
+                        spans[d].append(cand)
     return spans

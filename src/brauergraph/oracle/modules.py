@@ -48,9 +48,6 @@ class Module:
     def dim_vector(self) -> dict[str, int]:
         return {v: self.dim(v) for v in self.la.quiver.vertices if self.dim(v)}
 
-    def arrow_matrix(self, arrow) -> list[list]:
-        return self.action[arrow.name]
-
     # -- structure ------------------------------------------------------
 
     def radical_rows(self) -> dict[str, list[list]]:

@@ -25,7 +25,7 @@ from ..graph import (
     uniform_degree,
     validate,
 )
-from ..presentation import homogeneity, present
+from ..presentation import present
 from ..resolution import (
     CanonicalExtElement,
     _Chain,
@@ -54,7 +54,8 @@ from .modules import projective_module
 class Fault:
     """Deliberate corruption for harness self-tests.  ``verify_graph``
     raises HypothesisError for a fault that names no entry or relation of
-    the graph, and for a sign flip that cannot change anything."""
+    the graph, for a sign flip that cannot change anything, and for a
+    dropped relation that still holds in the algebra of the others."""
 
     flip_sign: Optional[tuple[str, int, int, int]] = None  # edge, degree, row, col
     drop_relation: Optional[int] = None
@@ -120,12 +121,16 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
 
     pres = present(g)
     relations = list(pres.all_relations)
-    if fault is not None and fault.drop_relation is not None:
-        if not 0 <= fault.drop_relation < len(relations):
+    drop = fault.drop_relation if fault is not None else None
+    if drop is not None:
+        if not 0 <= drop < len(relations):
             raise HypothesisError(f"drop fault corrupts nothing: no relation "
-                                  f"{fault.drop_relation} among {len(relations)}")
-        relations = [r for i, r in enumerate(relations) if i != fault.drop_relation]
+                                  f"{drop} among {len(relations)}")
+        relations = [r for i, r in enumerate(relations) if i != drop]
     la = build_algebra(pres, field_obj, relations=relations)
+    if drop is not None and _relation_holds(la, pres.all_relations[drop]):
+        raise HypothesisError(f"drop fault corrupts nothing: relation {drop} "
+                              f"holds without it")
 
     # dimension formula
     expected = expected_projective_dims(g)
@@ -162,7 +167,8 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
                 )
 
     # classification consistency
-    h = homogeneity(g)
+    kr = koszul_report(g)
+    h = kr.homogeneity
     if (h.kind == "Quadratic") != quadratic_family_check(g):
         report.add("classification",
                    f"homogeneity {h} disagrees with the quadratic families")
@@ -201,11 +207,20 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
     if graded and g.has_truncated_edge() and h.kind == "DHomogeneous":
         _check_nakayama_degrees(report, g, max_degree, h.d, walks)
 
-    kr = koszul_report(g)
     if kr.is_koszul and graded:
         _check_linear(report, g, min(5, max_degree + 1), walks)
 
     return report
+
+
+def _relation_holds(la, r) -> bool:
+    """Is the relation's normal form zero in the algebra?"""
+    f = la.field
+    total: dict = {}
+    for c, path in r.terms:
+        for j, x in la.path_to_vec(path).items():
+            total[j] = f.add(total.get(j, f.zero), f.mul(f.from_fraction(c), x))
+    return all(f.is_zero(x) for x in total.values())
 
 
 def _check_strings(report: DiffReport, g, la, n_max: int, traces, walks):
@@ -347,9 +362,9 @@ def _check_obstruction(report: DiffReport, g, la, walks):
         return
     n = witness["ext_degree"] - 1
     s0, sn = witness["from"], witness["to"]
-    if ext_dim(g, s0, sn, n + 1) != 1:
-        report.add("obstruction",
-                   f"string count of the witness class is {ext_dim(g, s0, sn, n + 1)}")
+    count = ext_dim(g, s0, sn, n + 1)
+    if count != 1:
+        report.add("obstruction", f"string count of the witness class is {count}")
     for res in walks.values():
         res.grow(n + 1)
     r0 = walks[s0]

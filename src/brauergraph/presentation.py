@@ -94,9 +94,6 @@ class Quiver:
         """The unique composable continuation that is not a relation."""
         return self.arrow_at[(a.vertex, (a.pos + 1) % self.rotation_size(a.vertex))]
 
-    def prev_arrow(self, a: Arrow) -> Arrow:
-        return self.arrow_at[(a.vertex, (a.pos - 1) % self.rotation_size(a.vertex))]
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -285,29 +282,23 @@ def _power(p: Path, k: int) -> Path:
     return out
 
 
+def far_successor_truncated(g: BrauerGraph, e: str) -> bool:
+    """For an edge truncated at one end: is the successor of ``e`` around
+    its other end truncated at its own far end?"""
+    beta = g.other_end(e, g.truncated_ends(e)[0])
+    succ_half = g.successor_half(g.half_at(e, beta))
+    return g.is_truncated(succ_half.edge, g.vertex_of(succ_half.other()))
+
+
 def minimal_relations(g: BrauerGraph, q: Optional[Quiver] = None,
                       rels: Optional[list[Relation]] = None) -> list[Relation]:
     """Keep every kind-one and kind-three relation; keep a kind-two relation
-    exactly when the successor of its truncated edge at the far endpoint is
-    itself truncated."""
+    exactly when ``far_successor_truncated`` holds for its edge."""
     q = q or build_quiver(g)
     rels = rels if rels is not None else relations_all(g, q)
     if q.a2_case:
         return list(rels)
-    out = []
-    for r in rels:
-        if r.kind != "two":
-            out.append(r)
-            continue
-        e = r.edge
-        alpha = g.truncated_ends(e)[0]
-        beta = g.other_end(e, alpha)
-        succ_half = g.successor_half(g.half_at(e, beta))
-        far = succ_half.other()
-        t = succ_half.edge
-        if g.is_truncated(t, g.vertex_of(far)):
-            out.append(r)
-    return out
+    return [r for r in rels if r.kind != "two" or far_successor_truncated(g, r.edge)]
 
 
 def present(g: BrauerGraph) -> Presentation:

@@ -95,17 +95,6 @@ class GenerationCertificate:
             out.extend(f.leaves())
         return out
 
-    def to_json(self) -> dict:
-        doc = {
-            "element": [self.element.source, self.element.degree, self.element.position,
-                        self.element.target],
-        }
-        if self.factors:
-            doc["factors"] = [f.to_json() for f in self.factors]
-        if self.convention_note:
-            doc["convention"] = self.convention_note
-        return doc
-
 
 # ----------------------------------------------------------------------
 # the follows-chain at half-edge level
@@ -288,13 +277,14 @@ def graded_generation_degrees(g: BrauerGraph, e: str, n_max: int) -> list[set[in
     """Generator degrees of each projective in the resolution of a simple,
     tracked through the string syzygies of a reduced graph.
 
-    Plus entries carry the degrees of the cover generators; a new plus
-    entry produced by an end rewrite sits one step deeper than the entry
-    it replaces, and surviving entries keep their degrees.
+    Plus entries carry the degrees of the cover generators; through the
+    provenance of ``strings.rewrite_ends`` a new plus entry sits one step
+    deeper than the end entry it replaces, and surviving entries keep
+    their degrees.
     """
     if not is_reduced(g):
         raise HypothesisError("degree tracking requires a reduced graph")
-    from .strings import _dist, _left_action, links, syzygy_of_simple
+    from .strings import _dist, links, rewrite_ends, syzygy_of_simple
 
     def degree_map(sigma: StringDescriptor, plus_degrees: list[int]) -> list[int]:
         """Degrees of every entry, minus entries interpolated from a plus neighbor."""
@@ -331,24 +321,11 @@ def graded_generation_degrees(g: BrauerGraph, e: str, n_max: int) -> list[set[in
             sigma, plus_deg = tau, new_plus
         else:
             entry_degrees = degree_map(sigma, plus_deg)
-            left_ext, left_drop = _left_action(g, sigma)
-            right_ext, right_drop = _left_action(g, sigma.reverse())
-            core = [(edge, -s) for edge, s in sigma.entries]
-            core_deg = list(entry_degrees)
-            if left_drop:
-                core, core_deg = core[1:], core_deg[1:]
-            if right_drop:
-                core, core_deg = core[:-1], core_deg[:-1]
-            entries = (
-                [(x, PLUS) for x, _ in left_ext]
-                + core
-                + [(x, PLUS) for x, _ in reversed(right_ext)]
-            )
-            degs = (
-                [entry_degrees[0] + 1] * len(left_ext)
-                + core_deg
-                + [entry_degrees[-1] + 1] * len(right_ext)
-            )
+            # provenance -1 and len(sigma) are the entries new at either end
+            padded = [entry_degrees[0] + 1, *entry_degrees, entry_degrees[-1] + 1]
+            rewritten = rewrite_ends(g, sigma)
+            entries = [pair for pair, _ in rewritten]
+            degs = [padded[i + 1] for _, i in rewritten]
             if len(entries) == 1:
                 # the survivor is the socle of its own cover summand
                 sigma = StringDescriptor.simple(entries[0][0])
@@ -388,7 +365,7 @@ def generation_certificate(g: BrauerGraph, elem: CanonicalExtElement) -> Generat
         return GenerationCertificate(elem, (left, right))
     if n % 2 == 1 and i in (1, -1):
         left = generation_certificate(g, _canon(g, elem.source, n - 1, 0))
-        right = GenerationCertificate(_degree_one(g, elem.source, i))
+        right = GenerationCertificate(_canon(g, elem.source, 1, i))
         return GenerationCertificate(
             elem, (left, right),
             convention_note="odd-degree inner positions factor through position zero "
@@ -410,11 +387,6 @@ def generation_certificate(g: BrauerGraph, elem: CanonicalExtElement) -> Generat
 def _canon(g: BrauerGraph, source: str, n: int, i: int) -> CanonicalExtElement:
     chain = _Chain(g, source, n)
     return CanonicalExtElement(source, n, i, chain.edge[i])
-
-
-def _degree_one(g: BrauerGraph, source: str, i: int) -> CanonicalExtElement:
-    chain = _Chain(g, source, 1)
-    return CanonicalExtElement(source, 1, i, chain.edge[i])
 
 
 # ----------------------------------------------------------------------

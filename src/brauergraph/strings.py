@@ -89,10 +89,6 @@ class StringDescriptor:
     def to_json(self) -> list:
         return [[e, _SIGN_CHAR[s]] for e, s in self.entries]
 
-    @classmethod
-    def from_json(cls, doc: list) -> "StringDescriptor":
-        return cls(tuple((str(e), _CHAR_SIGN[s]) for e, s in doc))
-
     def __repr__(self):
         return "st(" + ",".join(f"{e}{_SIGN_CHAR[s]}" for e, s in self.entries) + ")"
 
@@ -222,24 +218,32 @@ def _left_action(g: BrauerGraph, sigma: StringDescriptor):
     return [(t, PLUS)], True
 
 
-def syzygy(g: BrauerGraph, sigma: StringDescriptor) -> StringDescriptor:
-    """First syzygy of the string module.
+def rewrite_ends(g: BrauerGraph, sigma: StringDescriptor) -> list[tuple[tuple[str, int], int]]:
+    """Entries of the syzygy of a non-simple string, before a collapse to a
+    simple, each with its provenance: -1 when new at the left end,
+    ``len(sigma)`` when new at the right end, otherwise the index of the
+    entry of ``sigma`` it survives from with its sign flipped.
 
-    Ends rewrite by the one-sided rules, applied to the right end through
-    reversal; every surviving sign flips.  A result that collapses to one
-    entry is the simple module at that edge.
+    The left end rewrites by the one-sided rule and the right end by the
+    same rule applied through reversal.
     """
+    left_ext, left_drop = _left_action(g, sigma)
+    right_ext, right_drop = _left_action(g, sigma.reverse())
+    last = len(sigma) - 1
+    core = [((e, -s), i) for i, (e, s) in enumerate(sigma.entries)
+            if not (i == 0 and left_drop or i == last and right_drop)]
+    return ([(pair, -1) for pair in left_ext] + core
+            + [(pair, len(sigma)) for pair in reversed(right_ext)])
+
+
+def syzygy(g: BrauerGraph, sigma: StringDescriptor) -> StringDescriptor:
+    """First syzygy of the string module: the end rewrite of
+    ``rewrite_ends``; a result that collapses to one entry is the simple
+    module at that edge."""
     _require_reduced(g)
     if sigma.is_simple:
         return syzygy_of_simple(g, sigma.entries[0][0])
-    left_ext, left_drop = _left_action(g, sigma)
-    right_ext, right_drop = _left_action(g, sigma.reverse())
-    core = [(e, -s) for e, s in sigma.entries]
-    if left_drop:
-        core = core[1:]
-    if right_drop:
-        core = core[:-1]
-    entries = left_ext + core + [pair for pair in reversed(right_ext)]
+    entries = [pair for pair, _ in rewrite_ends(g, sigma)]
     if len(entries) == 1:
         return StringDescriptor.simple(entries[0][0])
     return StringDescriptor(tuple(entries))
@@ -260,18 +264,10 @@ def iterate_syzygy(g: BrauerGraph, e: str, n: int) -> SyzygyTrace:
     return SyzygyTrace(e, out, period=per)
 
 
-def period(g: BrauerGraph, e: str, cap: Optional[int] = None) -> Optional[int]:
-    """Least p with the p-th syzygy isomorphic to the simple module, or None."""
-    _require_reduced(g)
-    if cap is None:
-        cap = 2 * len(g.edge_ids) * g.nilpotency_bound()
-    start = StringDescriptor.simple(e)
-    cur = start
-    for k in range(1, cap + 1):
-        cur = syzygy(g, cur)
-        if cur.canonical() == start.canonical():
-            return k
-    return None
+def period(g: BrauerGraph, e: str) -> Optional[int]:
+    """Least p with the p-th syzygy isomorphic to the simple module, or None
+    within 2 x (number of edges) x (nilpotency bound) steps."""
+    return iterate_syzygy(g, e, 2 * len(g.edge_ids) * g.nilpotency_bound()).period
 
 
 # ----------------------------------------------------------------------

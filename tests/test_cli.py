@@ -14,6 +14,7 @@ from brauergraph.graph import path_graph, star_graph, to_dict, triangle_graph
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.oracle.ext import ProjResolution
 from brauergraph.presentation import present
+from conftest import pendant_triangle
 
 
 @pytest.fixture
@@ -133,8 +134,9 @@ def test_negative_max_rejected(graph_files, argv):
     (triangle_graph(), ["--inject-flip", "e1:2:7:7"]),
     (triangle_graph(), ["--inject-flip", "e1:2:0:0", "--field", "fp:2"]),
     (star_graph(3), ["--inject-flip", "e1:2:0:0"]),
+    (pendant_triangle(), ["--inject-drop", "3"]),
 ], ids=["drop 99", "drop -1", "unknown edge", "missing entry", "flip in char 2",
-        "no explicit resolution"])
+        "no explicit resolution", "redundant relation"])
 def test_fault_that_corrupts_nothing_rejected(tmp_path, g, fault):
     """A fault hook that corrupts nothing must not report success."""
     path = tmp_path / "g.bg.json"

@@ -1,9 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauergraph.census import census
+from brauergraph.classify import koszul_report
 from brauergraph.graph import (
     HypothesisError,
     loop_graph,
@@ -11,7 +14,7 @@ from brauergraph.graph import (
     star_graph,
     triangle_graph,
 )
-from brauergraph.oracle import linalg
+from brauergraph.oracle import algebra, linalg
 from brauergraph.oracle.algebra import (
     OracleSizeError,
     build_algebra,
@@ -237,9 +240,10 @@ def test_graded_normal_forms(triangle, star3_m2):
         assert all(isinstance(w[1], tuple) for w in la.basis)
 
 
-def test_size_guard(triangle):
+def test_size_guard(triangle, monkeypatch):
+    monkeypatch.setattr(algebra, "WORD_CAP", 3)
     with pytest.raises(OracleSizeError):
-        build_algebra(present(triangle), word_cap=3)
+        build_algebra(present(triangle))
 
 
 def test_redundancy(a4, a3):
@@ -298,6 +302,21 @@ def test_subalgebra_dims(a4):
     (idx,) = [i for i, (e, _, _) in enumerate(r1.summands[3]) if e == "e3"]
     witness = ExtElement(r1, 3, {idx: la.field.one})
     assert not element_in_span(res, witness, 2)
+
+
+def test_closure_over_census_3_2():
+    """The subalgebra generated in degrees at most 2 against full Ext
+    through degree 3 on every graph of census(3,2) over Q, counted by the
+    paper's verdict and the first degree with a gap (None: no gap)."""
+    counts = Counter()
+    for g in census(3, 2):
+        la = build_algebra(present(g))
+        walks = {e: ProjResolution.from_oracle(la, e, 3) for e in g.edge_ids}
+        generated = generated_subalgebra_dims(walks, 2, 3)
+        full = full_ext_dims(walks, 3)
+        gap = next((d for d in range(1, 4) if generated[d] != full[d]), None)
+        counts[koszul_report(g).ext_generated_012, gap] += 1
+    assert counts == {(True, None): 84, (False, 3): 42, (False, None): 14}
 
 
 def test_oracle_resolution_exact(triangle, a4):

@@ -1,6 +1,6 @@
 import pytest
 
-from brauergraph.graph import HypothesisError, cycle_graph, path_graph, triangle_graph
+from brauergraph.graph import HypothesisError, cycle_graph, is_reduced
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.oracle.ext import ProjResolution
 from brauergraph.presentation import present
@@ -90,18 +90,28 @@ def test_weak_delta_bound(triangle, triangle_m2, a4, a3):
     assert not is_weakly_delta_bounded(a4, 4)  # quadratic but not Koszul
 
 
-def test_graded_degrees_match_oracle(a4, a3):
+def test_graded_degrees_match_oracle(small_census):
+    """String-tracked generator degrees against the oracle's graded
+    resolution, through degree 6, on every reduced census graph with at
+    least two edges and a graded algebra."""
     from brauergraph.oracle.modules import min_resolution
 
-    for g in (a4, a3):
+    checked = 0
+    for g in small_census:
+        if not (is_reduced(g) and len(g.edge_ids) >= 2):
+            continue
         la = build_algebra(present(g))
+        if not la.graded:
+            continue
+        checked += 1
         for e in g.edge_ids:
-            predicted = graded_generation_degrees(g, e, 4)
-            oracle = min_resolution(la, e, 4)
-            for n in range(5):
+            predicted = graded_generation_degrees(g, e, 6)
+            oracle = min_resolution(la, e, 6)
+            for n in range(7):
                 assert predicted[n] == set(oracle[n]["generation_degrees"]), (
                     g.edge_ends, e, n
                 )
+    assert checked == 7
 
 
 def test_certificates(triangle):

@@ -98,7 +98,7 @@ def test_iterate_and_period(triangle, a4):
     trace_t = iterate_syzygy(triangle, "e1", 8)
     for n, d in enumerate(trace_t.descriptors):
         assert len(d) == (2 * n + 1 if n else 1)
-    assert period(triangle, "e1", cap=30) is None
+    assert period(triangle, "e1") is None
 
 
 def test_realize(triangle, a4):
