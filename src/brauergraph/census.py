@@ -2,14 +2,17 @@
 
 A rotation system on k edges is a permutation of the 2k half-edges whose
 cycles are the vertices with their cyclic order; the end-swap involution
-recovers the graph.  Enumerating all permutations and keeping one
-representative per isomorphism class (canonical form by traversal from
-every starting half-edge) yields every connected graph with every
-rotation system, loops and multiple edges included.
+recovers the graph.  Two rotation systems are isomorphic when a relabelling
+of the edges with some ends swapped carries one to the other.  Walking all
+permutations in lexicographic order and marking the orbit of each connected
+representative under those 2^k k! relabellings keeps the lexicographically
+first permutation of every class.  That yields every connected graph with
+every rotation system, loops and multiple edges included.
 """
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import factorial
 from typing import Iterator
 
 from .graph import BrauerGraph, HalfEdge
@@ -32,43 +35,49 @@ def _connected(sigma: tuple[int, ...]) -> bool:
     return len(seen) == n
 
 
-def _canonical_key(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal traversal encoding over all starting half-edges."""
-    n = len(sigma)
-    best = None
-    for start in range(n):
-        label = {start: 0}
-        order = [start]
-        i = 0
-        while i < len(order):
-            d = order[i]
-            for nd in (sigma[d], _iota(d)):
-                if nd not in label:
-                    label[nd] = len(order)
-                    order.append(nd)
-            i += 1
-        enc = []
-        for d in order:
-            enc.append(label[sigma[d]])
-            enc.append(label[_iota(d)])
-        enc = tuple(enc)
-        if best is None or enc < best:
-            best = enc
-    return best
+def _relabellings(n_edges: int) -> list[tuple[int, ...]]:
+    """The 2^k k! dart maps that permute the edges and swap ends: the maps
+    commuting with the end swap, i.e. the isomorphisms of rotation systems."""
+    out = []
+    for order in permutations(range(n_edges)):
+        for swaps in product((0, 1), repeat=n_edges):
+            out.append(tuple(2 * order[d >> 1] + ((d & 1) ^ swaps[d >> 1])
+                             for d in range(2 * n_edges)))
+    return out
 
 
 def rotation_systems(n_edges: int) -> Iterator[tuple[int, ...]]:
-    """One permutation per isomorphism class of connected rotation systems."""
-    darts = list(range(2 * n_edges))
-    seen: set[tuple[int, ...]] = set()
-    for perm in permutations(darts):
-        if not _connected(perm):
+    """One permutation per isomorphism class of connected rotation systems:
+    the lexicographically first of its class.
+
+    The permutations are walked in lexicographic order.  The first connected
+    one not yet marked is yielded, and its whole orbit under the edge
+    relabellings and end swaps is marked in a byte array indexed by
+    lexicographic rank, so each later member of the class costs one lookup.
+    """
+    n = 2 * n_edges
+    darts = range(n)
+    # the lexicographic rank of p is the sum over positions i of
+    # #{unused darts below p[i]} * (n - 1 - i)!
+    weights = [factorial(n - 1 - i) for i in darts]
+    below = [(1 << d) - 1 for d in darts]
+    popcount = [m.bit_count() for m in range(1 << n)]
+    relabellings = _relabellings(n_edges)
+    marked = bytearray(factorial(n))
+    image = [0] * n
+    for rank, perm in enumerate(permutations(darts)):
+        if marked[rank] or not _connected(perm):
             continue
-        key = _canonical_key(perm)
-        if key in seen:
-            continue
-        seen.add(key)
         yield perm
+        for phi in relabellings:
+            for d in darts:
+                image[phi[d]] = phi[perm[d]]
+            r = used = 0
+            for i in darts:
+                d = image[i]
+                r += (d - popcount[used & below[d]]) * weights[i]
+                used |= 1 << d
+            marked[r] = 1
 
 
 def _graph_from_sigma(sigma: tuple[int, ...],

@@ -229,28 +229,57 @@ class FiniteDimAlgebra(WordSpace):
     def check_associativity(self, cap: int = 40) -> bool:
         """(b_i b_j) b_k == b_i (b_j b_k) over every composable triple of
         basis words; a triple that is not composable is zero on both sides.
-        An algebra above ``cap`` dimensions is not checked."""
+        An algebra above ``cap`` dimensions is not checked.
+
+        Each composable product is first read through ``mult`` into a table:
+        the index t when it is one basis word b_t with coefficient one, -1
+        when it is zero, and None otherwise.  A triple whose four products
+        are all in the table compares the two sides by index; every other
+        triple is multiplied out in the field."""
         if self.dim > cap:
             return True
+        ZERO = -1  # a table entry: the product is zero
         f = self.field
+        after = [self.basis_by_source[self.word_target(w)] for w in self.basis]
+        unit: list[list] = [[None] * self.dim for _ in range(self.dim)]
+        for i, row in enumerate(unit):
+            for j in after[i]:
+                p = self.mult(i, j)
+                if not p:
+                    row[j] = ZERO
+                elif len(p) == 1:
+                    (t, c), = p.items()
+                    if c == f.one:
+                        row[j] = t
         for i in range(self.dim):
-            for j in self.basis_by_source[self.word_target(self.basis[i])]:
-                ij = self.mult(i, j)
-                for k in self.basis_by_source[self.word_target(self.basis[j])]:
-                    left: dict[int, object] = {}
-                    for t, c in ij.items():
-                        for u, d in self.mult(t, k).items():
-                            left[u] = f.add(left.get(u, f.zero), f.mul(c, d))
-                    jk = self.mult(j, k)
-                    right: dict[int, object] = {}
-                    for t, c in jk.items():
-                        for u, d in self.mult(i, t).items():
-                            right[u] = f.add(right.get(u, f.zero), f.mul(c, d))
-                    keys = set(left) | set(right)
-                    for u in keys:
-                        if not f.is_zero(f.sub(left.get(u, f.zero), right.get(u, f.zero))):
-                            return False
+            row_i = unit[i]
+            for j in after[i]:
+                ij, row_j = row_i[j], unit[j]
+                for k in after[j]:
+                    jk = row_j[k]
+                    if ij is not None and jk is not None:
+                        left = ij if ij == ZERO else unit[ij][k]
+                        right = jk if jk == ZERO else row_i[jk]
+                        if left is not None and right is not None:
+                            if left != right:
+                                return False
+                            continue
+                    if not self._triple_associative(i, j, k):
+                        return False
         return True
+
+    def _triple_associative(self, i: int, j: int, k: int) -> bool:
+        f = self.field
+        left: dict[int, object] = {}
+        for t, c in self.mult(i, j).items():
+            for u, d in self.mult(t, k).items():
+                left[u] = f.add(left.get(u, f.zero), f.mul(c, d))
+        right: dict[int, object] = {}
+        for t, c in self.mult(j, k).items():
+            for u, d in self.mult(i, t).items():
+                right[u] = f.add(right.get(u, f.zero), f.mul(c, d))
+        return all(f.is_zero(f.sub(left.get(u, f.zero), right.get(u, f.zero)))
+                   for u in set(left) | set(right))
 
 
 def build_algebra(pres: Presentation, field=QQ,

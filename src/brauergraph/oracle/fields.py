@@ -41,6 +41,8 @@ class Rationals:
 
     @staticmethod
     def inv(a):
+        if a == 1 or a == -1:  # the common pivot is its own inverse
+            return _integral(a)
         return _integral(Fraction(1, a))
 
     @staticmethod

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .graph import BrauerGraph, BrauerGraphError, HypothesisError, is_reduced
 
@@ -249,25 +250,33 @@ def syzygy(g: BrauerGraph, sigma: StringDescriptor) -> StringDescriptor:
     return StringDescriptor(tuple(entries))
 
 
+def _syzygies(g: BrauerGraph, e: str) -> Iterator[StringDescriptor]:
+    """Omega^1, Omega^2, ... of the simple module at ``e``, without end."""
+    cur = StringDescriptor.simple(e)
+    while True:
+        cur = syzygy(g, cur)
+        yield cur
+
+
 def iterate_syzygy(g: BrauerGraph, e: str, n: int) -> SyzygyTrace:
     """Descriptors of the syzygies of the simple module at ``e`` up to degree n."""
     _require_reduced(g)
     start = StringDescriptor.simple(e)
-    out = [start]
-    cur = start
-    per = None
-    for k in range(1, n + 1):
-        cur = syzygy(g, cur)
-        out.append(cur)
-        if per is None and cur.canonical() == start.canonical():
-            per = k
+    out = [start, *islice(_syzygies(g, e), n)]
+    key = start.canonical()
+    per = next((k for k in range(1, n + 1) if out[k].canonical() == key), None)
     return SyzygyTrace(e, out, period=per)
 
 
 def period(g: BrauerGraph, e: str) -> Optional[int]:
     """Least p with the p-th syzygy isomorphic to the simple module, or None
-    within 2 x (number of edges) x (nilpotency bound) steps."""
-    return iterate_syzygy(g, e, 2 * len(g.edge_ids) * g.nilpotency_bound()).period
+    within 2 x (number of edges) x (nilpotency bound) steps.  The walk stops
+    at the first return to the simple."""
+    _require_reduced(g)
+    key = StringDescriptor.simple(e).canonical()
+    bound = 2 * len(g.edge_ids) * g.nilpotency_bound()
+    return next((k for k, cur in enumerate(islice(_syzygies(g, e), bound), 1)
+                 if cur.canonical() == key), None)
 
 
 # ----------------------------------------------------------------------

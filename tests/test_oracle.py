@@ -232,6 +232,32 @@ def test_associativity_over_composable_triples(name, g):
     assert caught
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_associativity_under_unit_product_corruption(name, g, field):
+    """Corruptions that keep a product on the unit-index path: one product
+    b_i b_j = b_t replaced by another basis word with the same ends, or by
+    zero.  The verdict equals the full triple loop every time."""
+    la = build_algebra(present(g), field)
+    ends = [(w[0], la.word_target(w)) for w in la.basis]
+    verdicts = Counter()
+    for i in range(la.dim):
+        for j in la.basis_by_source[ends[i][1]]:
+            kept = la.mult(i, j)
+            if len(kept) != 1 or list(kept.values()) != [field.one]:
+                continue
+            (t,) = kept
+            swaps = [{u: field.one} for u in range(la.dim) if u != t and ends[u] == ends[t]]
+            for corrupt in [*swaps, {}]:
+                la._mult_cache[(i, j)] = corrupt
+                verdict = la.check_associativity()
+                assert verdict == _associative_brute_force(la), (i, j, corrupt)
+                verdicts[bool(corrupt), verdict] += 1
+            la._mult_cache[(i, j)] = kept
+    assert verdicts[False, False]  # some zero product is caught
+    assert verdicts[True, False] or not verdicts[True, True]  # so is a swap, if any was tried
+
+
 def test_graded_normal_forms(triangle, star3_m2):
     for g in (triangle, star3_m2):
         la = build_algebra(present(g))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauergraph import strings
 from brauergraph.graph import HypothesisError, path_graph, star_graph
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.presentation import present
@@ -99,6 +100,18 @@ def test_iterate_and_period(triangle, a4):
     for n, d in enumerate(trace_t.descriptors):
         assert len(d) == (2 * n + 1 if n else 1)
     assert period(triangle, "e1") is None
+
+
+@pytest.mark.parametrize("n_vertices, per", [(4, 6), (5, 8)])
+def test_period_stops_at_first_return(monkeypatch, n_vertices, per):
+    """period walks the syzygies only until the simple comes back."""
+    calls = []
+    real = strings.syzygy
+    monkeypatch.setattr(strings, "syzygy", lambda g, s: calls.append(s) or real(g, s))
+    g = path_graph(n_vertices)
+    assert period(g, "e1") == per
+    assert len(calls) == per
+    assert iterate_syzygy(g, "e1", 2 * per).period == per
 
 
 def test_realize(triangle, a4):
