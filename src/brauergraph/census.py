@@ -17,6 +17,8 @@ from typing import Iterator
 
 from .graph import BrauerGraph, HalfEdge
 
+MAX_EDGES = 5  # the orbit marks take (2k)! bytes: 3.6 MB at k = 5, 479 MB at k = 6
+
 
 def _iota(d: int) -> int:
     return d ^ 1  # darts 2i, 2i+1 are the two ends of edge i
@@ -54,7 +56,10 @@ def rotation_systems(n_edges: int) -> Iterator[tuple[int, ...]]:
     one not yet marked is yielded, and its whole orbit under the edge
     relabellings and end swaps is marked in a byte array indexed by
     lexicographic rank, so each later member of the class costs one lookup.
+    That array holds (2k)! bytes, so ``n_edges`` above ``MAX_EDGES`` raises
+    ValueError rather than allocating it.
     """
+    _check_edges(n_edges)
     n = 2 * n_edges
     darts = range(n)
     # the lexicographic rank of p is the sum over positions i of
@@ -78,6 +83,12 @@ def rotation_systems(n_edges: int) -> Iterator[tuple[int, ...]]:
                 r += (d - popcount[used & below[d]]) * weights[i]
                 used |= 1 << d
             marked[r] = 1
+
+
+def _check_edges(n_edges: int) -> None:
+    if n_edges > MAX_EDGES:
+        raise ValueError(f"the census stops at {MAX_EDGES} edges, since it marks "
+                         f"all (2k)! permutations; asked for {n_edges}")
 
 
 def _graph_from_sigma(sigma: tuple[int, ...],
@@ -116,7 +127,9 @@ def _graph_from_sigma(sigma: tuple[int, ...],
 def census(max_edges: int, max_multiplicity: int) -> Iterator[BrauerGraph]:
     """All connected Brauer graphs with at most ``max_edges`` edges, every
     rotation system up to isomorphism, and every multiplicity pattern up to
-    ``max_multiplicity``."""
+    ``max_multiplicity``.  At most ``MAX_EDGES`` edges: see
+    ``rotation_systems``."""
+    _check_edges(max_edges)
     for k in range(1, max_edges + 1):
         for sigma in rotation_systems(k):
             n_vertices = len({_cycle_id(sigma, d) for d in range(2 * k)})

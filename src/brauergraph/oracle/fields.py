@@ -41,7 +41,7 @@ class Rationals:
 
     @staticmethod
     def inv(a):
-        if a == 1 or a == -1:  # the common pivot is its own inverse
+        if a == 1 or a == -1:  # its own inverse, and almost every pivot is +-1
             return _integral(a)
         return _integral(Fraction(1, a))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graph import BrauerGraph, BrauerGraphError, HypothesisError, is_reduced
 
@@ -258,14 +258,20 @@ def _syzygies(g: BrauerGraph, e: str) -> Iterator[StringDescriptor]:
         yield cur
 
 
+def _first_return(start: StringDescriptor,
+                  syzygies: Iterable[StringDescriptor]) -> Optional[int]:
+    """Least k >= 1 with the k-th of ``syzygies`` isomorphic to ``start``, or
+    None; stops reading at that k."""
+    key = start.canonical()
+    return next((k for k, cur in enumerate(syzygies, 1) if cur.canonical() == key), None)
+
+
 def iterate_syzygy(g: BrauerGraph, e: str, n: int) -> SyzygyTrace:
     """Descriptors of the syzygies of the simple module at ``e`` up to degree n."""
     _require_reduced(g)
     start = StringDescriptor.simple(e)
     out = [start, *islice(_syzygies(g, e), n)]
-    key = start.canonical()
-    per = next((k for k in range(1, n + 1) if out[k].canonical() == key), None)
-    return SyzygyTrace(e, out, period=per)
+    return SyzygyTrace(e, out, period=_first_return(start, out[1:]))
 
 
 def period(g: BrauerGraph, e: str) -> Optional[int]:
@@ -273,10 +279,8 @@ def period(g: BrauerGraph, e: str) -> Optional[int]:
     within 2 x (number of edges) x (nilpotency bound) steps.  The walk stops
     at the first return to the simple."""
     _require_reduced(g)
-    key = StringDescriptor.simple(e).canonical()
     bound = 2 * len(g.edge_ids) * g.nilpotency_bound()
-    return next((k for k, cur in enumerate(islice(_syzygies(g, e), bound), 1)
-                 if cur.canonical() == key), None)
+    return _first_return(StringDescriptor.simple(e), islice(_syzygies(g, e), bound))
 
 
 # ----------------------------------------------------------------------

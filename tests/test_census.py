@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from brauergraph.census import census, rotation_systems
+from brauergraph.census import MAX_EDGES, census, rotation_systems
 from brauergraph.graph import to_dict
 
 
@@ -54,3 +54,11 @@ def test_census_documents_are_pinned(k, m, count, digest):
     docs = [to_dict(g) for g in census(k, m)]
     assert len(docs) == count
     assert hashlib.sha256(json.dumps(docs).encode()).hexdigest()[:16] == digest
+
+
+def test_edge_limit_refused_before_marking():
+    """Above MAX_EDGES the (2k)! orbit marks are refused, not allocated."""
+    with pytest.raises(ValueError, match="stops at 5 edges"):
+        next(rotation_systems(MAX_EDGES + 1))
+    with pytest.raises(ValueError, match="stops at 5 edges"):
+        next(census(MAX_EDGES + 1, 1))

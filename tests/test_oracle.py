@@ -235,9 +235,10 @@ def test_associativity_over_composable_triples(name, g):
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
 @pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
 def test_associativity_under_unit_product_corruption(name, g, field):
-    """Corruptions that keep a product on the unit-index path: one product
-    b_i b_j = b_t replaced by another basis word with the same ends, or by
-    zero.  The verdict equals the full triple loop every time."""
+    """One product b_i b_j = b_t replaced by another basis word with the same
+    ends or by zero, which keeps it on the unit-index path, or by -b_t, which
+    takes it off the path so that triples mix a tabulated side with one
+    multiplied out.  The verdict equals the full triple loop every time."""
     la = build_algebra(present(g), field)
     ends = [(w[0], la.word_target(w)) for w in la.basis]
     verdicts = Counter()
@@ -247,15 +248,43 @@ def test_associativity_under_unit_product_corruption(name, g, field):
             if len(kept) != 1 or list(kept.values()) != [field.one]:
                 continue
             (t,) = kept
-            swaps = [{u: field.one} for u in range(la.dim) if u != t and ends[u] == ends[t]]
-            for corrupt in [*swaps, {}]:
+            kinds = [("swap", {u: field.one}) for u in range(la.dim)
+                     if u != t and ends[u] == ends[t]]
+            kinds += [("zero", {}), ("sign", {t: field.neg(field.one)})]
+            for kind, corrupt in kinds:
                 la._mult_cache[(i, j)] = corrupt
                 verdict = la.check_associativity()
                 assert verdict == _associative_brute_force(la), (i, j, corrupt)
-                verdicts[bool(corrupt), verdict] += 1
+                verdicts[kind, verdict] += 1
             la._mult_cache[(i, j)] = kept
-    assert verdicts[False, False]  # some zero product is caught
-    assert verdicts[True, False] or not verdicts[True, True]  # so is a swap, if any was tried
+    assert verdicts["zero", False]  # some zero product is caught
+    assert verdicts["swap", False] or not verdicts["swap", True]  # so is a swap, if any was tried
+    assert verdicts["sign", False]  # and a sign flip
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_associativity_when_only_nonzero_words_differ(field):
+    """A table whose failing triples all have two different nonzero words on
+    the two sides.  The loop's algebra with every product of two radical
+    words set to zero is associative, and its three radical words x, y, s
+    then have the same zero products.  Exchanging two of them under the
+    idempotent's left action keeps every zero where it was, but
+    (e e) u = v differs from e (e u) = u."""
+    la = build_algebra(present(loop_graph()), field)
+    e = la.basis.index(("e1", ()))
+    radical = [w for w in range(la.dim) if w != e]
+    table = {(i, j): {} for i in range(la.dim) for j in range(la.dim)}
+    for w in range(la.dim):
+        table[e, w] = table[w, e] = {w: field.one}
+    la._mult_cache.update(table)
+    assert la.check_associativity() and _associative_brute_force(la)
+    for u in radical:
+        for v in radical:
+            if u < v:
+                la._mult_cache[e, u], la._mult_cache[e, v] = table[e, v], table[e, u]
+                assert not _associative_brute_force(la)
+                assert not la.check_associativity(), (u, v)
+                la._mult_cache.update(table)
 
 
 def test_graded_normal_forms(triangle, star3_m2):
