@@ -8,17 +8,18 @@ extracted by exact row reduction.
 
 Two reduction strategies give the same quotient:
 
-* ``build_algebra`` quotients by the monomial relations first - a word
-  containing a monomial relation as a subword is dropped outright - and
-  then row reduces the translates of the remaining two-term relations
-  inside the small surviving word space;
+* ``build_algebra`` quotients by the monomial relations first - the words
+  are the paths with no monomial relation as a subword, enumerated once
+  into one word set - and then row reduces the translates of the
+  remaining two-term relations inside that set;
 * ``build_algebra_naive`` enumerates every path and every translate of
   every relation and reduces densely.  It exists as an independent check
   and is only usable on tiny inputs.
 
-``WordSpace`` holds the surviving words and the translate rows; the
-algebra and the ideal-membership test ``is_redundant_relation`` both
-reduce its rows and differ only in how a product word maps to a column.
+``FiniteDimAlgebra.relation_holds`` asks whether a relation's normal form
+is zero.  It is the one ideal-membership rule: ``is_redundant_relation``
+asks it of a relation in the algebra of the others, and the drop fault of
+``verify_graph`` of the dropped relation in the faulted algebra.
 """
 from __future__ import annotations
 
@@ -39,24 +40,31 @@ Word = tuple[str, tuple[int, ...]]  # (source edge, arrow indices)
 WORD_CAP = 200_000  # read at each word enumeration
 
 
-class WordSpace:
-    """Paths of length at most ``maxlen`` with no monomial relation as a
-    subword, and the translates u*r*v of the two-term relations among them."""
+class FiniteDimAlgebra:
+    """Path normal forms with exact structure constants.
 
-    def __init__(self, quiver, maxlen: int, relations: list[Relation]):
-        self.quiver = quiver
-        self.maxlen = maxlen
-        self._monomials: list[tuple[int, ...]] = []
-        self._two_term: list[Relation] = []
-        for r in relations:
+    ``allowed`` lists the words: the paths of length at most ``maxlen``
+    with no monomial relation as a subword, shortest first.  The basis is
+    the words that are not the pivot of a reduced translate u*r*v of a
+    two-term relation."""
+
+    def __init__(self, pres: Presentation, field=QQ,
+                 relations: Optional[list[Relation]] = None):
+        self.presentation = pres
+        self.graph: BrauerGraph = pres.graph
+        self.quiver = pres.quiver
+        self.field = field
+        self.relations = list(pres.all_relations if relations is None else relations)
+        self.graded = all(r.is_length_homogeneous() for r in self.relations)
+        self.maxlen = self.graph.nilpotency_bound() + 1
+        monomials: dict[int, set[tuple[int, ...]]] = {}
+        for r in self.relations:
             if len(r.terms) == 1:
-                self._monomials.append(self._path_key(r.terms[0][1]))
-            else:
-                self._two_term.append(r)
-        self._mono_by_len: dict[int, set[tuple[int, ...]]] = {}
-        for m in self._monomials:
-            self._mono_by_len.setdefault(len(m), set()).add(m)
-        self._enumerate_words()
+                m = self._path_key(r.terms[0][1])
+                monomials.setdefault(len(m), set()).add(m)
+        self._enumerate_words(monomials)
+        self._reduce([r for r in self.relations if len(r.terms) > 1])
+        self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
 
     def _path_key(self, p: Path) -> tuple[int, ...]:
         idx = self.quiver.arrow_index
@@ -66,106 +74,63 @@ class WordSpace:
         src, arrows = w
         return src if not arrows else self.quiver.arrows[arrows[-1]].target
 
-    def word_is_allowed(self, arrows: tuple[int, ...]) -> bool:
-        """No subword is a monomial relation."""
-        n = len(arrows)
-        for length, monos in self._mono_by_len.items():
-            if length > n:
-                continue
-            for i in range(n - length + 1):
-                if arrows[i:i + length] in monos:
-                    return False
-        return True
-
-    def _suffix_ok(self, arrows: tuple[int, ...]) -> bool:
-        n = len(arrows)
-        for length, monos in self._mono_by_len.items():
-            if length <= n and arrows[n - length:] in monos:
-                return False
-        return True
-
-    def _enumerate_words(self):
+    def _enumerate_words(self, monomials: dict[int, set[tuple[int, ...]]]):
+        """A word is extended by one arrow while no suffix of the extension
+        is a monomial relation, so no subword of any word is one."""
         self.allowed: list[Word] = []
-        by_source: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
-        by_target: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
-        frontier: list[Word] = []
-        for v in self.quiver.vertices:
-            w: Word = (v, ())
-            frontier.append(w)
+        frontier: list[Word] = [(v, ()) for v in self.quiver.vertices]
         while frontier:
             nxt: list[Word] = []
             for w in frontier:
                 self.allowed.append(w)
-                by_source[w[0]].append(w)
-                by_target[self.word_target(w)].append(w)
                 if len(self.allowed) > WORD_CAP:
                     raise OracleSizeError(f"more than {WORD_CAP} words in the path space")
                 if len(w[1]) >= self.maxlen:
                     continue
                 for a in self.quiver.arrows_from.get(self.word_target(w), ()):
                     arrows = w[1] + (self.quiver.arrow_index[a],)
-                    if self._suffix_ok(arrows):
+                    n = len(arrows)
+                    if not any(length <= n and arrows[n - length:] in monos
+                               for length, monos in monomials.items()):
                         nxt.append((w[0], arrows))
             frontier = nxt
-        self.words_by_source = by_source
-        self.words_by_target = by_target
-
-    def translate_rows(self, field, column):
-        """One sparse row per translate u*r*v of a two-term relation; a
-        product word goes to ``column(source, arrows)`` and is dropped when
-        that is None."""
-        for r in self._two_term:
-            terms = [(field.from_fraction(c), self._path_key(p)) for c, p in r.terms]
-            min_len = min(len(t[1]) for t in terms)
-            for u in self.words_by_target[r.source]:
-                lu = len(u[1])
-                if lu + min_len > self.maxlen:
-                    continue
-                for v in self.words_by_source[r.target]:
-                    if lu + min_len + len(v[1]) > self.maxlen:
-                        continue
-                    row: dict = {}
-                    for coeff, mid in terms:
-                        arrows = u[1] + mid + v[1]
-                        if len(arrows) > self.maxlen:
-                            continue
-                        key = column(u[0], arrows)
-                        if key is not None:
-                            row[key] = field.add(row.get(key, field.zero), coeff)
-                    if row:
-                        yield row
-
-
-class FiniteDimAlgebra(WordSpace):
-    """Path normal forms with exact structure constants."""
-
-    def __init__(self, pres: Presentation, field=QQ,
-                 relations: Optional[list[Relation]] = None):
-        self.presentation = pres
-        self.graph: BrauerGraph = pres.graph
-        self.field = field
-        self.relations = list(pres.all_relations if relations is None else relations)
-        self.graded = all(r.is_length_homogeneous() for r in self.relations)
-        super().__init__(pres.quiver, self.graph.nilpotency_bound() + 1, self.relations)
-        self._reduce()
-        self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
+        self._words: set[Word] = set(self.allowed)
 
     @staticmethod
     def _column_key(w: Word):
         return (len(w[1]), w[0], w[1])
 
-    def _reduce(self):
-        reducer = linalg.SparseReducer(self.field)
-
-        def column(source, arrows):
-            return (len(arrows), source, arrows) if self.word_is_allowed(arrows) else None
-
-        for row in self.translate_rows(self.field, column):
-            reducer.add(row)
-        self._reducer = reducer
-        pivots = set(reducer.pivot_rows)
+    def _reduce(self, two_term: list[Relation]):
+        """Row reduce one sparse row per translate u*r*v of a two-term
+        relation, over the columns of the words it reaches."""
+        f = self.field
+        by_source: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
+        by_target: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
+        for w in self.allowed:
+            by_source[w[0]].append(w)
+            by_target[self.word_target(w)].append(w)
+        reducer = linalg.SparseReducer(f)
+        for r in two_term:
+            terms = [(f.from_fraction(c), self._path_key(p)) for c, p in r.terms]
+            min_len = min(len(t[1]) for t in terms)
+            for u in by_target[r.source]:
+                lu = len(u[1])
+                if lu + min_len > self.maxlen:
+                    continue
+                for v in by_source[r.target]:
+                    if lu + min_len + len(v[1]) > self.maxlen:
+                        continue
+                    row: dict = {}
+                    for coeff, mid in terms:
+                        w = (u[0], u[1] + mid + v[1])
+                        if w in self._words:
+                            key = self._column_key(w)
+                            row[key] = f.add(row.get(key, f.zero), coeff)
+                    if row:
+                        reducer.add(row)
+        self._pivot_rows = reducer.pivot_rows
         self.basis: list[Word] = sorted(
-            (w for w in self.allowed if self._column_key(w) not in pivots),
+            (w for w in self.allowed if self._column_key(w) not in self._pivot_rows),
             key=self._column_key,
         )
         self.basis_index: dict[Word, int] = {w: i for i, w in enumerate(self.basis)}
@@ -189,29 +154,30 @@ class FiniteDimAlgebra(WordSpace):
         return len(self.basis[i][1])
 
     def word_to_vec(self, source: str, arrows: tuple[int, ...]) -> dict[int, object]:
-        """Express a path in normal forms; the empty dict is zero."""
-        f = self.field
-        if len(arrows) > self.maxlen or not self.word_is_allowed(arrows):
-            return {}
-        key = (len(arrows), source, arrows)
+        """Express a path in normal forms; the empty dict is zero.  The pivot
+        rows are fully reduced, so a pivot word is minus the rest of its row
+        and every other word is a basis word."""
         w: Word = (source, arrows)
-        if key in self._reducer.pivot_rows:
-            prow = self._reducer.pivot_rows[key]
-            out = {}
-            for col, coeff in prow.items():
-                if col == key:
-                    continue
-                idx = self.basis_index[(col[1], col[2])]
-                out[idx] = f.neg(coeff)
-            return out
-        residual = self._reducer.reduce({key: f.one})
-        out = {}
-        for col, coeff in residual.items():
-            out[self.basis_index[(col[1], col[2])]] = coeff
-        return out
+        if w not in self._words:
+            return {}
+        key = self._column_key(w)
+        prow = self._pivot_rows.get(key)
+        if prow is None:
+            return {self.basis_index[w]: self.field.one}
+        return {self.basis_index[(col[1], col[2])]: self.field.neg(coeff)
+                for col, coeff in prow.items() if col != key}
 
     def path_to_vec(self, p: Path) -> dict[int, object]:
         return self.word_to_vec(p.source, self._path_key(p))
+
+    def relation_holds(self, r: Relation) -> bool:
+        """Is the relation's normal form zero in the algebra?"""
+        f = self.field
+        total: dict = {}
+        for c, path in r.terms:
+            for j, x in self.path_to_vec(path).items():
+                total[j] = f.add(total.get(j, f.zero), f.mul(f.from_fraction(c), x))
+        return all(f.is_zero(x) for x in total.values())
 
     def mult(self, i: int, j: int) -> dict[int, object]:
         """Product of basis elements i and j, as a sparse vector."""
@@ -307,30 +273,9 @@ def expected_projective_dims(g: BrauerGraph) -> dict[str, int]:
 
 def is_redundant_relation(pres: Presentation, index: int, field=QQ) -> bool:
     """Ideal-membership test: can relation ``index`` be omitted from the
-    generating set?
-
-    A generator is redundant exactly when it lies in the span of the other
-    generators plus all translates u*r*v with at least one of u, v a real
-    path, inside the length-truncated path space.
-    """
-    target = pres.all_relations[index]
-    if len(target.terms) != 1:
-        raise ValueError("membership test is for monomial relations")
-    space = WordSpace(pres.quiver, pres.graph.nilpotency_bound() + 1, pres.all_relations)
-    target_word = space._path_key(target.terms[0][1])
-
-    def column(source: str, arrows: tuple[int, ...]):
-        """The target relation's own column, or the word's; None when it dies."""
-        if source == target.source and arrows == target_word:
-            return ("R",)
-        if not space.word_is_allowed(arrows):
-            return None
-        return (len(arrows), source, arrows)
-
-    reducer = linalg.SparseReducer(field)
-    for row in space.translate_rows(field, column):
-        reducer.add(row)
-    return reducer.contains({("R",): field.one})
+    generating set?  Exactly when it holds in the algebra of the others."""
+    others = [r for i, r in enumerate(pres.all_relations) if i != index]
+    return FiniteDimAlgebra(pres, field, others).relation_holds(pres.all_relations[index])
 
 
 def build_algebra_naive(pres: Presentation, field=QQ, path_cap: int = 4000) -> dict:

@@ -102,11 +102,10 @@ class ProjResolution:
 
     # -- checks ----------------------------------------------------------
 
-    def complex_is_zero(self, n_max: Optional[int] = None) -> list[int]:
+    def complex_is_zero(self) -> list[int]:
         """Degrees n where f^{n-1} o f^n fails to vanish."""
         bad = []
-        top = len(self.modules) - 1 if n_max is None else n_max
-        for n in range(2, top + 1):
+        for n in range(2, len(self.modules)):
             comp = self.maps[n].compose(self.maps[n - 1])
             if not comp.is_zero():
                 bad.append(n)

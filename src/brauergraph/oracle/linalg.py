@@ -20,22 +20,20 @@ def identity(n: int, field) -> list[list]:
     return out
 
 
-def mat_mul(a: list[list], b: list[list], field) -> list[list]:
-    if not a:
-        return []
-    nb = len(b[0]) if b else 0
-    out = zeros(len(a), nb, field)
-    for i, row in enumerate(a):
-        for k, x in enumerate(row):
-            if field.is_zero(x):
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(nb):
-                y = brow[j]
-                if not field.is_zero(y):
-                    orow[j] = field.add(orow[j], field.mul(x, y))
+def vec_mul(v: list, b: list[list], field) -> list:
+    """The row vector v times the matrix b; a b with no rows has width 0."""
+    out = [field.zero] * (len(b[0]) if b else 0)
+    for x, brow in zip(v, b, strict=True):
+        if field.is_zero(x):
+            continue
+        for j, y in enumerate(brow):
+            if not field.is_zero(y):
+                out[j] = field.add(out[j], field.mul(x, y))
     return out
+
+
+def mat_mul(a: list[list], b: list[list], field) -> list[list]:
+    return [vec_mul(row, b, field) for row in a]
 
 
 def transpose(a: list[list]) -> list[list]:

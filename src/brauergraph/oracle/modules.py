@@ -232,7 +232,7 @@ def _push(mod: Module, pushed: dict[tuple, list], arrows: tuple[int, ...]) -> li
         vec = _push(mod, pushed, arrows[:-1])
         a = mod.la.quiver.arrows[arrows[-1]]
         m = mod.action[a.name]
-        pushed[arrows] = (linalg.mat_mul([vec], m, mod.la.field)[0] if m
+        pushed[arrows] = (linalg.vec_mul(vec, m, mod.la.field) if m
                           else [mod.la.field.zero] * mod.dim(a.target))
     return pushed[arrows]
 

@@ -93,8 +93,7 @@ def _flip(steps, flip: tuple[str, int, int, int]):
 
 
 def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
-                 fault: Optional[Fault] = None,
-                 certificate_degree: Optional[int] = None) -> DiffReport:
+                 fault: Optional[Fault] = None) -> DiffReport:
     report = DiffReport()
     vr = validate(g)
     if not vr.ok:
@@ -128,7 +127,7 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
                                   f"{drop} among {len(relations)}")
         relations = [r for i, r in enumerate(relations) if i != drop]
     la = build_algebra(pres, field_obj, relations=relations)
-    if drop is not None and _relation_holds(la, pres.all_relations[drop]):
+    if drop is not None and la.relation_holds(pres.all_relations[drop]):
         raise HypothesisError(f"drop fault corrupts nothing: relation {drop} "
                               f"holds without it")
 
@@ -198,8 +197,7 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
         _check_resolution(report, g, la, max_degree, examined, walks, traces)
         if not two_d and obstruction_element(g) is not None:
             report.add("obstruction", "no truncated edges yet a walk witness appeared")
-        cert_cap = certificate_degree if certificate_degree is not None else min(4, max_degree)
-        _check_certificates(report, g, la, cert_cap, complexes)
+        _check_certificates(report, g, la, min(4, max_degree), complexes)
 
     if reduced and g.has_truncated_edge() and g.has_nontruncated_edge():
         _check_obstruction(report, g, la, walks)
@@ -211,16 +209,6 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
         _check_linear(report, g, min(5, max_degree + 1), walks)
 
     return report
-
-
-def _relation_holds(la, r) -> bool:
-    """Is the relation's normal form zero in the algebra?"""
-    f = la.field
-    total: dict = {}
-    for c, path in r.terms:
-        for j, x in la.path_to_vec(path).items():
-            total[j] = f.add(total.get(j, f.zero), f.mul(f.from_fraction(c), x))
-    return all(f.is_zero(x) for x in total.values())
 
 
 def _check_strings(report: DiffReport, g, la, n_max: int, traces, walks):

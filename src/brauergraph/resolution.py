@@ -81,7 +81,6 @@ class GenerationCertificate:
     # pair of certificates; empty for leaves, which are the degree-one classes
     # and the degree-two class at position zero (positions +-2 split in two)
     factors: tuple = ()
-    convention_note: str = ""
 
     @property
     def is_leaf(self) -> bool:
@@ -348,8 +347,9 @@ def generation_certificate(g: BrauerGraph, elem: CanonicalExtElement) -> Generat
     positions +-2 in degree two are products of two degree-one classes.
     Position off zero (those +-2 included): peel one degree-one factor at
     the outer end.  Even degree at position zero: peel a degree-two factor
-    at zero.  Odd degree at position +-1: a degree-one factor of the start
-    simple itself (the displayed identity; noted in the certificate).
+    at zero.  Odd degree n at position +-1: the class of degree n - 1 at
+    position zero times the degree-one class at +-1 of the start simple
+    itself (the displayed identity).
     """
     if g.has_truncated_edge():
         raise HypothesisError("certificates require a graph with no truncated edges")
@@ -366,11 +366,7 @@ def generation_certificate(g: BrauerGraph, elem: CanonicalExtElement) -> Generat
     if n % 2 == 1 and i in (1, -1):
         left = generation_certificate(g, _canon(g, elem.source, n - 1, 0))
         right = GenerationCertificate(_canon(g, elem.source, 1, i))
-        return GenerationCertificate(
-            elem, (left, right),
-            convention_note="odd-degree inner positions factor through position zero "
-                            "of the same start simple",
-        )
+        return GenerationCertificate(elem, (left, right))
     step = 1 if i > 0 else -1
     mid_edge = chain.edge[i - step]
     # the side of mid's own resolution continuing the chain is read off the

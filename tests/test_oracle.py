@@ -301,15 +301,60 @@ def test_size_guard(triangle, monkeypatch):
         build_algebra(present(triangle))
 
 
-def test_redundancy(a4, a3):
-    p4 = present(a4)
-    for i, r in enumerate(p4.all_relations):
-        if r.kind == "two":
-            assert is_redundant_relation(p4, i)
-    p3 = present(a3)
-    for i, r in enumerate(p3.all_relations):
-        if r.kind == "two":
-            assert not is_redundant_relation(p3, i)
+def _allowed_words(pres, relations) -> list:
+    """Every composable path of length at most the truncation length, shortest
+    first, kept when no subword is a monomial relation."""
+    q = pres.quiver
+    maxlen = pres.graph.nilpotency_bound() + 1
+    monomials = {tuple(q.arrow_index[a] for a in r.terms[0][1].arrows)
+                 for r in relations if len(r.terms) == 1}
+    paths = [(v, ()) for v in q.vertices]
+    frontier = list(paths)
+    for _ in range(maxlen):
+        frontier = [(src, arrows + (q.arrow_index[a],))
+                    for src, arrows in frontier
+                    for a in q.arrows_from[q.arrows[arrows[-1]].target if arrows else src]]
+        paths += frontier
+    return [(src, arrows) for src, arrows in paths
+            if not any(arrows[i:j] in monomials
+                       for i in range(len(arrows)) for j in range(i + 1, len(arrows) + 1))]
+
+
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_allowed_words_have_no_monomial_subword(name, g):
+    """The words are exactly the paths with no monomial relation as a
+    subword, also with any one relation dropped."""
+    pres = present(g)
+    rels = pres.all_relations
+    for drop in [None, *range(len(rels))]:
+        kept = [r for i, r in enumerate(rels) if i != drop]
+        assert build_algebra(pres, relations=kept).allowed == _allowed_words(pres, kept), drop
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_every_relation_holds(field):
+    """Each relation's normal form is zero in the algebra of all of them,
+    two-term relations included, whose terms cancel only with their
+    coefficients."""
+    for name, g in desk_graphs():
+        pres = present(g)
+        la = build_algebra(pres, field)
+        assert all(la.relation_holds(r) for r in pres.all_relations), name
+
+
+def test_redundancy(a4, a3, triangle):
+    p4, p3, pt = present(a4), present(a3), present(triangle)
+    # the triangle has no kind-two relation, and each of its nine is essential
+    assert len(pt.all_relations) == 9
+    assert {r.kind for r in pt.all_relations} == {"one", "three"}
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        for i, r in enumerate(p4.all_relations):
+            if r.kind == "two":
+                assert is_redundant_relation(p4, i, field)
+        for i, r in enumerate(p3.all_relations):
+            if r.kind == "two":
+                assert not is_redundant_relation(p3, i, field)
+        assert not any(is_redundant_relation(pt, i, field) for i in range(9)), field
 
 
 def test_oracle_syzygy_chain(a4):

@@ -130,7 +130,10 @@ def test_certificates(triangle):
     assert [l.degree for l in chain.leaves()] == [2, 2]
 
     odd = generation_certificate(triangle, CanonicalExtElement("e1", 3, 1, "e2"))
-    assert odd.convention_note
+    left, right = (f.element for f in odd.factors)
+    assert (left.degree, left.position) == (2, 0)
+    assert (right.degree, right.position) == (1, 1)
+    assert left.source == right.source == "e1"
     assert all(l.degree <= 2 for l in odd.leaves())
 
 

@@ -57,7 +57,7 @@ def test_certificates_verify_clean(g, field):
     """Every factored certificate up to degree 4 evaluates, by Yoneda
     products, to a nonzero multiple of its canonical class; degree 2 at
     positions +-2 is a product of two degree-one classes."""
-    rep = verify_graph(g, 3, field, certificate_degree=4)
+    rep = verify_graph(g, 4, field)
     assert not [e for e in rep.entries if e["check"] == "certificate"], rep.entries
 
 
