@@ -167,14 +167,25 @@ def cmd_ext(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(path: str, max_degree: int, field_obj,
-                fault: Fault | None) -> tuple[str, int, dict]:
-    g = graphmod.load_file(path)
+def _verify_one(g: BrauerGraph, max_degree: int, field_obj,
+                fault: Fault | None) -> tuple[int, dict]:
     report = validate(g)
     if not report.ok:
-        return path, EXIT_INVALID, {"ok": False, "diffs": report.violations}
+        return EXIT_INVALID, {"ok": False, "diffs": report.violations}
     rep = verify_graph(g, max_degree=max_degree, field_obj=field_obj, fault=fault)
-    return path, EXIT_OK if rep.ok else EXIT_MISMATCH, rep.to_json()
+    return EXIT_OK if rep.ok else EXIT_MISMATCH, rep.to_json()
+
+
+def _verify_entry(path: str, max_degree: int, field_obj, fault: Fault | None) -> dict:
+    """One entry of a batch; a file that fails to load gets its own entry,
+    as a graph that fails validation does."""
+    try:
+        g = graphmod.load_file(path)
+    except BrauerGraphError as exc:
+        code, doc = EXIT_INVALID, {"ok": False, "diffs": [str(exc)]}
+    else:
+        code, doc = _verify_one(g, max_degree, field_obj, fault)
+    return {"input": path, "exit": code, "report": doc}
 
 
 def cmd_verify(args) -> int:
@@ -188,16 +199,12 @@ def cmd_verify(args) -> int:
             raise BrauerGraphError(f"cannot read {args.input_dir}: {exc.strerror}") from exc
         paths = sorted(os.path.join(args.input_dir, p) for p in names
                        if p.endswith(".bg.json"))
-        results = []
         with ProcessPoolExecutor() as pool:
-            for path, code, doc in pool.map(
-                _verify_one, paths, [args.max] * len(paths),
-                [args.field] * len(paths), [fault] * len(paths)
-            ):
-                results.append({"input": path, "exit": code, "report": doc})
+            results = list(pool.map(_verify_entry, paths, [args.max] * len(paths),
+                                    [args.field] * len(paths), [fault] * len(paths)))
         _emit(results, args.format)
         return max((r["exit"] for r in results), default=EXIT_OK)
-    _, code, doc = _verify_one(args.input, args.max, args.field, fault)
+    code, doc = _verify_one(graphmod.load_file(args.input), args.max, args.field, fault)
     _emit(doc, args.format)
     return code
 

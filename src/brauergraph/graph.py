@@ -590,5 +590,5 @@ def load_file(path: str) -> BrauerGraph:
     except OSError as exc:
         raise BrauerGraphError(f"cannot read {path}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise BrauerGraphError(f"not valid JSON: {exc}") from exc
+        raise BrauerGraphError(f"not valid JSON in {path}: {exc}") from exc
     return from_dict(doc)

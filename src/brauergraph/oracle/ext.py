@@ -12,7 +12,10 @@ Every map between the projectives of a resolution is built by
 covers of an oracle walk, the path matrices of ``from_steps`` (each
 column's generator goes to the signed sum of its paths) and the chain maps
 of ``lift_through`` (each generator goes to a solution of one linear
-system).
+system).  Lifting works on generator rows: the right-hand side for a
+generator of Q^{n+k} is its image under the differential followed by the
+previous level of the lift, one product per generator, and a level's blocks
+are built only when the next level composes through them.
 
 A degree-n cohomology element of the simple at s is a functional on the
 generators of the n-th projective in a fixed resolution of s; the basis
@@ -219,6 +222,7 @@ def lift_through(x: ExtElement, target_res: ProjResolution, m: int) -> ModuleMap
         images.append(image)
     psi = map_from_generators(src.modules[n], q0, images)
     for k in range(1, m + 1):
+        # composing reads psi's blocks, so every level but the last builds them
         rhs = src.maps[n + k].compose(psi)
         g = target_res.maps[k]
         generators = src.modules[n + k].generators
@@ -229,7 +233,7 @@ def lift_through(x: ExtElement, target_res: ProjResolution, m: int) -> ModuleMap
         images: list = [None] * len(generators)
         for gv, js in by_vertex.items():
             ys = linalg.solve_left(
-                g.blocks[gv], [rhs.blocks[gv][generators[j][1]] for j in js], f)
+                g.blocks[gv], [rhs.images[j] for j in js], f)
             if ys is None:
                 raise RuntimeError("comparison lifting failed; complex not exact?")
             for j, y in zip(js, ys):
@@ -246,8 +250,8 @@ def yoneda_multiply(y: ExtElement, x: ExtElement) -> ExtElement:
         if y.res.source != t:
             raise ValueError("factors not composable")
     psi = lift_through(x, y.res, y.degree)
-    for j, (gv, gi) in enumerate(x.res.modules[x.degree + y.degree].generators):
-        row = psi.blocks[gv][gi]
+    for j, (gv, _) in enumerate(x.res.modules[x.degree + y.degree].generators):
+        row = psi.images[j]
         total = f.zero
         for i, c in y.coeffs.items():
             if f.is_zero(c):

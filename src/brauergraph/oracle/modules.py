@@ -15,15 +15,27 @@ of each projective is ``FiniteDimAlgebra.projective_words``.  A module map
 out of such a sum is fixed by where each generator goes, and
 ``map_from_generators`` is the one constructor that turns generator images
 into such a map: projective covers here, and the path-matrix differentials
-and lifted chain maps of ``oracle/ext.py``, are all built by it.
+and lifted chain maps of ``oracle/ext.py``, are all built by it.  The map
+keeps the images, one row per generator, and pushes them along each
+summand's basis words into per-vertex blocks only when the blocks are first
+read.  Composing multiplies each generator image by one block of the next
+map, and such a map is zero exactly when every image is; the ranks of a
+map's blocks are computed once and shared by its image and kernel
+dimensions.
 
 ``projective_cover`` and ``kernel_module`` are the two steps of a minimal
 resolution; the walk that alternates them is ``ProjResolution.from_oracle``
 in ``oracle/ext.py``, and ``min_resolution`` here is a view of that walk.
+The kernel inclusion is the one map whose source is not projective, and it
+is given by its blocks: the reduced kernel basis.  Each basis row has a 1
+at its free position and every other row a 0 there, so the syzygy action
+is read off the arrow images at those positions, and multiplying back
+checks that the kernel is closed under the action.
 """
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from typing import Optional
 
 from . import linalg
@@ -109,48 +121,67 @@ class Module:
 
 
 class ModuleMap:
-    """Per-vertex matrices (row convention) commuting with the arrow action."""
+    """Per-vertex matrices (row convention) commuting with the arrow action.
 
-    def __init__(self, source: Module, target: Module, blocks: dict[str, list[list]]):
+    A map out of a ``ProjectiveSum`` is stored as ``images``, one target row
+    per generator, and its ``blocks`` are pushed from them on first read; a
+    map out of any other module (a kernel inclusion) is given by its blocks
+    and has no images.
+    """
+
+    def __init__(self, source: Module, target: Module,
+                 blocks: Optional[dict[str, list[list]]] = None,
+                 images: Optional[list[list]] = None):
         self.source = source
         self.target = target
-        self.blocks = blocks
+        self.images = images
+        if blocks is not None:
+            self.blocks = blocks
 
-    def compose(self, then: "ModuleMap") -> "ModuleMap":
-        """This map followed by ``then``; every block has the composite's
-        shape, zero where the middle module is zero."""
-        f = self.source.la.field
-        blocks = {}
-        for v, a in self.blocks.items():
-            b = then.blocks[v]
-            blocks[v] = (linalg.mat_mul(a, b, f) if b
-                         else linalg.zeros(self.source.dim(v), then.target.dim(v), f))
-        return ModuleMap(self.source, then.target, blocks)
+    @cached_property
+    def blocks(self) -> dict[str, list[list]]:
+        """Each summand's basis word w goes to its generator's image times w."""
+        source, target = self.source, self.target
+        la = source.la
+        f = la.field
+        blocks = {v: linalg.zeros(source.dim(v), target.dim(v), f) for v in la.quiver.vertices}
+        for (e, _), offsets, image in zip(source.generators, source.offsets, self.images):
+            if all(f.is_zero(x) for x in image):
+                continue
+            pushed = {(): image}
+            for v, words in la.projective_words[e].items():
+                for r, i in enumerate(words):
+                    blocks[v][offsets[v] + r] = _push(target, pushed, la.basis[i][1])
+        return blocks
 
-    def is_zero(self) -> bool:
-        f = self.source.la.field
-        for m in self.blocks.values():
-            for row in m:
-                if any(not f.is_zero(x) for x in row):
-                    return False
-        return True
-
-    def image_dims(self) -> dict[str, int]:
+    @cached_property
+    def ranks(self) -> dict[str, int]:
+        """Rank of each nonempty block, computed once per map."""
         f = self.source.la.field
         return {v: linalg.rank(m, f) for v, m in self.blocks.items() if m}
 
+    def compose(self, then: "ModuleMap") -> "ModuleMap":
+        """This map, out of a sum of projectives, followed by ``then``: each
+        generator image times ``then``'s block at the generator's edge."""
+        f = self.source.la.field
+        images = []
+        for (e, _), image in zip(self.source.generators, self.images):
+            b = then.blocks[e]
+            images.append(linalg.vec_mul(image, b, f) if b
+                          else [f.zero] * then.target.dim(e))
+        return map_from_generators(self.source, then.target, images)
+
+    def is_zero(self) -> bool:
+        """A map out of a sum of projectives is zero exactly when it kills
+        every generator."""
+        f = self.source.la.field
+        return all(f.is_zero(x) for image in self.images for x in image)
+
     def total_image_dim(self) -> int:
-        return sum(self.image_dims().values())
+        return sum(self.ranks.values())
 
     def total_kernel_dim(self) -> int:
-        f = self.source.la.field
-        total = 0
-        for v in self.blocks:
-            n = self.source.dim(v)
-            if n == 0:
-                continue
-            total += n - linalg.rank(self.blocks[v], f)
-        return total
+        return sum(self.source.dim(v) - r for v, r in self.ranks.items())
 
 
 def simple_module(la: FiniteDimAlgebra, e: str) -> Module:
@@ -211,18 +242,8 @@ def map_from_generators(source: ProjectiveSum, target: Module,
     """The module map out of a sum of projectives that sends the generator of
     summand k to ``images[k]``, a row vector in the target's block at that
     summand's edge; each basis word w of the summand goes to ``images[k]``
-    times w."""
-    la = source.la
-    f = la.field
-    blocks = {v: linalg.zeros(source.dim(v), target.dim(v), f) for v in la.quiver.vertices}
-    for (e, _), offsets, image in zip(source.generators, source.offsets, images):
-        if all(f.is_zero(x) for x in image):
-            continue
-        pushed = {(): image}
-        for v, words in la.projective_words[e].items():
-            for r, i in enumerate(words):
-                blocks[v][offsets[v] + r] = _push(target, pushed, la.basis[i][1])
-    return ModuleMap(source, target, blocks)
+    times w when the blocks are first read."""
+    return ModuleMap(source, target, images=images)
 
 
 def _push(mod: Module, pushed: dict[tuple, list], arrows: tuple[int, ...]) -> list:
@@ -294,15 +315,22 @@ def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
                     full[i] = kv[local]
                 basis_rows[v].append(full)
                 degrees[v].append(d)
+    # a kernel basis row has a 1 at its free position, its last nonzero, and
+    # every other row of its vertex a 0 there: the coordinates of a vector in
+    # their span are its entries at the free positions
+    free = {v: [max(i for i, x in enumerate(row) if not f.is_zero(x)) for row in rows]
+            for v, rows in basis_rows.items()}
     action = {}
     for a in la.quiver.arrows:
         images = linalg.mat_mul(basis_rows[a.source], P.action[a.name], f)
-        coords = linalg.solve_left(basis_rows[a.target], images, f)
-        if coords is None:
+        coords = [[image[i] for i in free[a.target]] for image in images]
+        back = (linalg.mat_mul(coords, basis_rows[a.target], f) if basis_rows[a.target]
+                else [[f.zero] * P.dim(a.target) for _ in images])
+        if back != images:
             raise RuntimeError("kernel is not closed under the action")
         action[a.name] = coords
     K = Module(la, degrees, action)
-    incl = ModuleMap(K, P, {v: basis_rows[v] for v in basis_rows})
+    incl = ModuleMap(K, P, blocks=basis_rows)
     return K, incl
 
 

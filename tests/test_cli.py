@@ -242,3 +242,21 @@ def test_unread_options_rejected(graph_files, argv, message):
     with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
         run(argv + ["--input", graph_files["triangle"]])
     assert exc.value.code == 2 and message in err.getvalue()
+
+
+def test_batch_verify_reports_unloadable_file(graph_files, tmp_path):
+    """A malformed file gets its own entry, naming it, and the other graphs
+    are still verified; alone, it is reported on stderr with its path."""
+    junk = tmp_path / "junk.bg.json"
+    junk.write_text("{not json")
+    code, out, _ = invoke(["verify", "--max", "2", "--input-dir", str(tmp_path)])
+    assert code == 1
+    results = {os.path.basename(r["input"]): r for r in json.loads(out)}
+    assert {name: r["exit"] for name, r in results.items()} == {
+        "a4.bg.json": 0, "junk.bg.json": 1, "triangle.bg.json": 0}
+    report = results["junk.bg.json"]["report"]
+    assert report["ok"] is False
+    (message,) = report["diffs"]
+    assert "not valid JSON" in message and str(junk) in message
+    code, out, err = invoke(["verify", "--input", str(junk)])
+    assert (code, out) == (1, "") and str(junk) in err

@@ -9,6 +9,7 @@ from brauergraph.census import census
 from brauergraph.classify import koszul_report
 from brauergraph.graph import (
     HypothesisError,
+    cycle_graph,
     loop_graph,
     path_graph,
     star_graph,
@@ -33,10 +34,16 @@ from brauergraph.oracle.ext import (
     yoneda_multiply,
 )
 from brauergraph.oracle.fields import QQ, PrimeField, field_from_spec
-from brauergraph.oracle.modules import min_resolution, projective_cover, projective_module
+from brauergraph.oracle.modules import (
+    ModuleMap,
+    kernel_module,
+    min_resolution,
+    projective_cover,
+    projective_module,
+)
 from brauergraph.presentation import present
 from brauergraph.resolution import resolve_simple, resolve_simple_2d
-from conftest import desk_graphs
+from conftest import desk_graphs, pendant_triangle
 
 
 def test_linalg_basics():
@@ -493,3 +500,103 @@ def test_oracle_maps_commute_with_arrows(name, g, field):
                     x = ExtElement(res, n, {i: field.one})
                     for m in range(3 - n + 1):
                         assert _commutes(lift_through(x, resolutions[t], m)), (n, i, m)
+
+
+def _eager_blocks(phi):
+    """The blocks of a map out of a sum of projectives, each basis word's row
+    multiplied out from its generator's image one arrow at a time."""
+    la = phi.source.la
+    f = la.field
+    blocks = {v: [] for v in la.quiver.vertices}
+    for (e, _), image in zip(phi.source.generators, phi.images):
+        for v in la.quiver.vertices:
+            for i in la.projective_words[e].get(v, ()):
+                row = list(image)
+                for ai in la.basis[i][1]:
+                    a = la.quiver.arrows[ai]
+                    m = phi.target.action[a.name]
+                    total = [f.zero] * phi.target.dim(a.target)
+                    for x, mrow in zip(row, m):
+                        for t, y in enumerate(mrow):
+                            total[t] = f.add(total[t], f.mul(x, y))
+                    row = total
+                blocks[v].append(row)
+    return blocks
+
+
+def _blockwise_composite(phi, then):
+    f = phi.source.la.field
+    return {v: (linalg.mat_mul(m, then.blocks[v], f) if then.blocks[v]
+                else linalg.zeros(len(m), then.target.dim(v), f))
+            for v, m in phi.blocks.items()}
+
+
+def _check_images(phi, then=None):
+    """Lazy blocks equal the eager push; a composite's images are the
+    generator rows of the blockwise composite, and it is zero exactly when
+    every block is."""
+    f = phi.source.la.field
+    assert phi.blocks == _eager_blocks(phi)
+    if then is not None:
+        comp = phi.compose(then)
+        blockwise = _blockwise_composite(phi, then)
+        assert comp.images == [blockwise[gv][gi] for gv, gi in phi.source.generators]
+        assert comp.blocks == blockwise
+        assert comp.is_zero() == all(f.is_zero(x) for m in blockwise.values()
+                                     for row in m for x in row)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["q", "f2"])
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_maps_are_their_generator_images(name, g, field):
+    """Differentials of oracle walks and of path-matrix complexes, their
+    composites, and lifted chain maps to depth 3 against blockwise
+    references."""
+    la = build_algebra(present(g), field)
+    walks = {e: ProjResolution.from_oracle(la, e, 3) for e in g.edge_ids}
+    complexes = _explicit_complexes(g, la, 3)
+    for res in [*walks.values(), *complexes.values()]:
+        _check_images(res.maps[1])
+        for n in range(2, len(res.maps)):
+            _check_images(res.maps[n], res.maps[n - 1])
+    for resolutions in (walks, complexes):
+        for res in resolutions.values():
+            for n in range(3):
+                for i, (t, _, _) in enumerate(res.summands[n]):
+                    x = ExtElement(res, n, {i: field.one})
+                    for m in range(3 - n + 1):
+                        psi = lift_through(x, resolutions[t], m)
+                        _check_images(psi, resolutions[t].maps[m] if m else None)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_kernel_action_matches_solve_left(name, g, field):
+    """The syzygy action read off the reduced kernel basis is the one
+    ``solve_left`` finds for each arrow image."""
+    la = build_algebra(present(g), field)
+    for e in g.edge_ids:
+        for syz in ProjResolution.from_oracle(la, e, 3).syzygies:
+            P, cover, _ = projective_cover(syz)
+            K, incl = kernel_module(cover)
+            for a in la.quiver.arrows:
+                images = linalg.mat_mul(incl.blocks[a.source], P.action[a.name], field)
+                want = linalg.solve_left(incl.blocks[a.target], images, field)
+                assert K.action[a.name] == want, (e, a.name)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+@pytest.mark.parametrize("g", [triangle_graph(), cycle_graph(6), pendant_triangle(),
+                               cycle_graph(8, 2)],
+                         ids=["triangle", "cycle6", "pendant_triangle", "cycle8_m2"])
+def test_kernel_not_closed_is_refused(g, field):
+    """The identity on the block of e and zero elsewhere is no module map of
+    the projective at e, and its 'kernel' is not closed under the action."""
+    la = build_algebra(present(g), field)
+    for e in g.edge_ids:
+        P = projective_module(la, e)
+        blocks = {v: (linalg.identity(P.dim(v), field) if v == e
+                      else linalg.zeros(P.dim(v), P.dim(v), field))
+                  for v in la.quiver.vertices}
+        with pytest.raises(RuntimeError, match="kernel is not closed under the action"):
+            kernel_module(ModuleMap(P, P, blocks=blocks))

@@ -2,7 +2,7 @@ import pytest
 
 from brauergraph.census import census
 from brauergraph.graph import cycle_graph, triangle_graph
-from brauergraph.oracle import ext, modules
+from brauergraph.oracle import ext, linalg, modules
 from brauergraph.oracle.fields import QQ, PrimeField
 from brauergraph.oracle.verify import Fault, verify_graph
 from conftest import desk_graphs, pendant_triangle
@@ -90,3 +90,34 @@ def test_each_simple_resolved_once(monkeypatch, g, max_degree, covers, complexes
     monkeypatch.setattr(ext.ProjResolution, "from_steps", classmethod(counted_from_steps))
     assert verify_graph(g, max_degree=max_degree).ok
     assert calls == {"cover": covers, "from_steps": complexes}
+
+
+@pytest.mark.parametrize("g, max_degree, solves", [
+    (triangle_graph(), 8, 108),
+    (cycle_graph(6), 8, 216),
+    (pendant_triangle(), 6, 733),
+], ids=["triangle@8", "cycle6@8", "pendant_triangle@6"])
+def test_solve_left_calls(monkeypatch, g, max_degree, solves):
+    """Only lifting solves linear systems: ``kernel_module`` reads the
+    syzygy action off the reduced kernel basis and solves none."""
+    calls = {"all": 0, "in_kernel": 0}
+    inside = [0]
+    solve_left, kernel = linalg.solve_left, modules.kernel_module
+
+    def counted_solve_left(*args):
+        calls["all"] += 1
+        calls["in_kernel"] += inside[0] > 0
+        return solve_left(*args)
+
+    def marked_kernel(phi):
+        inside[0] += 1
+        try:
+            return kernel(phi)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(linalg, "solve_left", counted_solve_left)
+    for namespace in (modules, ext):
+        monkeypatch.setattr(namespace, "kernel_module", marked_kernel)
+    assert verify_graph(g, max_degree=max_degree).ok
+    assert calls == {"all": solves, "in_kernel": 0}
