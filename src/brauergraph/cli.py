@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid or unreadable input (report on standard
-error), 2 a bad option value or a hypothesis failure (an operation outside
-its regime, or an injected fault that corrupts nothing), 3 verification
-mismatch.  Output is deterministic: identical input and flags produce
-byte-identical output.
+error), 2 a bad option value, a hypothesis failure (an operation outside
+its regime, or an injected fault that corrupts nothing) or an algebra too
+large for the oracle (more than ``oracle.algebra.WORD_CAP`` words), 3
+verification mismatch.  ``verify --input-dir`` gives each file its own
+entry with one of these codes and exits with the largest.  Output is
+deterministic: identical input and flags produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .graph import (
     uniform_degree,
     validate,
 )
+from .oracle.algebra import OracleSizeError
 from .oracle.fields import field_from_spec
 from .oracle.verify import Fault, verify_graph
 from .presentation import (
@@ -177,14 +180,16 @@ def _verify_one(g: BrauerGraph, max_degree: int, field_obj,
 
 
 def _verify_entry(path: str, max_degree: int, field_obj, fault: Fault | None) -> dict:
-    """One entry of a batch; a file that fails to load gets its own entry,
-    as a graph that fails validation does."""
+    """One entry of a batch; a file that fails to load, a refused fault and
+    an algebra too large for the oracle each get their own entry, with the
+    exit code the file would get alone, as a graph that fails validation
+    does."""
     try:
-        g = graphmod.load_file(path)
+        code, doc = _verify_one(graphmod.load_file(path), max_degree, field_obj, fault)
     except BrauerGraphError as exc:
         code, doc = EXIT_INVALID, {"ok": False, "diffs": [str(exc)]}
-    else:
-        code, doc = _verify_one(g, max_degree, field_obj, fault)
+    except (HypothesisError, OracleSizeError) as exc:
+        code, doc = EXIT_HYPOTHESIS, {"ok": False, "diffs": [str(exc)]}
     return {"input": path, "exit": code, "report": doc}
 
 
@@ -314,7 +319,7 @@ def run(argv: list[str]) -> int:
     except BrauerGraphError as exc:
         sys.stderr.write(str(exc) + "\n")
         return EXIT_INVALID
-    except HypothesisError as exc:
+    except (HypothesisError, OracleSizeError) as exc:
         sys.stderr.write(str(exc) + "\n")
         return EXIT_HYPOTHESIS
 

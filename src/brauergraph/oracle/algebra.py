@@ -65,6 +65,7 @@ class FiniteDimAlgebra:
         self._enumerate_words(monomials)
         self._reduce([r for r in self.relations if len(r.terms) > 1])
         self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
+        self._projective_action: dict[str, dict[str, list[tuple]]] = {}
 
     def _path_key(self, p: Path) -> tuple[int, ...]:
         idx = self.quiver.arrow_index
@@ -166,6 +167,23 @@ class FiniteDimAlgebra:
             return {self.basis_index[w]: self.field.one}
         return {self.basis_index[(col[1], col[2])]: self.field.neg(coeff)
                 for col, coeff in prow.items() if col != key}
+
+    def projective_action(self, e: str) -> dict[str, list[tuple]]:
+        """The arrow action on the projective at ``e``, computed on first use:
+        per arrow name, one row per word from e to the arrow's source (in
+        ``projective_words`` order), each row the (position, coefficient)
+        nonzeros of that word times the arrow in the block of its target."""
+        action = self._projective_action.get(e)
+        if action is None:
+            words, pos = self.projective_words[e], self.word_position
+            action = {
+                a.name: [tuple((pos[j], c) for j, c in
+                               self.word_to_vec(e, self.basis[i][1] + (ai,)).items())
+                         for i in words[a.source]]
+                for ai, a in enumerate(self.quiver.arrows)
+            }
+            self._projective_action[e] = action
+        return action
 
     def path_to_vec(self, p: Path) -> dict[int, object]:
         return self.word_to_vec(p.source, self._path_key(p))

@@ -1,9 +1,15 @@
 """Right modules over the oracle algebra as explicit representations.
 
 A module assigns to each quiver vertex a based vector space and to each
-arrow a matrix acting on row vectors.  Everything needed downstream -
-tops, socles, projective covers, kernels, minimal resolutions - reduces
-to exact rank computations on these matrices.
+arrow a matrix acting on row vectors.  The matrix is stored in one form
+only, sparse: ``action[name]`` has one row per basis vector of the arrow's
+source block, and each row is the tuple of its (column, coefficient)
+nonzeros.  Everything needed downstream - tops, socles, projective covers,
+kernels, minimal resolutions - reduces to exact rank computations, and the
+dense rows those need are written out from the sparse ones where they are
+used: ``radical_rows`` (the rank of the top, the pivots of a cover),
+``socle`` (one left kernel per vertex) and the images of a kernel basis in
+``kernel_module``.
 
 When the algebra is length graded, basis vectors carry degrees, arrows
 raise degree by one, and kernels are computed degreewise so that graded
@@ -11,26 +17,31 @@ generation degrees come out exactly.
 
 A sum of indecomposable projectives is a ``ProjectiveSum``, which records
 per summand only its edge, its offsets and its generator; the word layout
-of each projective is ``FiniteDimAlgebra.projective_words``.  A module map
-out of such a sum is fixed by where each generator goes, and
+of each projective is ``FiniteDimAlgebra.projective_words``.  Its arrow
+rows are those of ``FiniteDimAlgebra.projective_action``, computed once per
+algebra and edge, with each summand's columns shifted by its offset.  A
+module map out of such a sum is fixed by where each generator goes, and
 ``map_from_generators`` is the one constructor that turns generator images
 into such a map: projective covers here, and the path-matrix differentials
 and lifted chain maps of ``oracle/ext.py``, are all built by it.  The map
-keeps the images, one row per generator, and pushes them along each
+keeps the images, one dense row per generator, and pushes them along each
 summand's basis words into per-vertex blocks only when the blocks are first
-read.  Composing multiplies each generator image by one block of the next
-map, and such a map is zero exactly when every image is; the ranks of a
-map's blocks are computed once and shared by its image and kernel
-dimensions.
+read; every pushed prefix is a sparse vector, multiplied by the target's
+sparse rows over its nonzeros, and a block row is written out dense only
+when it is stored in the block.  Composing multiplies each generator image
+by one block of the next map, and such a map is zero exactly when every
+image is; the ranks of a map's blocks are computed once and shared by its
+image and kernel dimensions.
 
 ``projective_cover`` and ``kernel_module`` are the two steps of a minimal
 resolution; the walk that alternates them is ``ProjResolution.from_oracle``
 in ``oracle/ext.py``, and ``min_resolution`` here is a view of that walk.
 The kernel inclusion is the one map whose source is not projective, and it
-is given by its blocks: the reduced kernel basis.  Each basis row has a 1
-at its free position and every other row a 0 there, so the syzygy action
-is read off the arrow images at those positions, and multiplying back
-checks that the kernel is closed under the action.
+is given by its blocks: the reduced kernel basis, dense.  Each basis row
+has a 1 at its free position and every other row a 0 there, so the syzygy
+action is read off the arrow images (each basis row times the projective's
+sparse rows) at those positions, and multiplying back checks that the
+kernel is closed under the action.
 """
 from __future__ import annotations
 
@@ -45,10 +56,12 @@ from .algebra import FiniteDimAlgebra
 class Module:
     def __init__(self, la: FiniteDimAlgebra,
                  degrees: dict[str, list[Optional[int]]],
-                 action: dict[str, list[list]]):
+                 action: dict[str, list[tuple]]):
         self.la = la
         self.degrees = degrees  # per quiver vertex, one entry per basis vector
-        self.action = action    # per arrow name, row-convention matrix
+        # per arrow name, one row per basis vector at the arrow's source: the
+        # (column, coefficient) nonzeros of its image at the arrow's target
+        self.action = action
 
     def dim(self, v: str) -> int:
         return len(self.degrees.get(v, ()))
@@ -63,14 +76,14 @@ class Module:
     # -- structure ------------------------------------------------------
 
     def radical_rows(self) -> dict[str, list[list]]:
-        """Spanning rows of M * rad inside each vertex block."""
+        """Spanning rows of M * rad inside each vertex block, dense."""
+        f = self.la.field
         rows: dict[str, list[list]] = {v: [] for v in self.degrees}
         for a in self.la.quiver.arrows:
-            m = self.action[a.name]
-            tgt = a.target
-            for row in m:
-                if any(not self.la.field.is_zero(x) for x in row):
-                    rows.setdefault(tgt, []).append(list(row))
+            n = self.dim(a.target)
+            for row in self.action[a.name]:
+                if row:
+                    rows.setdefault(a.target, []).append(_dense(row, n, f))
         return rows
 
     def top(self) -> Counter:
@@ -92,20 +105,19 @@ class Module:
             n = self.dim(v)
             if n == 0:
                 continue
-            stacked: list[list] = []
-            width = 0
-            for a in self.la.quiver.arrows_from.get(v, ()):
-                m = self.action[a.name]
-                cols = len(m[0]) if m else 0
-                for i in range(n):
-                    if len(stacked) <= i:
-                        stacked.append([])
-                for i in range(n):
-                    stacked[i] = stacked[i] + list(m[i])
-                width += cols
+            arrows = self.la.quiver.arrows_from.get(v, ())
+            width = sum(self.dim(a.target) for a in arrows)
             if width == 0:
                 out[v] = n
                 continue
+            # the arrows out of v side by side, each in its own columns
+            stacked = linalg.zeros(n, width, f)
+            col0 = 0
+            for a in arrows:
+                for i, row in enumerate(self.action[a.name]):
+                    for j, x in row:
+                        stacked[i][col0 + j] = x
+                col0 += self.dim(a.target)
             k = len(linalg.left_kernel(stacked, f))
             if k:
                 out[v] = k
@@ -144,14 +156,18 @@ class ModuleMap:
         source, target = self.source, self.target
         la = source.la
         f = la.field
-        blocks = {v: linalg.zeros(source.dim(v), target.dim(v), f) for v in la.quiver.vertices}
-        for (e, _), offsets, image in zip(source.generators, source.offsets, self.images):
-            if all(f.is_zero(x) for x in image):
-                continue
-            pushed = {(): image}
+        blocks: dict[str, list[list]] = {v: [] for v in la.quiver.vertices}
+        dims = {v: target.dim(v) for v in la.quiver.vertices}
+        for (e, _), image in zip(source.generators, self.images):
+            start = {j: x for j, x in enumerate(image) if not f.is_zero(x)}
+            pushed = {(): start}
             for v, words in la.projective_words[e].items():
-                for r, i in enumerate(words):
-                    blocks[v][offsets[v] + r] = _push(target, pushed, la.basis[i][1])
+                n = dims[v]
+                if not start:  # a generator sent to zero sends every word to zero
+                    blocks[v].extend([f.zero] * n for _ in words)
+                    continue
+                blocks[v].extend(_dense(_push(target, pushed, la.basis[i][1]).items(), n, f)
+                                 for i in words)
         return blocks
 
     @cached_property
@@ -188,11 +204,7 @@ def simple_module(la: FiniteDimAlgebra, e: str) -> Module:
     """The simple at ``e``, in degree 0 when the algebra is graded."""
     degrees = {v: ([0 if la.graded else None] if v == e else [])
                for v in la.quiver.vertices}
-    action = {}
-    for a in la.quiver.arrows:
-        rows = len(degrees[a.source])
-        cols = len(degrees[a.target])
-        action[a.name] = linalg.zeros(rows, cols, la.field)
+    action = {a.name: [()] * len(degrees[a.source]) for a in la.quiver.arrows}
     return Module(la, degrees, action)
 
 
@@ -202,11 +214,11 @@ class ProjectiveSum(Module):
 
     Summand k starts at ``offsets[k][v]`` in the block of each vertex v; its
     generator is row ``generators[k][1]`` of the block of its edge
-    ``generators[k][0]``.
+    ``generators[k][0]``.  Its arrow rows are ``la.projective_action`` of
+    its edge, shifted by its offset at the arrow's target.
     """
 
     def __init__(self, la: FiniteDimAlgebra, summands: list[tuple[str, Optional[int]]]):
-        f = la.field
         degrees: dict[str, list[Optional[int]]] = {v: [] for v in la.quiver.vertices}
         self.offsets: list[dict[str, int]] = []
         self.generators: list[tuple[str, int]] = []
@@ -218,17 +230,15 @@ class ProjectiveSum(Module):
             for v, words in la.projective_words[e].items():
                 degrees[v].extend(((d or 0) + la.degree(i)) if la.graded else None
                                   for i in words)
-        action = {}
-        for a in la.quiver.arrows:
-            m = linalg.zeros(len(degrees[a.source]), len(degrees[a.target]), f)
-            ai = la.quiver.arrow_index[a]
-            for (e, _), offsets in zip(self.generators, self.offsets):
-                row0, col0 = offsets[a.source], offsets[a.target]
-                for r, i in enumerate(la.projective_words[e][a.source]):
-                    source, arrows = la.basis[i]
-                    for j, c in la.word_to_vec(source, arrows + (ai,)).items():
-                        m[row0 + r][col0 + la.word_position[j]] = c
-            action[a.name] = m
+        action: dict[str, list[tuple]] = {a.name: [] for a in la.quiver.arrows}
+        for (e, _), offsets in zip(self.generators, self.offsets):
+            rows_at = la.projective_action(e)
+            for a in la.quiver.arrows:
+                rows = rows_at[a.name]
+                col0 = offsets[a.target]
+                action[a.name].extend(
+                    rows if col0 == 0 else
+                    [tuple((col0 + j, x) for j, x in row) for row in rows])
         super().__init__(la, degrees, action)
 
 
@@ -246,16 +256,32 @@ def map_from_generators(source: ProjectiveSum, target: Module,
     return ModuleMap(source, target, images=images)
 
 
-def _push(mod: Module, pushed: dict[tuple, list], arrows: tuple[int, ...]) -> list:
-    """``pushed[()]`` times the path ``arrows`` in ``mod``; ``pushed`` keeps
-    the image of every prefix walked so far."""
+def _push(mod: Module, pushed: dict[tuple, dict], arrows: tuple[int, ...]) -> dict:
+    """``pushed[()]`` times the path ``arrows`` in ``mod``, as a sparse vector;
+    ``pushed`` keeps the image of every prefix walked so far."""
     if arrows not in pushed:
         vec = _push(mod, pushed, arrows[:-1])
         a = mod.la.quiver.arrows[arrows[-1]]
-        m = mod.action[a.name]
-        pushed[arrows] = (linalg.vec_mul(vec, m, mod.la.field) if m
-                          else [mod.la.field.zero] * mod.dim(a.target))
+        pushed[arrows] = _times(vec, mod.action[a.name], mod.la.field) if vec else vec
     return pushed[arrows]
+
+
+def _times(vec: dict, rows: list[tuple], f) -> dict:
+    """The sparse vector ``vec`` (index -> nonzero coefficient) times the
+    sparse rows ``rows``, over the nonzeros of both."""
+    out: dict = {}
+    for i, x in vec.items():
+        for j, y in rows[i]:
+            out[j] = f.add(out[j], f.mul(x, y)) if j in out else f.mul(x, y)
+    return {j: x for j, x in out.items() if not f.is_zero(x)}
+
+
+def _dense(pairs, n: int, f) -> list:
+    """The (column, coefficient) pairs ``pairs`` as a dense row of width n."""
+    row = [f.zero] * n
+    for j, x in pairs:
+        row[j] = x
+    return row
 
 
 def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]]:
@@ -288,11 +314,13 @@ def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
     la = P.la
     f = la.field
     basis_rows: dict[str, list[list]] = {}
+    nonzeros: dict[str, list[dict]] = {}  # the same rows, as sparse vectors
     degrees: dict[str, list[Optional[int]]] = {}
     for v in la.quiver.vertices:
         n = P.dim(v)
         degrees[v] = []
         basis_rows[v] = []
+        nonzeros[v] = []
         if n == 0:
             continue
         block = phi.blocks[v]
@@ -310,25 +338,25 @@ def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
             else:
                 kern = linalg.identity(len(rows), f)
             for kv in kern:
-                full = [f.zero] * n
-                for local, i in enumerate(rows):
-                    full[i] = kv[local]
-                basis_rows[v].append(full)
+                nonzero = {i: x for i, x in zip(rows, kv) if not f.is_zero(x)}
+                nonzeros[v].append(nonzero)
+                basis_rows[v].append(_dense(nonzero.items(), n, f))
                 degrees[v].append(d)
     # a kernel basis row has a 1 at its free position, its last nonzero, and
     # every other row of its vertex a 0 there: the coordinates of a vector in
     # their span are its entries at the free positions
-    free = {v: [max(i for i, x in enumerate(row) if not f.is_zero(x)) for row in rows]
-            for v, rows in basis_rows.items()}
+    free = {v: [max(row) for row in rows] for v, rows in nonzeros.items()}
     action = {}
     for a in la.quiver.arrows:
-        images = linalg.mat_mul(basis_rows[a.source], P.action[a.name], f)
+        images = [_dense(_times(b, P.action[a.name], f).items(), P.dim(a.target), f)
+                  for b in nonzeros[a.source]]
         coords = [[image[i] for i in free[a.target]] for image in images]
         back = (linalg.mat_mul(coords, basis_rows[a.target], f) if basis_rows[a.target]
                 else [[f.zero] * P.dim(a.target) for _ in images])
         if back != images:
             raise RuntimeError("kernel is not closed under the action")
-        action[a.name] = coords
+        action[a.name] = [tuple((k, x) for k, x in enumerate(row) if not f.is_zero(x))
+                          for row in coords]
     K = Module(la, degrees, action)
     incl = ModuleMap(K, P, blocks=basis_rows)
     return K, incl

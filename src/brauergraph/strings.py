@@ -295,7 +295,6 @@ def realize(g: BrauerGraph, sigma: StringDescriptor, la):
     segment is a chain from its plus entry down to its minus entry, and
     the arrows along the connecting path shift the chain one step down.
     """
-    from .oracle import linalg
     from .oracle.modules import Module
     from .presentation import special_path
 
@@ -333,12 +332,11 @@ def realize(g: BrauerGraph, sigma: StringDescriptor, la):
         for k, n_id in enumerate(ids):
             pos[n_id] = k
     degrees = {v: [None] * len(ids) for v, ids in by_vertex.items()}
-    action = {
-        a.name: linalg.zeros(len(by_vertex[a.source]), len(by_vertex[a.target]), f)
-        for a in quiver.arrows
-    }
+    rows: dict[str, list[dict]] = {a.name: [{} for _ in by_vertex[a.source]]
+                                   for a in quiver.arrows}
     for chain, arrows in chains:
         for step, a in enumerate(arrows):
             src_node, tgt_node = chain[step], chain[step + 1]
-            action[a.name][pos[src_node]][pos[tgt_node]] = f.one
+            rows[a.name][pos[src_node]][pos[tgt_node]] = f.one
+    action = {name: [tuple(sorted(row.items())) for row in m] for name, m in rows.items()}
     return Module(la, degrees, action)

@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import brauergraph
+from brauergraph import cli
 from brauergraph.cli import run
 from brauergraph.graph import path_graph, star_graph, to_dict, triangle_graph
+from brauergraph.oracle import algebra
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.oracle.ext import ProjResolution
+from brauergraph.oracle.fields import QQ
 from brauergraph.presentation import present
 from conftest import pendant_triangle
 
@@ -260,3 +263,35 @@ def test_batch_verify_reports_unloadable_file(graph_files, tmp_path):
     assert "not valid JSON" in message and str(junk) in message
     code, out, err = invoke(["verify", "--input", str(junk)])
     assert (code, out) == (1, "") and str(junk) in err
+
+
+def test_batch_verify_reports_refused_fault(tmp_path):
+    """A graph whose injected fault is refused gets its own exit-2 entry and
+    the other graphs are still verified: the triangle's relation 3 is a real
+    fault, the pendant triangle's is redundant."""
+    for name, g in [("triangle", triangle_graph()), ("pendant", pendant_triangle())]:
+        (tmp_path / f"{name}.bg.json").write_text(json.dumps(to_dict(g)))
+    code, out, _ = invoke(["verify", "--max", "2", "--inject-drop", "3",
+                           "--input-dir", str(tmp_path)])
+    assert code == 3
+    results = {os.path.basename(r["input"]): r for r in json.loads(out)}
+    assert {name: r["exit"] for name, r in results.items()} == {
+        "pendant.bg.json": 2, "triangle.bg.json": 3}
+    report = results["pendant.bg.json"]["report"]
+    assert report["ok"] is False
+    (message,) = report["diffs"]
+    assert "corrupts nothing" in message
+
+
+def test_oversized_algebra_exits_without_traceback(monkeypatch, graph_files):
+    """An algebra above the oracle's word cap is refused with exit 2 and one
+    stderr line, alone and as a batch entry."""
+    monkeypatch.setattr(algebra, "WORD_CAP", 3)
+    code, out, err = invoke(["verify", "--input", graph_files["triangle"], "--max", "2"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "more than 3 words" in err and "Traceback" not in err
+    entry = cli._verify_entry(graph_files["triangle"], 2, QQ, None)
+    assert entry["exit"] == 2
+    assert entry["report"]["ok"] is False
+    (message,) = entry["report"]["diffs"]
+    assert "more than 3 words" in message

@@ -36,6 +36,7 @@ from brauergraph.oracle.ext import (
 from brauergraph.oracle.fields import QQ, PrimeField, field_from_spec
 from brauergraph.oracle.modules import (
     ModuleMap,
+    ProjectiveSum,
     kernel_module,
     min_resolution,
     projective_cover,
@@ -66,6 +67,16 @@ small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 def _is_canonical_rational(x) -> bool:
     """An int when integral, a Fraction only when genuinely fractional."""
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _dense_action(mod, a):
+    """The action of the arrow ``a`` on ``mod``, its sparse rows written out
+    as a dense source.dim x target.dim matrix."""
+    m = linalg.zeros(mod.dim(a.source), mod.dim(a.target), mod.la.field)
+    for i, row in enumerate(mod.action[a.name]):
+        for j, x in row:
+            m[i][j] = x
+    return m
 
 
 @given(small_fractions, small_fractions)
@@ -105,7 +116,7 @@ def test_oracle_entries_over_q_are_exact(name, g):
     matrices = []
     for res in walks.values():
         for mod in [*res.modules, *res.syzygies]:
-            matrices.extend(mod.action.values())
+            matrices.extend(_dense_action(mod, a) for a in la.quiver.arrows)
         for phi in res.maps[1:]:
             matrices.extend(phi.blocks.values())
         for n in range(3):
@@ -463,8 +474,8 @@ def _commutes(phi) -> bool:
                 if not f.is_zero(x)}
 
     return all(
-        entries(linalg.mat_mul(phi.source.action[a.name], phi.blocks[a.target], f))
-        == entries(linalg.mat_mul(phi.blocks[a.source], phi.target.action[a.name], f))
+        entries(linalg.mat_mul(_dense_action(phi.source, a), phi.blocks[a.target], f))
+        == entries(linalg.mat_mul(phi.blocks[a.source], _dense_action(phi.target, a), f))
         for a in la.quiver.arrows
     )
 
@@ -514,7 +525,7 @@ def _eager_blocks(phi):
                 row = list(image)
                 for ai in la.basis[i][1]:
                     a = la.quiver.arrows[ai]
-                    m = phi.target.action[a.name]
+                    m = _dense_action(phi.target, a)
                     total = [f.zero] * phi.target.dim(a.target)
                     for x, mrow in zip(row, m):
                         for t, y in enumerate(mrow):
@@ -580,9 +591,45 @@ def test_kernel_action_matches_solve_left(name, g, field):
             P, cover, _ = projective_cover(syz)
             K, incl = kernel_module(cover)
             for a in la.quiver.arrows:
-                images = linalg.mat_mul(incl.blocks[a.source], P.action[a.name], field)
+                images = linalg.mat_mul(incl.blocks[a.source], _dense_action(P, a), field)
                 want = linalg.solve_left(incl.blocks[a.target], images, field)
-                assert K.action[a.name] == want, (e, a.name)
+                assert _dense_action(K, a) == want, (e, a.name)
+
+
+def _reference_action(P, a):
+    """The action of ``a`` on a sum of projectives, multiplied out one basis
+    word at a time with ``word_to_vec`` into a dense matrix."""
+    la = P.la
+    m = linalg.zeros(P.dim(a.source), P.dim(a.target), la.field)
+    ai = la.quiver.arrow_index[a]
+    for (e, _), offsets in zip(P.generators, P.offsets):
+        for r, i in enumerate(la.projective_words[e][a.source]):
+            for j, c in la.word_to_vec(e, la.basis[i][1] + (ai,)).items():
+                m[offsets[a.source] + r][offsets[a.target] + la.word_position[j]] = c
+    return m
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_projective_rows_match_word_products(name, g, field):
+    """Every arrow's sparse rows on a sum of projectives - each projective,
+    the modules of the oracle walks and path-matrix complexes, and one sum
+    that repeats an edge at another degree - are the word products, no row
+    holds a zero coefficient, and each projective has the simple at its edge
+    as top and as socle (the algebra is symmetric)."""
+    la = build_algebra(present(g), field)
+    edges = list(g.edge_ids)
+    sums = [projective_module(la, e) for e in edges]
+    sums.append(ProjectiveSum(la, [(e, 0) for e in edges] + [(edges[0], 1), (edges[-1], 2)]))
+    for res in [*(ProjResolution.from_oracle(la, e, 3) for e in edges),
+                *_explicit_complexes(g, la, 3).values()]:
+        sums.extend(res.modules)
+    for P in sums:
+        for a in la.quiver.arrows:
+            assert _dense_action(P, a) == _reference_action(P, a), a.name
+            assert all(not field.is_zero(x) for row in P.action[a.name] for _, x in row)
+    for e, P in zip(edges, sums):
+        assert P.top() == Counter({e: 1}) and P.socle() == Counter({e: 1}), e
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])

@@ -118,13 +118,12 @@ def test_realize(triangle, a4):
     la = build_algebra(present(triangle))
     m = realize(triangle, StringDescriptor.simple("e1"), la)
     assert m.total_dim == 1 and dict(m.top()) == {"e1": 1}
-    assert all(all(all(x == 0 for x in row) for row in mat)
-               for mat in m.action.values())
+    assert all(not row for rows in m.action.values() for row in rows)
     la4 = build_algebra(present(a4))
     u = realize(a4, StringDescriptor.of(("e2", "+"), ("e1", "-")), la4)
     assert u.total_dim == 2
-    ranks = {name: sum(1 for row in mat for x in row if x != 0)
-             for name, mat in u.action.items()}
+    ranks = {name: sum(1 for row in rows for _, x in row if x != 0)
+             for name, rows in u.action.items()}
     assert sum(ranks.values()) == 1  # a single arrow acts with rank one
     big = iterate_syzygy(triangle, "e1", 1).descriptors[1]
     mm = realize(triangle, big, la)

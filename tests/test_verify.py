@@ -3,6 +3,7 @@ import pytest
 from brauergraph.census import census
 from brauergraph.graph import cycle_graph, triangle_graph
 from brauergraph.oracle import ext, linalg, modules
+from brauergraph.oracle.algebra import FiniteDimAlgebra
 from brauergraph.oracle.fields import QQ, PrimeField
 from brauergraph.oracle.verify import Fault, verify_graph
 from conftest import desk_graphs, pendant_triangle
@@ -121,3 +122,41 @@ def test_solve_left_calls(monkeypatch, g, max_degree, solves):
         monkeypatch.setattr(namespace, "kernel_module", marked_kernel)
     assert verify_graph(g, max_degree=max_degree).ok
     assert calls == {"all": solves, "in_kernel": 0}
+
+
+@pytest.mark.parametrize("g, max_degree, products", [
+    (triangle_graph(), 8, 24),
+    (cycle_graph(6), 8, 48),
+    (pendant_triangle(), 6, 32),
+], ids=["triangle@8", "cycle6@8", "pendant_triangle@6"])
+def test_projective_rows_built_once(monkeypatch, g, max_degree, products):
+    """The arrow rows of the projectives are multiplied out once per algebra:
+    one ``word_to_vec`` per (basis word, arrow) pair, however many sums of
+    projectives the resolutions build."""
+    calls = []
+    algebras = []
+    inside = [0]
+    word_to_vec, projective_action = (FiniteDimAlgebra.word_to_vec,
+                                      FiniteDimAlgebra.projective_action)
+
+    def counted_word_to_vec(self, source, arrows):
+        if inside[0]:
+            calls.append((self, source, arrows))
+        return word_to_vec(self, source, arrows)
+
+    def marked_projective_action(self, e):
+        if self not in algebras:
+            algebras.append(self)
+        inside[0] += 1
+        try:
+            return projective_action(self, e)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(FiniteDimAlgebra, "word_to_vec", counted_word_to_vec)
+    monkeypatch.setattr(FiniteDimAlgebra, "projective_action", marked_projective_action)
+    assert verify_graph(g, max_degree=max_degree).ok
+    assert len(calls) == len(set(calls)) == products
+    pairs = sum(len(la.quiver.arrows_from[la.word_target(w)])
+                for la in algebras for w in la.basis)
+    assert len(calls) <= pairs
