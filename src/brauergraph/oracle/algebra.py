@@ -13,7 +13,7 @@ Two reduction strategies give the same quotient:
   into one word set - and then row reduces the translates of the
   remaining two-term relations inside that set;
 * ``build_algebra_naive`` enumerates every path and every translate of
-  every relation and reduces densely.  It exists as an independent check
+  every relation and reduces them all.  It exists as an independent check
   and is only usable on tiny inputs.
 
 ``FiniteDimAlgebra.relation_holds`` asks whether a relation's normal form
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..graph import BrauerGraph
+from ..graph import BrauerGraph, HypothesisError
 from ..presentation import Path, Presentation, Relation
 from . import linalg
 from .fields import QQ
@@ -54,6 +54,7 @@ class FiniteDimAlgebra:
         self.graph: BrauerGraph = pres.graph
         self.quiver = pres.quiver
         self.field = field
+        self._check_quantizer()
         self.relations = list(pres.all_relations if relations is None else relations)
         self.graded = all(r.is_length_homogeneous() for r in self.relations)
         self.maxlen = self.graph.nilpotency_bound() + 1
@@ -66,6 +67,19 @@ class FiniteDimAlgebra:
         self._reduce([r for r in self.relations if len(r.terms) > 1])
         self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
         self._projective_action: dict[str, dict[str, list[tuple]]] = {}
+
+    def _check_quantizer(self):
+        """A quantizer value that is zero or has no inverse over the field
+        changes the algebra: refuse it."""
+        f = self.field
+        for (e, v), q in sorted(self.graph.quantizer.items()):
+            try:
+                vanishes = f.is_zero(f.from_fraction(q))
+            except ZeroDivisionError:
+                vanishes = True
+            if vanishes:
+                raise HypothesisError(f"quantizer value {q} at ({e}, {v}) is zero "
+                                      f"or undefined over {f.name}")
 
     def _path_key(self, p: Path) -> tuple[int, ...]:
         idx = self.quiver.arrow_index
@@ -299,8 +313,8 @@ def is_redundant_relation(pres: Presentation, index: int, field=QQ) -> bool:
 def build_algebra_naive(pres: Presentation, field=QQ, path_cap: int = 4000) -> dict:
     """Fully naive quotient for cross-checking on tiny graphs.
 
-    Enumerates every path up to the truncation length and reduces every
-    translate of every relation densely.  Returns dimensions only.
+    Enumerates every path up to the truncation length and row reduces every
+    translate of every relation.  Returns dimensions only.
     """
     quiver = pres.quiver
     maxlen = pres.graph.nilpotency_bound() + 1
@@ -328,30 +342,21 @@ def build_algebra_naive(pres: Presentation, field=QQ, path_cap: int = 4000) -> d
         by_source.setdefault(w[0], []).append(w)
 
     f = field
-    rows = []
+    # every translate is supported in a single source block, so the rank
+    # splits across blocks
+    rows: dict[str, list[dict]] = {v: [] for v in quiver.vertices}
     for r in pres.all_relations:
         terms = [(f.from_fraction(c), tuple(quiver.arrow_index[a] for a in p.arrows))
                  for c, p in r.terms]
         for u in by_target.get(r.source, ()):
             for v in by_source.get(r.target, ()):
-                row = [f.zero] * len(paths)
-                hit = False
+                row: dict = {}
                 for coeff, mid in terms:
                     arrows = u[1] + mid + v[1]
                     if len(arrows) <= maxlen:
                         j = index[(u[0], arrows)]
-                        row[j] = f.add(row[j], coeff)
-                        hit = True
-                if hit:
-                    rows.append(row)
-    # every translate is supported in a single source block, so the rank
-    # splits across blocks
-    dims_by_edge: dict[str, int] = {}
-    for v in quiver.vertices:
-        cols = [index[w] for w in paths if w[0] == v]
-        block = []
-        for row in rows:
-            if any(not f.is_zero(row[c]) for c in cols):
-                block.append([row[c] for c in cols])
-        dims_by_edge[v] = len(cols) - linalg.rank(block, f)
+                        row[j] = f.add(row.get(j, f.zero), coeff)
+                rows[u[0]].append({j: x for j, x in row.items() if not f.is_zero(x)})
+    dims_by_edge = {v: len(by_source.get(v, ())) - linalg.rank(rows[v], f)
+                    for v in quiver.vertices}
     return {"dim": sum(dims_by_edge.values()), "dims_by_edge": dims_by_edge}

@@ -130,10 +130,9 @@ class ProjResolution:
 
     def minimality_defects(self) -> list[int]:
         """Degrees whose differential has an entry outside the radical."""
-        f = self.la.field
         return [
             n for n in range(1, len(self.modules))
-            if any(not f.is_zero(row[gi])
+            if any(gi in row
                    for gv, gi in self.modules[n - 1].generators
                    for row in self.maps[n].blocks[gv])
         ]

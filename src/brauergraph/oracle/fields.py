@@ -1,7 +1,7 @@
 """Exact coefficient fields for the oracle: rationals and prime fields.
 
 A field object carries the arithmetic; elements are plain Python numbers,
-which keeps the dense row reduction fast.  A prime-field element is an int
+which keeps the row reduction fast.  A prime-field element is an int
 in ``range(p)``.  A rational is an int whenever it is integral and a
 ``Fraction`` only when it is genuinely fractional: every operation of
 ``Rationals`` turns an integral ``Fraction`` back into an int, so the common

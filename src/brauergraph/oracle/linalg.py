@@ -1,126 +1,126 @@
-"""Dense and sparse exact linear algebra over a field object.
+"""Exact linear algebra over a field object, on sparse rows.
 
-Matrices are lists of row lists.  Linear maps between right modules are
-stored in the row-vector convention: a map sends the row vector v to v*A,
-so its kernel is the left kernel of A and its image is the row space.
+A row is stored as its nonzeros: a dict column -> coefficient with no zero
+coefficient.  ``rref`` and ``rank`` also take a row as a tuple of
+(column, coefficient) pairs, the form of a module's arrow action.  Linear
+maps between right modules are stored in the row-vector convention: a map
+sends the row vector v to v*A, so its kernel is the left kernel of A and
+its image is the row space.
+
+Every elimination of the oracle's modules and maps happens in one row
+reduction, ``rref``: it pivots each row on its least column, eliminates
+forward and then back-substitutes, giving the reduced row echelon form,
+which is unique.  Ranks, tops, socles and the pivots of a projective cover
+read its pivot columns; ``left_kernel`` and ``solve_left`` read the rows
+of the reduced transpose.  ``SparseReducer`` is the incremental reduction
+of the word-space quotients and of the Ext closure.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 
-def zeros(nrows: int, ncols: int, field) -> list[list]:
-    return [[field.zero] * ncols for _ in range(nrows)]
+def _subtract(row: dict, x, prow: dict, f) -> None:
+    """``row`` minus x times ``prow``, in place, keeping only nonzeros."""
+    for j, y in prow.items():
+        if j in row:
+            z = f.sub(row[j], f.mul(x, y))
+            if f.is_zero(z):
+                del row[j]
+            else:
+                row[j] = z
+        else:
+            row[j] = f.neg(f.mul(x, y))
 
 
-def identity(n: int, field) -> list[list]:
-    out = zeros(n, n, field)
-    for i in range(n):
-        out[i][i] = field.one
-    return out
+def rref(rows: Iterable, field) -> tuple[list[dict], list]:
+    """Reduced row echelon form; returns the nonzero rows and pivot columns,
+    in increasing pivot order.
 
-
-def vec_mul(v: list, b: list[list], field) -> list:
-    """The row vector v times the matrix b; a b with no rows has width 0."""
-    out = [field.zero] * (len(b[0]) if b else 0)
-    for x, brow in zip(v, b, strict=True):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(brow):
-            if not field.is_zero(y):
-                out[j] = field.add(out[j], field.mul(x, y))
-    return out
-
-
-def mat_mul(a: list[list], b: list[list], field) -> list[list]:
-    return [vec_mul(row, b, field) for row in a]
-
-
-def transpose(a: list[list]) -> list[list]:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if not field.is_zero(m[i][c]):
-                pr = i
+    Forward, each row is reduced by the pivot rows found so far until its
+    least column is no pivot, and then becomes the pivot row of that
+    column, scaled to 1 there.  Back-substitution runs from the last pivot
+    row up: every pivot row below the current one is already reduced, so
+    clearing one of its pivot columns touches no other pivot column."""
+    f = field
+    pivots: dict = {}
+    for row in rows:
+        r = dict(row)
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                x = r[c]
+                if x != f.one:
+                    inv = f.inv(x)
+                    r = {j: f.mul(inv, y) for j, y in r.items()}
+                pivots[c] = r
                 break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+            _subtract(r, r[c], p, f)
+    cols = sorted(pivots)
+    for c in reversed(cols):
+        r = pivots[c]
+        for j in [j for j in r if j != c and j in pivots]:
+            _subtract(r, r[j], pivots[j], f)
+    return [pivots[c] for c in cols], cols
 
 
-def rank(rows: list[list], field) -> int:
-    return len(rref(rows, field)[0])
+def rank(rows: Iterable, field) -> int:
+    return len(rref(rows, field)[1])
 
 
-def right_kernel(rows: list[list], ncols: int, field) -> list[list]:
-    """Basis of {x : A x = 0}, x of length ncols."""
-    red, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(red[i][fc])
-        basis.append(vec)
-    return basis
+def _columns(rows: list[dict]) -> dict:
+    """The transpose: column -> {row index: coefficient}."""
+    columns: dict = {}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns.setdefault(j, {})[i] = x
+    return columns
 
 
-def left_kernel(a: list[list], field) -> list[list]:
-    """Basis of {v : v A = 0}, v of length nrows(a)."""
-    return right_kernel(transpose(a), len(a), field)
+def left_kernel(rows: list[dict], field) -> list[dict]:
+    """Reduced basis of {v : v A = 0}, A the rows, v over the row indices.
+
+    There is one basis vector per row index that is no pivot of the
+    transposed reduced form, in increasing order: it has a 1 there, its
+    largest index, and minus that column of the reduced form at the
+    pivots."""
+    f = field
+    red, pivots = rref(_columns(rows).values(), f)
+    basis = {i: {i: f.one} for i in range(len(rows))}
+    for pc in pivots:
+        del basis[pc]
+    for r, pc in zip(red, pivots):
+        for i, x in r.items():
+            if i != pc:
+                basis[i][pc] = f.neg(x)
+    return list(basis.values())
 
 
-def solve_left(a: list[list], bs: list[list], field) -> Optional[list[list]]:
-    """One solution v of v A = b for every row b of ``bs``, or None when any
-    of them is inconsistent.
+def solve_left(a: list[dict], bs: list[list], field) -> Optional[list[list]]:
+    """One solution v of v A = b for every dense row b of ``bs``, or None
+    when any of them is inconsistent; each v is dense, of length len(a).
 
-    A is row reduced once, transposed with every b appended as one more
-    column; a pivot in the columns of A does not depend on the columns after
-    it, so each solution is the one a reduction with b alone would give.
+    A is row reduced once, transposed, with every b as one more column
+    after A's rows; a pivot in the columns of A does not depend on the
+    columns after it, so each solution is the one a reduction with b alone
+    would give, and a pivot in a column of b makes that b inconsistent.
     """
+    f = field
     nrows = len(a)
-    if nrows == 0:
-        if any(not field.is_zero(x) for b in bs for x in b):
-            return None
-        return [[] for _ in bs]
-    aug = [row + list(rhs) for row, rhs in zip(transpose(a), zip(*bs))]
-    red, pivots = rref(aug, field)
+    columns = _columns(a)
+    for k, b in enumerate(bs, nrows):
+        for j, x in enumerate(b):
+            if not f.is_zero(x):
+                columns.setdefault(j, {})[k] = x
+    red, pivots = rref(columns.values(), f)
     if pivots and pivots[-1] >= nrows:
         return None
-    solutions = []
-    for k in range(nrows, nrows + len(bs)):
-        v = [field.zero] * nrows
-        for i, pc in enumerate(pivots):
-            x = red[i][k]
-            if not field.is_zero(x):  # keep the shared zero: results are stored densely
-                v[pc] = x
-        solutions.append(v)
+    solutions = [[f.zero] * nrows for _ in bs]
+    for r, pc in zip(red, pivots):
+        for k, x in r.items():
+            if k >= nrows:
+                solutions[k - nrows][pc] = x
     return solutions
 
 

@@ -1,15 +1,24 @@
 """Right modules over the oracle algebra as explicit representations.
 
 A module assigns to each quiver vertex a based vector space and to each
-arrow a matrix acting on row vectors.  The matrix is stored in one form
-only, sparse: ``action[name]`` has one row per basis vector of the arrow's
-source block, and each row is the tuple of its (column, coefficient)
-nonzeros.  Everything needed downstream - tops, socles, projective covers,
-kernels, minimal resolutions - reduces to exact rank computations, and the
-dense rows those need are written out from the sparse ones where they are
-used: ``radical_rows`` (the rank of the top, the pivots of a cover),
-``socle`` (one left kernel per vertex) and the images of a kernel basis in
-``kernel_module``.
+arrow a matrix acting on row vectors.  Every matrix here is stored sparse,
+in one form only, and no matrix is ever written out dense:
+
+- an arrow's action: ``action[name]`` has one row per basis vector of the
+  arrow's source block, each the tuple of its (column, coefficient)
+  nonzeros;
+- a module map's blocks: ``blocks[v]`` has one row per basis vector of the
+  source at v, each the dict of its nonzeros in the target's block at v.
+
+Only the generator images of a map out of projectives are dense rows.
+
+Everything needed downstream - tops, socles, projective covers, kernels,
+minimal resolutions - reduces to row reductions of these sparse rows, and
+all of them happen in ``oracle/linalg.py``: the top and the pivots of a
+cover are the pivot columns of the arrow rows into each vertex
+(``Module.top_positions``), the socle is n minus the rank of the arrow rows
+out of a vertex side by side, the exactness ranks are those of the blocks,
+and a kernel is the left kernel of each degree slot of a block.
 
 When the algebra is length graded, basis vectors carry degrees, arrows
 raise degree by one, and kernels are computed degreewise so that graded
@@ -24,24 +33,23 @@ module map out of such a sum is fixed by where each generator goes, and
 ``map_from_generators`` is the one constructor that turns generator images
 into such a map: projective covers here, and the path-matrix differentials
 and lifted chain maps of ``oracle/ext.py``, are all built by it.  The map
-keeps the images, one dense row per generator, and pushes them along each
-summand's basis words into per-vertex blocks only when the blocks are first
-read; every pushed prefix is a sparse vector, multiplied by the target's
-sparse rows over its nonzeros, and a block row is written out dense only
-when it is stored in the block.  Composing multiplies each generator image
-by one block of the next map, and such a map is zero exactly when every
-image is; the ranks of a map's blocks are computed once and shared by its
-image and kernel dimensions.
+keeps the images and pushes them along each summand's basis words into
+per-vertex blocks only when the blocks are first read; every pushed prefix
+is a sparse vector, multiplied by the target's arrow rows over its
+nonzeros, and stored as the block row of its word.  Composing multiplies
+each generator image by the block rows of the next map at its edge, and
+such a map is zero exactly when every image is; the ranks of a map's
+blocks are computed once and shared by its image and kernel dimensions.
 
 ``projective_cover`` and ``kernel_module`` are the two steps of a minimal
 resolution; the walk that alternates them is ``ProjResolution.from_oracle``
 in ``oracle/ext.py``, and ``min_resolution`` here is a view of that walk.
 The kernel inclusion is the one map whose source is not projective, and it
-is given by its blocks: the reduced kernel basis, dense.  Each basis row
-has a 1 at its free position and every other row a 0 there, so the syzygy
+is given by its blocks: the reduced kernel basis.  Each basis row has a 1
+at its free position and no other row an entry there, so the syzygy
 action is read off the arrow images (each basis row times the projective's
-sparse rows) at those positions, and multiplying back checks that the
-kernel is closed under the action.
+arrow rows) at those positions, and multiplying the coordinates back by
+the basis rows checks that the kernel is closed under the action.
 """
 from __future__ import annotations
 
@@ -75,50 +83,38 @@ class Module:
 
     # -- structure ------------------------------------------------------
 
-    def radical_rows(self) -> dict[str, list[list]]:
-        """Spanning rows of M * rad inside each vertex block, dense."""
-        f = self.la.field
-        rows: dict[str, list[list]] = {v: [] for v in self.degrees}
+    def top_positions(self) -> dict[str, list[int]]:
+        """Per vertex, the basis positions that are no pivot column of
+        M * rad there, which the arrow rows into the vertex span: their
+        classes are a basis of the top."""
+        radical: dict[str, list[tuple]] = {}
         for a in self.la.quiver.arrows:
-            n = self.dim(a.target)
-            for row in self.action[a.name]:
-                if row:
-                    rows.setdefault(a.target, []).append(_dense(row, n, f))
-        return rows
+            rows = [row for row in self.action[a.name] if row]
+            if rows:
+                radical.setdefault(a.target, []).extend(rows)
+        pivots = {v: set(linalg.rref(rows, self.la.field)[1]) for v, rows in radical.items()}
+        return {v: [i for i in range(self.dim(v)) if i not in pivots.get(v, ())]
+                for v in self.degrees}
 
     def top(self) -> Counter:
-        out = Counter()
-        rad = self.radical_rows()
-        for v in self.degrees:
-            n = self.dim(v)
-            if n == 0:
-                continue
-            out[v] = n - linalg.rank(rad.get(v, []), self.la.field)
-            if out[v] == 0:
-                del out[v]
-        return out
+        return Counter({v: len(p) for v, p in self.top_positions().items() if p})
 
     def socle(self) -> Counter:
+        """Per vertex, n minus the rank of the arrow rows out of it, the
+        arrows side by side, each in its own columns."""
         out = Counter()
-        f = self.la.field
         for v in self.degrees:
             n = self.dim(v)
             if n == 0:
                 continue
-            arrows = self.la.quiver.arrows_from.get(v, ())
-            width = sum(self.dim(a.target) for a in arrows)
-            if width == 0:
-                out[v] = n
-                continue
-            # the arrows out of v side by side, each in its own columns
-            stacked = linalg.zeros(n, width, f)
+            stacked: list[dict] = [{} for _ in range(n)]
             col0 = 0
-            for a in arrows:
-                for i, row in enumerate(self.action[a.name]):
-                    for j, x in row:
-                        stacked[i][col0 + j] = x
+            for a in self.la.quiver.arrows_from.get(v, ()):
+                for row, pairs in zip(stacked, self.action[a.name]):
+                    for j, x in pairs:
+                        row[col0 + j] = x
                 col0 += self.dim(a.target)
-            k = len(linalg.left_kernel(stacked, f))
+            k = n - linalg.rank(stacked, self.la.field)
             if k:
                 out[v] = k
         return out
@@ -135,14 +131,16 @@ class Module:
 class ModuleMap:
     """Per-vertex matrices (row convention) commuting with the arrow action.
 
-    A map out of a ``ProjectiveSum`` is stored as ``images``, one target row
-    per generator, and its ``blocks`` are pushed from them on first read; a
-    map out of any other module (a kernel inclusion) is given by its blocks
-    and has no images.
+    ``blocks[v]`` has one row per basis vector of the source at v, each a
+    dict of its nonzeros in the target's block at v; rows may be shared
+    and are never changed.  A map out of a ``ProjectiveSum`` is stored as
+    ``images``, one dense target row per generator, and its blocks are
+    pushed from them on first read; a map out of any other module (a
+    kernel inclusion) is given by its blocks and has no images.
     """
 
     def __init__(self, source: Module, target: Module,
-                 blocks: Optional[dict[str, list[list]]] = None,
+                 blocks: Optional[dict[str, list[dict]]] = None,
                  images: Optional[list[list]] = None):
         self.source = source
         self.target = target
@@ -151,23 +149,20 @@ class ModuleMap:
             self.blocks = blocks
 
     @cached_property
-    def blocks(self) -> dict[str, list[list]]:
+    def blocks(self) -> dict[str, list[dict]]:
         """Each summand's basis word w goes to its generator's image times w."""
         source, target = self.source, self.target
         la = source.la
         f = la.field
-        blocks: dict[str, list[list]] = {v: [] for v in la.quiver.vertices}
-        dims = {v: target.dim(v) for v in la.quiver.vertices}
+        blocks: dict[str, list[dict]] = {v: [] for v in la.quiver.vertices}
         for (e, _), image in zip(source.generators, self.images):
             start = {j: x for j, x in enumerate(image) if not f.is_zero(x)}
             pushed = {(): start}
             for v, words in la.projective_words[e].items():
-                n = dims[v]
                 if not start:  # a generator sent to zero sends every word to zero
-                    blocks[v].extend([f.zero] * n for _ in words)
+                    blocks[v].extend({} for _ in words)
                     continue
-                blocks[v].extend(_dense(_push(target, pushed, la.basis[i][1]).items(), n, f)
-                                 for i in words)
+                blocks[v].extend(_push(target, pushed, la.basis[i][1]) for i in words)
         return blocks
 
     @cached_property
@@ -182,9 +177,9 @@ class ModuleMap:
         f = self.source.la.field
         images = []
         for (e, _), image in zip(self.source.generators, self.images):
-            b = then.blocks[e]
-            images.append(linalg.vec_mul(image, b, f) if b
-                          else [f.zero] * then.target.dim(e))
+            vec = {i: x for i, x in enumerate(image) if not f.is_zero(x)}
+            images.append(_dense(_times(vec, then.blocks[e], f).items(),
+                                 then.target.dim(e), f))
         return map_from_generators(self.source, then.target, images)
 
     def is_zero(self) -> bool:
@@ -266,12 +261,14 @@ def _push(mod: Module, pushed: dict[tuple, dict], arrows: tuple[int, ...]) -> di
     return pushed[arrows]
 
 
-def _times(vec: dict, rows: list[tuple], f) -> dict:
+def _times(vec: dict, rows: list, f) -> dict:
     """The sparse vector ``vec`` (index -> nonzero coefficient) times the
-    sparse rows ``rows``, over the nonzeros of both."""
+    sparse rows ``rows`` - arrow rows of (column, coefficient) pairs or
+    block rows as dicts - over the nonzeros of both."""
     out: dict = {}
     for i, x in vec.items():
-        for j, y in rows[i]:
+        row = rows[i]
+        for j, y in (row.items() if type(row) is dict else row):
             out[j] = f.add(out[j], f.mul(x, y)) if j in out else f.mul(x, y)
     return {j: x for j, x in out.items() if not f.is_zero(x)}
 
@@ -289,20 +286,16 @@ def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]
     with one (vertex, generation degree) per summand."""
     la = mod.la
     f = la.field
-    rad = mod.radical_rows()
+    tops = mod.top_positions()
     summands: list[tuple[str, Optional[int]]] = []
     images: list[list] = []
     for v in la.quiver.vertices:
         n = mod.dim(v)
-        if n == 0:
-            continue
-        _, pivots = linalg.rref(rad.get(v, []), f)
-        for i in range(n):
-            if i not in pivots:
-                summands.append((v, mod.degrees[v][i]))
-                unit = [f.zero] * n
-                unit[i] = f.one
-                images.append(unit)
+        for i in tops.get(v, ()):
+            summands.append((v, mod.degrees[v][i]))
+            unit = [f.zero] * n
+            unit[i] = f.one
+            images.append(unit)
     P = ProjectiveSum(la, summands)
     return P, map_from_generators(P, mod, images), summands
 
@@ -313,52 +306,37 @@ def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
     P, M = phi.source, phi.target
     la = P.la
     f = la.field
-    basis_rows: dict[str, list[list]] = {}
-    nonzeros: dict[str, list[dict]] = {}  # the same rows, as sparse vectors
+    basis: dict[str, list[dict]] = {}  # per vertex, the kernel basis rows
     degrees: dict[str, list[Optional[int]]] = {}
     for v in la.quiver.vertices:
-        n = P.dim(v)
-        degrees[v] = []
-        basis_rows[v] = []
-        nonzeros[v] = []
-        if n == 0:
-            continue
-        block = phi.blocks[v]
+        block, target_degrees = phi.blocks[v], M.degrees[v]
+        basis[v], degrees[v] = [], []
         slots: dict[Optional[int], list[int]] = {}
         for i, d in enumerate(P.degrees[v]):
             slots.setdefault(d, []).append(i)
-        tgt_slots: dict[Optional[int], list[int]] = {}
-        for j, d in enumerate(M.degrees[v]):
-            tgt_slots.setdefault(d, []).append(j)
         for d in sorted(slots, key=lambda x: (x is None, x)):
             rows = slots[d]
-            cols = tgt_slots.get(d, [])
-            if cols:
-                kern = linalg.left_kernel([[block[i][j] for j in cols] for i in rows], f)
-            else:
-                kern = linalg.identity(len(rows), f)
-            for kv in kern:
-                nonzero = {i: x for i, x in zip(rows, kv) if not f.is_zero(x)}
-                nonzeros[v].append(nonzero)
-                basis_rows[v].append(_dense(nonzero.items(), n, f))
-                degrees[v].append(d)
-    # a kernel basis row has a 1 at its free position, its last nonzero, and
-    # every other row of its vertex a 0 there: the coordinates of a vector in
-    # their span are its entries at the free positions
-    free = {v: [max(row) for row in rows] for v, rows in nonzeros.items()}
+            kern = linalg.left_kernel(
+                [{j: x for j, x in block[i].items() if target_degrees[j] == d}
+                 for i in rows], f)
+            basis[v].extend({rows[k]: x for k, x in kv.items()} for kv in kern)
+            degrees[v].extend([d] * len(kern))
+    # a kernel basis row has a 1 at its free position, its largest index, and
+    # every other row of its vertex no entry there: the coordinates of a
+    # vector in their span are its entries at the free positions
+    free = {v: {max(row): k for k, row in enumerate(rows)} for v, rows in basis.items()}
     action = {}
     for a in la.quiver.arrows:
-        images = [_dense(_times(b, P.action[a.name], f).items(), P.dim(a.target), f)
-                  for b in nonzeros[a.source]]
-        coords = [[image[i] for i in free[a.target]] for image in images]
-        back = (linalg.mat_mul(coords, basis_rows[a.target], f) if basis_rows[a.target]
-                else [[f.zero] * P.dim(a.target) for _ in images])
-        if back != images:
-            raise RuntimeError("kernel is not closed under the action")
-        action[a.name] = [tuple((k, x) for k, x in enumerate(row) if not f.is_zero(x))
-                          for row in coords]
+        at = free[a.target]
+        action[a.name] = []
+        for b in basis[a.source]:
+            image = _times(b, P.action[a.name], f)
+            coords = {at[i]: x for i, x in image.items() if i in at}
+            if _times(coords, basis[a.target], f) != image:
+                raise RuntimeError("kernel is not closed under the action")
+            action[a.name].append(tuple(sorted(coords.items())))
     K = Module(la, degrees, action)
-    incl = ModuleMap(K, P, blocks=basis_rows)
+    incl = ModuleMap(K, P, blocks=basis)
     return K, incl
 
 

@@ -15,7 +15,7 @@ from brauergraph.graph import path_graph, star_graph, to_dict, triangle_graph
 from brauergraph.oracle import algebra
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.oracle.ext import ProjResolution
-from brauergraph.oracle.fields import QQ
+from brauergraph.oracle.fields import QQ, PrimeField
 from brauergraph.presentation import present
 from conftest import pendant_triangle
 
@@ -295,3 +295,29 @@ def test_oversized_algebra_exits_without_traceback(monkeypatch, graph_files):
     assert entry["report"]["ok"] is False
     (message,) = entry["report"]["diffs"]
     assert "more than 3 words" in message
+
+
+@pytest.mark.parametrize("value", ["5", "1/5"], ids=["zero", "no inverse"])
+def test_quantizer_degenerate_over_field_refused(tmp_path, value):
+    """A quantizer value that is zero over F5 (5) or has no inverse there
+    (1/5) is refused when the algebra is built: exit 2 with one stderr line
+    naming the (edge, vertex) pair, alone and as a batch entry.  Over Q the
+    same graph verifies."""
+    doc = to_dict(triangle_graph())
+    doc["quantizer"] = [{"edge": "e1", "vertex": "alpha", "value": value}]
+    path = tmp_path / "quantized.bg.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(brauergraph.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "brauergraph.cli", "verify", "--input",
+                           str(path), "--field", "fp:5", "--max", "2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert f"quantizer value {value} at (e1, alpha)" in proc.stderr
+    entry = cli._verify_entry(str(path), 2, PrimeField(5), None)
+    assert entry["exit"] == 2 and entry["report"]["ok"] is False
+    (message,) = entry["report"]["diffs"]
+    assert "(e1, alpha)" in message
+    code, out, err = invoke(["verify", "--input", str(path), "--max", "2"])
+    assert (code, err) == (0, "") and json.loads(out)["ok"] is True

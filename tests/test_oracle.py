@@ -49,16 +49,16 @@ from conftest import desk_graphs, pendant_triangle
 
 def test_linalg_basics():
     f = QQ
-    m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    m = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
     assert linalg.rank(m, f) == 1
     k = linalg.left_kernel(m, f)
     assert len(k) == 1
     v = k[0]
-    assert v[0] * 1 + v[1] * 2 == 0
-    sol = linalg.solve_left([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]],
+    assert v.get(0, 0) * 1 + v.get(1, 0) * 2 == 0
+    sol = linalg.solve_left([{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}],
                             [[Fraction(3), Fraction(2)]], f)
     assert sol == [[Fraction(1), Fraction(2)]]
-    assert linalg.solve_left([[Fraction(0)]], [[Fraction(1)]], f) is None
+    assert linalg.solve_left([{}], [[Fraction(1)]], f) is None
 
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -69,12 +69,36 @@ def _is_canonical_rational(x) -> bool:
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
+def _zeros(nrows, ncols, f):
+    return [[f.zero] * ncols for _ in range(nrows)]
+
+
+def _mat_mul(a, b, f):
+    """The dense product a * b; a b with no rows has width 0."""
+    out = _zeros(len(a), len(b[0]) if b else 0, f)
+    for row, arow in zip(out, a):
+        for x, brow in zip(arow, b, strict=True):
+            for j, y in enumerate(brow):
+                row[j] = f.add(row[j], f.mul(x, y))
+    return out
+
+
 def _dense_action(mod, a):
     """The action of the arrow ``a`` on ``mod``, its sparse rows written out
     as a dense source.dim x target.dim matrix."""
-    m = linalg.zeros(mod.dim(a.source), mod.dim(a.target), mod.la.field)
+    m = _zeros(mod.dim(a.source), mod.dim(a.target), mod.la.field)
     for i, row in enumerate(mod.action[a.name]):
         for j, x in row:
+            m[i][j] = x
+    return m
+
+
+def _dense_block(phi, v):
+    """The block of ``phi`` at the vertex v, its sparse rows written out as a
+    dense source.dim(v) x target.dim(v) matrix."""
+    m = _zeros(len(phi.blocks[v]), phi.target.dim(v), phi.source.la.field)
+    for i, row in enumerate(phi.blocks[v]):
+        for j, x in row.items():
             m[i][j] = x
     return m
 
@@ -118,12 +142,13 @@ def test_oracle_entries_over_q_are_exact(name, g):
         for mod in [*res.modules, *res.syzygies]:
             matrices.extend(_dense_action(mod, a) for a in la.quiver.arrows)
         for phi in res.maps[1:]:
-            matrices.extend(phi.blocks.values())
+            matrices.extend(_dense_block(phi, v) for v in phi.blocks)
         for n in range(3):
             for i, (t, _, _) in enumerate(res.summands[n]):
                 x = ExtElement(res, n, {i: QQ.one})
                 for m in range(3 - n + 1):
-                    matrices.extend(lift_through(x, walks[t], m).blocks.values())
+                    psi = lift_through(x, walks[t], m)
+                    matrices.extend(_dense_block(psi, v) for v in psi.blocks)
     assert all(_is_canonical_rational(x) for m in matrices for row in m for x in row)
 
 
@@ -137,8 +162,9 @@ def test_solve_left_many_rows_matches_one_at_a_time(data):
     rows = st.lists(st.integers(0, 2), min_size=ncols, max_size=ncols)
     a = data.draw(st.lists(rows, min_size=nrows, max_size=nrows))
     bs = data.draw(st.lists(rows, max_size=4))
-    alone = [linalg.solve_left(a, [b], f) for b in bs]
-    got = linalg.solve_left(a, bs, f)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
+    alone = [linalg.solve_left(sparse, [b], f) for b in bs]
+    got = linalg.solve_left(sparse, bs, f)
     if any(sol is None for sol in alone):
         assert got is None
         return
@@ -150,9 +176,9 @@ def test_solve_left_many_rows_matches_one_at_a_time(data):
 
 def test_solve_left_edge_cases():
     f = QQ
-    a = [[1, 0], [1, 1]]
+    a = [{0: 1}, {0: 1, 1: 1}]
     assert linalg.solve_left(a, [[3, 2], [0, 1], [0, 0]], f) == [[1, 2], [-1, 1], [0, 0]]
-    assert linalg.solve_left([[0, 1]], [[0, 1], [1, 0]], f) is None
+    assert linalg.solve_left([{1: 1}], [[0, 1], [1, 0]], f) is None
     assert linalg.solve_left(a, [], f) == []
     # no rows: only zero right-hand sides are reached, by the empty vector
     assert linalg.solve_left([], [[0, 0], [0, 0]], f) == [[], []]
@@ -458,7 +484,7 @@ def test_composite_blocks_have_full_shape(name, g):
         composites = [res.maps[n].compose(res.maps[n - 1]) for n in range(2, 4)]
         for phi in [*res.maps[1:], *composites]:
             for v in la.quiver.vertices:
-                block = phi.blocks[v]
+                block = _dense_block(phi, v)
                 assert len(block) == phi.source.dim(v)
                 assert all(len(row) == phi.target.dim(v) for row in block)
 
@@ -474,8 +500,8 @@ def _commutes(phi) -> bool:
                 if not f.is_zero(x)}
 
     return all(
-        entries(linalg.mat_mul(_dense_action(phi.source, a), phi.blocks[a.target], f))
-        == entries(linalg.mat_mul(phi.blocks[a.source], _dense_action(phi.target, a), f))
+        entries(_mat_mul(_dense_action(phi.source, a), _dense_block(phi, a.target), f))
+        == entries(_mat_mul(_dense_block(phi, a.source), _dense_action(phi.target, a), f))
         for a in la.quiver.arrows
     )
 
@@ -535,11 +561,15 @@ def _eager_blocks(phi):
     return blocks
 
 
+def _dense_blocks(phi):
+    return {v: _dense_block(phi, v) for v in phi.blocks}
+
+
 def _blockwise_composite(phi, then):
     f = phi.source.la.field
-    return {v: (linalg.mat_mul(m, then.blocks[v], f) if then.blocks[v]
-                else linalg.zeros(len(m), then.target.dim(v), f))
-            for v, m in phi.blocks.items()}
+    return {v: (_mat_mul(m, _dense_block(then, v), f) if then.blocks[v]
+                else _zeros(len(m), then.target.dim(v), f))
+            for v, m in _dense_blocks(phi).items()}
 
 
 def _check_images(phi, then=None):
@@ -547,12 +577,12 @@ def _check_images(phi, then=None):
     generator rows of the blockwise composite, and it is zero exactly when
     every block is."""
     f = phi.source.la.field
-    assert phi.blocks == _eager_blocks(phi)
+    assert _dense_blocks(phi) == _eager_blocks(phi)
     if then is not None:
         comp = phi.compose(then)
         blockwise = _blockwise_composite(phi, then)
         assert comp.images == [blockwise[gv][gi] for gv, gi in phi.source.generators]
-        assert comp.blocks == blockwise
+        assert _dense_blocks(comp) == blockwise
         assert comp.is_zero() == all(f.is_zero(x) for m in blockwise.values()
                                      for row in m for x in row)
 
@@ -582,6 +612,37 @@ def test_maps_are_their_generator_images(name, g, field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
 @pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_block_rows_hold_no_zero(name, g, field):
+    """Every stored block row - of the differentials of oracle walks and
+    path-matrix complexes, their composites, kernel inclusions and lifted
+    chain maps to depth 3 - is a dict of nonzeros inside the target's
+    block, one per basis vector of the source."""
+    la = build_algebra(present(g), field)
+    walks = {e: ProjResolution.from_oracle(la, e, 3) for e in g.edge_ids}
+    complexes = _explicit_complexes(g, la, 3)
+    maps = []
+    for res in [*walks.values(), *complexes.values()]:
+        maps.extend(res.maps[1:])
+        maps.extend(res.maps[n].compose(res.maps[n - 1]) for n in range(2, len(res.maps)))
+    for walk in walks.values():
+        maps.extend(kernel_module(projective_cover(syz)[1])[1] for syz in walk.syzygies)
+    for resolutions in (walks, complexes):
+        for res in resolutions.values():
+            for n in range(3):
+                for i, (t, _, _) in enumerate(res.summands[n]):
+                    x = ExtElement(res, n, {i: field.one})
+                    maps.extend(lift_through(x, resolutions[t], m) for m in range(4 - n))
+    for phi in maps:
+        for v, block in phi.blocks.items():
+            assert len(block) == phi.source.dim(v)
+            for row in block:
+                assert type(row) is dict
+                assert all(0 <= j < phi.target.dim(v) and not field.is_zero(x)
+                           for j, x in row.items()), (v, row)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
 def test_kernel_action_matches_solve_left(name, g, field):
     """The syzygy action read off the reduced kernel basis is the one
     ``solve_left`` finds for each arrow image."""
@@ -591,7 +652,7 @@ def test_kernel_action_matches_solve_left(name, g, field):
             P, cover, _ = projective_cover(syz)
             K, incl = kernel_module(cover)
             for a in la.quiver.arrows:
-                images = linalg.mat_mul(incl.blocks[a.source], _dense_action(P, a), field)
+                images = _mat_mul(_dense_block(incl, a.source), _dense_action(P, a), field)
                 want = linalg.solve_left(incl.blocks[a.target], images, field)
                 assert _dense_action(K, a) == want, (e, a.name)
 
@@ -600,7 +661,7 @@ def _reference_action(P, a):
     """The action of ``a`` on a sum of projectives, multiplied out one basis
     word at a time with ``word_to_vec`` into a dense matrix."""
     la = P.la
-    m = linalg.zeros(P.dim(a.source), P.dim(a.target), la.field)
+    m = _zeros(P.dim(a.source), P.dim(a.target), la.field)
     ai = la.quiver.arrow_index[a]
     for (e, _), offsets in zip(P.generators, P.offsets):
         for r, i in enumerate(la.projective_words[e][a.source]):
@@ -642,8 +703,7 @@ def test_kernel_not_closed_is_refused(g, field):
     la = build_algebra(present(g), field)
     for e in g.edge_ids:
         P = projective_module(la, e)
-        blocks = {v: (linalg.identity(P.dim(v), field) if v == e
-                      else linalg.zeros(P.dim(v), P.dim(v), field))
+        blocks = {v: [{i: field.one} if v == e else {} for i in range(P.dim(v))]
                   for v in la.quiver.vertices}
         with pytest.raises(RuntimeError, match="kernel is not closed under the action"):
             kernel_module(ModuleMap(P, P, blocks=blocks))
