@@ -22,8 +22,6 @@ from .graph import (
     BrauerGraph,
     BrauerGraphError,
     HypothesisError,
-    is_reduced,
-    uniform_degree,
     validate,
 )
 from .oracle.algebra import OracleSizeError
@@ -35,7 +33,7 @@ from .presentation import (
     quiver_to_dot,
     relation_to_dict,
 )
-from .resolution import resolve_simple, resolve_simple_2d
+from .resolution import explicit_resolver
 from .strings import iterate_syzygy, period
 
 EXIT_OK = 0
@@ -105,16 +103,13 @@ def cmd_classify(args) -> int:
 
 def cmd_resolve(args) -> int:
     g = _load(args.input)
-    if is_reduced(g) and not g.has_truncated_edge() and not g.is_a2_trivial():
-        steps = resolve_simple(g, args.edge, args.max)
-    else:
-        d = uniform_degree(g)
-        if d is None or d < 3 or g.has_truncated_edge():
-            raise HypothesisError(
-                "explicit resolutions need either a reduced graph without "
-                "truncated edges or a uniform degree of at least three"
-            )
-        steps = resolve_simple_2d(g, args.edge, args.max)
+    resolver = explicit_resolver(g)
+    if resolver is None:
+        raise HypothesisError(
+            "explicit resolutions need the trivial quantizer, no truncated "
+            "edges and either a reduced graph or a uniform degree of at least three"
+        )
+    steps = resolver(g, args.edge, args.max)
     doc = [s.to_json() for s in steps]
     if not args.graded:
         for s in doc:
@@ -153,8 +148,9 @@ def cmd_walk(args) -> int:
 
 def cmd_ext(args) -> int:
     g = _load(args.input)
-    if args.to not in g.edge_ids:
-        raise BrauerGraphError(f"unknown edge {args.to!r}")
+    for e in (args.to, getattr(args, "from")):
+        if e not in g.edge_ids:
+            raise BrauerGraphError(f"unknown edge {e!r}")
     # dim Ext^n(S_from, S_to) counts ``to`` in the top of the n-th syzygy
     trace = iterate_syzygy(g, getattr(args, "from"), args.max)
     doc = {

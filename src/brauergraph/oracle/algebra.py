@@ -4,14 +4,17 @@ The algebra is the path algebra of the quiver modulo the relation ideal.
 Paths longer than the nilpotency bound L vanish, so the path space is
 truncated at length L+1 and the ideal becomes a finite-dimensional
 subspace spanned by all translates u*r*v of relations.  Normal forms are
-extracted by exact row reduction.
+read off one reduced row echelon form, ``linalg.rref``: the words are its
+columns, numbered from the largest ``_column_key`` (the longest) down, so
+every pivot is the longest word of its row and the basis is the words
+that are no pivot.
 
 Two reduction strategies give the same quotient:
 
 * ``build_algebra`` quotients by the monomial relations first - the words
   are the paths with no monomial relation as a subword, enumerated once
-  into one word set - and then row reduces the translates of the
-  remaining two-term relations inside that set;
+  into one word list - and then row reduces the translates of the
+  remaining two-term relations over those words;
 * ``build_algebra_naive`` enumerates every path and every translate of
   every relation and reduces them all.  It exists as an independent check
   and is only usable on tiny inputs.
@@ -109,7 +112,6 @@ class FiniteDimAlgebra:
                                for length, monos in monomials.items()):
                         nxt.append((w[0], arrows))
             frontier = nxt
-        self._words: set[Word] = set(self.allowed)
 
     @staticmethod
     def _column_key(w: Word):
@@ -117,14 +119,18 @@ class FiniteDimAlgebra:
 
     def _reduce(self, two_term: list[Relation]):
         """Row reduce one sparse row per translate u*r*v of a two-term
-        relation, over the columns of the words it reaches."""
+        relation in one ``rref`` call.  The allowed words are numbered from
+        the largest ``_column_key`` down, so each reduced row pivots on its
+        longest word, and a pivot word is minus the rest of its row."""
         f = self.field
         by_source: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
         by_target: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
         for w in self.allowed:
             by_source[w[0]].append(w)
             by_target[self.word_target(w)].append(w)
-        reducer = linalg.SparseReducer(f)
+        order = sorted(self.allowed, key=self._column_key, reverse=True)
+        self._column = column = {w: j for j, w in enumerate(order)}
+        rows: list[dict] = []
         for r in two_term:
             terms = [(f.from_fraction(c), self._path_key(p)) for c, p in r.terms]
             min_len = min(len(t[1]) for t in terms)
@@ -137,18 +143,17 @@ class FiniteDimAlgebra:
                         continue
                     row: dict = {}
                     for coeff, mid in terms:
-                        w = (u[0], u[1] + mid + v[1])
-                        if w in self._words:
-                            key = self._column_key(w)
-                            row[key] = f.add(row.get(key, f.zero), coeff)
-                    if row:
-                        reducer.add(row)
-        self._pivot_rows = reducer.pivot_rows
-        self.basis: list[Word] = sorted(
-            (w for w in self.allowed if self._column_key(w) not in self._pivot_rows),
-            key=self._column_key,
-        )
+                        j = column.get((u[0], u[1] + mid + v[1]))
+                        if j is not None:
+                            row[j] = f.add(row.get(j, f.zero), coeff)
+                    rows.append({j: x for j, x in row.items() if not f.is_zero(x)})
+        red, pivots = linalg.rref(rows, f)
+        self._pivot_rows: dict[int, dict] = dict(zip(pivots, red))
+        self.basis: list[Word] = [w for w in reversed(order)
+                                  if column[w] not in self._pivot_rows]
         self.basis_index: dict[Word, int] = {w: i for i, w in enumerate(self.basis)}
+        # the basis index of each column's word; None at a pivot
+        self._basis_at: list[Optional[int]] = [self.basis_index.get(w) for w in order]
         self.dim = len(self.basis)
         self.basis_by_source: dict[str, list[int]] = {v: [] for v in self.quiver.vertices}
         # the basis of the projective at e, block by block: projective_words[e][v]
@@ -172,15 +177,14 @@ class FiniteDimAlgebra:
         """Express a path in normal forms; the empty dict is zero.  The pivot
         rows are fully reduced, so a pivot word is minus the rest of its row
         and every other word is a basis word."""
-        w: Word = (source, arrows)
-        if w not in self._words:
+        j = self._column.get((source, arrows))
+        if j is None:
             return {}
-        key = self._column_key(w)
-        prow = self._pivot_rows.get(key)
+        prow = self._pivot_rows.get(j)
         if prow is None:
-            return {self.basis_index[w]: self.field.one}
-        return {self.basis_index[(col[1], col[2])]: self.field.neg(coeff)
-                for col, coeff in prow.items() if col != key}
+            return {self._basis_at[j]: self.field.one}
+        at, neg = self._basis_at, self.field.neg
+        return {at[k]: neg(c) for k, c in prow.items() if k != j}
 
     def projective_action(self, e: str) -> dict[str, list[tuple]]:
         """The arrow action on the projective at ``e``, computed on first use:

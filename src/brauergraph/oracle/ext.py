@@ -319,7 +319,6 @@ def _closure_spans(resolutions, max_gen_degree, n_max):
                     if y.source != t:
                         continue
                     cand = yoneda_multiply(y, g)
-                    if reducer.add({(cand.source, i): c for i, c in cand.coeffs.items()
-                                    if not f.is_zero(c)}):
+                    if reducer.add({(cand.source, i): c for i, c in cand.coeffs.items()}):
                         spans[d].append(cand)
     return spans

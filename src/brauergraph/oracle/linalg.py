@@ -7,13 +7,15 @@ maps between right modules are stored in the row-vector convention: a map
 sends the row vector v to v*A, so its kernel is the left kernel of A and
 its image is the row space.
 
-Every elimination of the oracle's modules and maps happens in one row
-reduction, ``rref``: it pivots each row on its least column, eliminates
-forward and then back-substitutes, giving the reduced row echelon form,
-which is unique.  Ranks, tops, socles and the pivots of a projective cover
-read its pivot columns; ``left_kernel`` and ``solve_left`` read the rows
-of the reduced transpose.  ``SparseReducer`` is the incremental reduction
-of the word-space quotients and of the Ext closure.
+Every elimination of the oracle runs one forward step, ``_forward``: it
+reduces each row by the pivot rows found so far until its least column is
+no pivot, and makes it the pivot row of that column.  ``rref`` is the
+forward step followed by one back-substitution, giving the reduced row
+echelon form, which is unique.  Ranks, tops, socles, the pivots of a
+projective cover and the algebra's normal forms read its pivot columns;
+``left_kernel`` and ``solve_left`` read the rows of the reduced transpose.
+``SparseReducer`` asks the forward step whether a row enlarges a span, for
+the Ext closure.
 """
 from __future__ import annotations
 
@@ -33,17 +35,11 @@ def _subtract(row: dict, x, prow: dict, f) -> None:
             row[j] = f.neg(f.mul(x, y))
 
 
-def rref(rows: Iterable, field) -> tuple[list[dict], list]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns,
-    in increasing pivot order.
-
-    Forward, each row is reduced by the pivot rows found so far until its
-    least column is no pivot, and then becomes the pivot row of that
-    column, scaled to 1 there.  Back-substitution runs from the last pivot
-    row up: every pivot row below the current one is already reduced, so
-    clearing one of its pivot columns touches no other pivot column."""
-    f = field
-    pivots: dict = {}
+def _forward(pivots: dict, rows: Iterable, f) -> None:
+    """Insert each row into ``pivots`` (pivot column -> pivot row): reduce it
+    by the pivot rows until its least column is no pivot, and make it the
+    pivot row of that column, scaled to 1 there; a row that reduces to zero
+    is dropped.  No pivot row changes."""
     for row in rows:
         r = dict(row)
         while r:
@@ -57,6 +53,18 @@ def rref(rows: Iterable, field) -> tuple[list[dict], list]:
                 pivots[c] = r
                 break
             _subtract(r, r[c], p, f)
+
+
+def rref(rows: Iterable, field) -> tuple[list[dict], list]:
+    """Reduced row echelon form; returns the nonzero rows and pivot columns,
+    in increasing pivot order.
+
+    After the forward step, back-substitution runs from the last pivot row
+    up: every pivot row below the current one is already reduced, so
+    clearing one of its pivot columns touches no other pivot column."""
+    f = field
+    pivots: dict = {}
+    _forward(pivots, rows, f)
     cols = sorted(pivots)
     for c in reversed(cols):
         r = pivots[c]
@@ -125,64 +133,26 @@ def solve_left(a: list[dict], bs: list[list], field) -> Optional[list[list]]:
 
 
 class SparseReducer:
-    """Incremental row reduction of sparse vectors keyed by arbitrary columns.
+    """A growing span of sparse rows, keyed by any comparable columns.
 
-    Rows are dicts column -> coefficient.  Used for the word-space quotients
-    of the oracle where the ambient basis is large but rows touch few
-    columns.
-    """
+    Both questions run the forward step on one row, with its zero
+    coefficients dropped: ``add`` on the span's own pivot rows, and
+    ``contains`` on a copy of them, so the span does not grow."""
 
     def __init__(self, field):
         self.field = field
-        self.pivot_rows: dict = {}
+        self._pivots: dict = {}
 
-    def reduce(self, row: dict) -> dict:
+    def _insert(self, pivots: dict, row: dict) -> bool:
+        """Does the row enlarge the span of ``pivots``?  It is inserted."""
         f = self.field
-        row = {c: x for c, x in row.items() if not f.is_zero(x)}
-        while True:
-            hit = None
-            for c in row:
-                if c in self.pivot_rows:
-                    hit = c
-                    break
-            if hit is None:
-                return row
-            coeff = row[hit]
-            for c, x in self.pivot_rows[hit].items():
-                val = f.sub(row.get(c, f.zero), f.mul(coeff, x))
-                if f.is_zero(val):
-                    row.pop(c, None)
-                else:
-                    row[c] = val
+        n = len(pivots)
+        _forward(pivots, [((c, x) for c, x in row.items() if not f.is_zero(x))], f)
+        return len(pivots) > n
 
     def add(self, row: dict) -> bool:
-        """Reduce and insert; returns True when the row enlarged the span."""
-        f = self.field
-        row = self.reduce(row)
-        if not row:
-            return False
-        pivot = self._pick_pivot(row)
-        inv = f.inv(row[pivot])
-        row = {c: f.mul(inv, x) for c, x in row.items()}
-        for pc, prow in self.pivot_rows.items():
-            if pivot in prow:
-                coeff = prow[pivot]
-                for c, x in row.items():
-                    val = f.sub(prow.get(c, f.zero), f.mul(coeff, x))
-                    if f.is_zero(val):
-                        prow.pop(c, None)
-                    else:
-                        prow[c] = val
-        self.pivot_rows[pivot] = row
-        return True
+        """Insert the row; returns True when it enlarged the span."""
+        return self._insert(self._pivots, row)
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
-
-    def _pick_pivot(self, row: dict):
-        # prefer eliminating "larger" columns so small ones stay as normal forms
-        return max(row)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
+        return not self._insert(dict(self._pivots), row)

@@ -30,12 +30,11 @@ from ..resolution import (
     CanonicalExtElement,
     _Chain,
     delta,
+    explicit_resolver,
     ext_dim,
     generation_certificate,
     generation_degrees,
     obstruction_element,
-    resolve_simple,
-    resolve_simple_2d,
 )
 from ..strings import dimension, iterate_syzygy, realize, syzygy
 from .algebra import build_algebra, expected_projective_dims, is_redundant_relation
@@ -54,8 +53,9 @@ from .modules import projective_module
 class Fault:
     """Deliberate corruption for harness self-tests.  ``verify_graph``
     raises HypothesisError for a fault that names no entry or relation of
-    the graph, for a sign flip that cannot change anything, and for a
-    dropped relation that still holds in the algebra of the others."""
+    the graph, for a sign flip that cannot change anything or that lies
+    above the degrees it checks, and for a dropped relation that still
+    holds in the algebra of the others."""
 
     flip_sign: Optional[tuple[str, int, int, int]] = None  # edge, degree, row, col
     drop_relation: Optional[int] = None
@@ -102,18 +102,17 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
         return report
 
     reduced = is_reduced(g) and not g.is_a2_trivial() and g.quantizer_trivial()
-    no_trunc = not g.has_truncated_edge()
-    d = uniform_degree(g)
-    two_d = (not reduced and no_trunc and d is not None and d >= 3
-             and g.quantizer_trivial())
-    explicit = (reduced and no_trunc) or two_d
+    resolver = explicit_resolver(g)
     flip = fault.flip_sign if fault is not None else None
     if flip is not None:
-        if not explicit:
+        if resolver is None:
             raise HypothesisError("flip fault corrupts nothing: the graph has no "
                                   "explicit resolution")
         if flip[0] not in g.edge_ids:
             raise HypothesisError(f"flip fault corrupts nothing: unknown edge {flip[0]!r}")
+        if flip[1] > max_degree:
+            raise HypothesisError(f"flip fault corrupts nothing: degree {flip[1]} is "
+                                  f"above the checked degrees 0..{max_degree}")
         if field_obj.is_zero(field_obj.add(field_obj.one, field_obj.one)):
             raise HypothesisError("flip fault corrupts nothing: a sign flip is the "
                                   "identity in characteristic 2")
@@ -184,8 +183,7 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
         traces = {e: iterate_syzygy(g, e, max_degree) for e in g.edge_ids}
         _check_strings(report, g, la, max_degree, traces, walks)
 
-    if explicit:
-        resolver = resolve_simple_2d if two_d else resolve_simple
+    if resolver is not None:
         steps = {e: resolver(g, e, max_degree + 1) for e in g.edge_ids}
         complexes = {e: ProjResolution.from_steps(la, e, steps[e]) for e in g.edge_ids}
         # the flip fault corrupts only the complexes examined by
@@ -195,7 +193,7 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
             examined[flip[0]] = ProjResolution.from_steps(la, flip[0],
                                                           _flip(steps[flip[0]], flip))
         _check_resolution(report, g, la, max_degree, examined, walks, traces)
-        if not two_d and obstruction_element(g) is not None:
+        if reduced and obstruction_element(g) is not None:
             report.add("obstruction", "no truncated edges yet a walk witness appeared")
         _check_certificates(report, g, la, min(4, max_degree), complexes)
 

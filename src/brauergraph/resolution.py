@@ -17,7 +17,7 @@ whose vertices all satisfy valency x multiplicity = d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .graph import (
     BrauerGraph,
@@ -214,6 +214,20 @@ def resolve_simple_2d(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep
         raise HypothesisError("resolve_simple_2d requires no truncated edges")
     q = build_quiver(g)
     return _resolve(g, q, e, n_max, d)
+
+
+def explicit_resolver(g: BrauerGraph) -> Optional[Callable]:
+    """The resolver of the path-matrix resolutions of ``g``'s simples, or
+    None when the graph has none.  Both resolvers need the trivial
+    quantizer and no truncated edge; ``resolve_simple`` takes a reduced
+    graph, and ``resolve_simple_2d`` one whose vertices all have valency x
+    multiplicity = d >= 3."""
+    if g.has_truncated_edge() or not g.quantizer_trivial():
+        return None
+    if is_reduced(g):
+        return resolve_simple
+    d = uniform_degree(g)
+    return resolve_simple_2d if d is not None and d >= 3 else None
 
 
 # ----------------------------------------------------------------------

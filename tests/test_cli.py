@@ -102,12 +102,14 @@ def test_ext(graph_files):
 
 
 def test_ext_unknown_edge(graph_files):
-    """An unknown --to is an input error, exactly like an unknown --from."""
-    for flag in ("--from", "--to"):
-        edges = {"--from": "e1", "--to": "e1", flag: "zz"}
-        code, out, err = invoke(["ext", "--from", edges["--from"], "--to", edges["--to"],
-                                 "--input", graph_files["a4"]])
-        assert (code, out, err) == (1, "", "unknown edge 'zz'\n"), flag
+    """An unknown --to is an input error, exactly like an unknown --from,
+    also at --max 0, where no syzygy is taken."""
+    for extra in ([], ["--max", "0"]):
+        for flag in ("--from", "--to"):
+            edges = {"--from": "e1", "--to": "e1", flag: "zz"}
+            code, out, err = invoke(["ext", "--from", edges["--from"], "--to", edges["--to"],
+                                     *extra, "--input", graph_files["a4"]])
+            assert (code, out, err) == (1, "", "unknown edge 'zz'\n"), (flag, extra)
 
 
 def usage_exit(argv):
@@ -136,10 +138,11 @@ def test_negative_max_rejected(graph_files, argv):
     (triangle_graph(), ["--inject-flip", "e9:2:0:0"]),
     (triangle_graph(), ["--inject-flip", "e1:2:7:7"]),
     (triangle_graph(), ["--inject-flip", "e1:2:0:0", "--field", "fp:2"]),
+    (triangle_graph(), ["--inject-flip", "e1:4:0:0"]),
     (star_graph(3), ["--inject-flip", "e1:2:0:0"]),
     (pendant_triangle(), ["--inject-drop", "3"]),
 ], ids=["drop 99", "drop -1", "unknown edge", "missing entry", "flip in char 2",
-        "no explicit resolution", "redundant relation"])
+        "flip above max", "no explicit resolution", "redundant relation"])
 def test_fault_that_corrupts_nothing_rejected(tmp_path, g, fault):
     """A fault hook that corrupts nothing must not report success."""
     path = tmp_path / "g.bg.json"

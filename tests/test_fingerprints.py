@@ -22,12 +22,11 @@ from pathlib import Path
 import pytest
 
 from brauergraph.census import census
-from brauergraph.graph import HypothesisError
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.oracle.ext import ExtElement, ProjResolution, yoneda_multiply
 from brauergraph.oracle.fields import QQ, PrimeField
 from brauergraph.presentation import present
-from brauergraph.resolution import resolve_simple, resolve_simple_2d
+from brauergraph.resolution import explicit_resolver
 
 FINGERPRINTS = Path(__file__).with_name("fingerprints_census_3_2.json")
 FIELDS = {"q": QQ, "f3": PrimeField(3)}
@@ -54,12 +53,10 @@ def _ranks(res) -> list:
 
 
 def _explicit_complex(g, la, e):
-    for resolver in (resolve_simple, resolve_simple_2d):
-        try:
-            return ProjResolution.from_steps(la, e, resolver(g, e, DEPTH))
-        except HypothesisError:
-            continue
-    return None
+    resolver = explicit_resolver(g)
+    if resolver is None:
+        return None
+    return ProjResolution.from_steps(la, e, resolver(g, e, DEPTH))
 
 
 def fingerprint(g, field) -> dict:

@@ -1,5 +1,6 @@
-"""The sparse row reduction against a dense Gauss-Jordan elimination written
-out here, over Q (with fractional entries), F2 and F3."""
+"""The sparse row reduction and the span membership built on its forward
+step, against a dense Gauss-Jordan elimination written out here, over Q
+(with fractional entries), F2 and F3."""
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,28 @@ def test_sparse_reduction_matches_gauss_jordan(name, data):
         for x, row in zip(v, rows):
             product = [f.add(p, f.mul(x, y)) for p, y in zip(product, row)]
         assert product == b
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+@given(data=st.data())
+def test_reducer_membership_matches_gauss_jordan(name, data):
+    """``add`` returns True exactly when the rank grows, and ``contains``
+    exactly when it would not; every row keeps its zero coefficients."""
+    f = FIELDS[name]
+    ncols, rows, probes = data.draw(_system(f))
+
+    def rank(dense):
+        return len(_gauss_jordan(dense, ncols, f)[1])
+
+    reducer = linalg.SparseReducer(f)
+    span: list = []
+    for row in rows:
+        grows = rank(span + [row]) > rank(span)
+        assert reducer.contains(dict(enumerate(row))) is not grows
+        assert reducer.add(dict(enumerate(row))) is grows
+        span.append(row)
+    for b in probes:
+        assert reducer.contains(dict(enumerate(b))) is (rank(span + [b]) == rank(span))
 
 
 @pytest.mark.parametrize("name", list(FIELDS))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from brauergraph.census import census
 from brauergraph.classify import koszul_report
 from brauergraph.graph import (
-    HypothesisError,
     cycle_graph,
     loop_graph,
     path_graph,
@@ -43,7 +42,7 @@ from brauergraph.oracle.modules import (
     projective_module,
 )
 from brauergraph.presentation import present
-from brauergraph.resolution import resolve_simple, resolve_simple_2d
+from brauergraph.resolution import explicit_resolver, resolve_simple
 from conftest import desk_graphs, pendant_triangle
 
 
@@ -203,6 +202,18 @@ def test_dimensions_match_formula_and_naive():
         assert got == expected, name
         naive = build_algebra_naive(pres)
         assert naive["dims_by_edge"] == expected, name
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_normal_forms_pivot_on_the_longest_word(name, g, field):
+    """The normal form of every allowed word uses only basis words at most
+    it in ``_column_key`` order: each reduced translate of a relation
+    pivots on its longest word."""
+    la = build_algebra(present(g), field)
+    key = la._column_key
+    for w in la.allowed:
+        assert all(key(la.basis[i]) <= key(w) for i in la.word_to_vec(*w)), w
 
 
 def test_specific_dimensions(a2, triangle, a4):
@@ -508,13 +519,10 @@ def _commutes(phi) -> bool:
 
 def _explicit_complexes(g, la, n):
     """The path-matrix complexes of every simple, when the graph has them."""
-    for resolver in (resolve_simple, resolve_simple_2d):
-        try:
-            return {e: ProjResolution.from_steps(la, e, resolver(g, e, n))
-                    for e in g.edge_ids}
-        except HypothesisError:
-            continue
-    return {}
+    resolver = explicit_resolver(g)
+    if resolver is None:
+        return {}
+    return {e: ProjResolution.from_steps(la, e, resolver(g, e, n)) for e in g.edge_ids}
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["q", "f2"])
