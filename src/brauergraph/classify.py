@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .graph import BrauerGraph, HypothesisError, is_length_graded, star_centers
-from .presentation import Homogeneity, far_successor_truncated, homogeneity
+from .presentation import Homogeneity, Presentation, far_successor_truncated, homogeneity
 
 
 @dataclass
@@ -202,8 +202,10 @@ def a_n_2d_corollary(g: BrauerGraph, d: int) -> bool:
     return all(m == d // 2 for m in ms[1:-1])
 
 
-def koszul_report(g: BrauerGraph) -> KoszulReport:
-    h = homogeneity(g)
+def koszul_report(g: BrauerGraph, pres: Optional[Presentation] = None) -> KoszulReport:
+    """The verdicts of the paper for ``g``; ``pres``, when given, is its
+    presentation, already built by the caller."""
+    h = homogeneity(g, pres)
     quadratic = h.kind == "Quadratic"
     has_trunc = g.has_truncated_edge()
     has_nontrunc = g.has_nontruncated_edge()

@@ -19,10 +19,20 @@ Two reduction strategies give the same quotient:
   every relation and reduces them all.  It exists as an independent check
   and is only usable on tiny inputs.
 
+A kind-two relation is a monomial whose omission the paper's minimal
+generating set decides, so ``build_algebra`` answers for each one whether
+it holds in the algebra of the others (``FiniteDimAlgebra.redundant``).
+Its monomial is *tagged*, not forbidden: the words that contain it and no
+other monomial are enumerated too, and they are the extra words of the
+algebra without it.  Every such algebra shares the forward elimination of
+the translates that touch no tagged word, so each verdict costs a copy of
+one pivot dict and the insertion of its own rows.
+
 ``FiniteDimAlgebra.relation_holds`` asks whether a relation's normal form
-is zero.  It is the one ideal-membership rule: ``is_redundant_relation``
-asks it of a relation in the algebra of the others, and the drop fault of
-``verify_graph`` of the dropped relation in the faulted algebra.
+is zero; the drop fault of ``verify_graph`` asks it of the dropped relation
+in the faulted algebra.  ``is_redundant_relation`` builds the algebra of
+the other relations and asks it there: it is the independent reference
+that the tests compare ``redundant`` with.
 """
 from __future__ import annotations
 
@@ -40,7 +50,9 @@ class OracleSizeError(RuntimeError):
 
 Word = tuple[str, tuple[int, ...]]  # (source edge, arrow indices)
 
-WORD_CAP = 200_000  # read at each word enumeration
+WORD_CAP = 200_000  # read at each word enumeration; counts allowed words only
+
+FORBIDDEN = -1  # the tag of a monomial that no word may contain
 
 
 class FiniteDimAlgebra:
@@ -49,7 +61,9 @@ class FiniteDimAlgebra:
     ``allowed`` lists the words: the paths of length at most ``maxlen``
     with no monomial relation as a subword, shortest first.  The basis is
     the words that are not the pivot of a reduced translate u*r*v of a
-    two-term relation."""
+    two-term relation.  ``redundant`` maps the index in ``relations`` of
+    each kind-two relation to whether it holds in the algebra of the
+    others."""
 
     def __init__(self, pres: Presentation, field=QQ,
                  relations: Optional[list[Relation]] = None):
@@ -61,13 +75,16 @@ class FiniteDimAlgebra:
         self.relations = list(pres.all_relations if relations is None else relations)
         self.graded = all(r.is_length_homogeneous() for r in self.relations)
         self.maxlen = self.graph.nilpotency_bound() + 1
-        monomials: dict[int, set[tuple[int, ...]]] = {}
-        for r in self.relations:
+        # per length, each monomial relation's arrows -> the index of its
+        # kind-two relation, or FORBIDDEN; a monomial given twice is forbidden
+        monomials: dict[int, dict[tuple[int, ...], int]] = {}
+        for i, r in enumerate(self.relations):
             if len(r.terms) == 1:
                 m = self._path_key(r.terms[0][1])
-                monomials.setdefault(len(m), set()).add(m)
-        self._enumerate_words(monomials)
-        self._reduce([r for r in self.relations if len(r.terms) > 1])
+                monos = monomials.setdefault(len(m), {})
+                monos[m] = i if r.kind == "two" and m not in monos else FORBIDDEN
+        self._reduce(self._enumerate_words(monomials),
+                     [r for r in self.relations if len(r.terms) > 1])
         self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
         self._projective_action: dict[str, dict[str, list[tuple]]] = {}
 
@@ -92,63 +109,123 @@ class FiniteDimAlgebra:
         src, arrows = w
         return src if not arrows else self.quiver.arrows[arrows[-1]].target
 
-    def _enumerate_words(self, monomials: dict[int, set[tuple[int, ...]]]):
-        """A word is extended by one arrow while no suffix of the extension
-        is a monomial relation, so no subword of any word is one."""
+    def _enumerate_words(self, monomials: dict[int, dict[tuple[int, ...], int]]
+                         ) -> list[tuple[Word, Optional[int]]]:
+        """Every word, shortest first, with its tag: the index of the one
+        kind-two monomial it contains, or None for an allowed word.  A word
+        is extended by one arrow while no suffix of the extension is a
+        forbidden monomial and the kind-two monomials among its suffixes
+        are its own tag's, so no subword of an allowed word is a monomial
+        relation and no word contains two distinct kind-two monomials."""
         self.allowed: list[Word] = []
-        frontier: list[Word] = [(v, ()) for v in self.quiver.vertices]
+        words: list[tuple[Word, Optional[int]]] = []
+        frontier: list[tuple[Word, Optional[int]]] = [((v, ()), None)
+                                                      for v in self.quiver.vertices]
         while frontier:
-            nxt: list[Word] = []
-            for w in frontier:
-                self.allowed.append(w)
-                if len(self.allowed) > WORD_CAP:
-                    raise OracleSizeError(f"more than {WORD_CAP} words in the path space")
+            nxt: list[tuple[Word, Optional[int]]] = []
+            for w, tag in frontier:
+                words.append((w, tag))
+                if tag is None:
+                    self.allowed.append(w)
+                    if len(self.allowed) > WORD_CAP:
+                        raise OracleSizeError(f"more than {WORD_CAP} words in the path space")
                 if len(w[1]) >= self.maxlen:
                     continue
                 for a in self.quiver.arrows_from.get(self.word_target(w), ()):
                     arrows = w[1] + (self.quiver.arrow_index[a],)
                     n = len(arrows)
-                    if not any(length <= n and arrows[n - length:] in monos
-                               for length, monos in monomials.items()):
-                        nxt.append((w[0], arrows))
+                    t = tag
+                    for length, monos in monomials.items():
+                        if length <= n:
+                            hit = monos.get(arrows[n - length:])
+                            if hit is not None:
+                                if hit == FORBIDDEN or t not in (None, hit):
+                                    break
+                                t = hit
+                    else:
+                        nxt.append(((w[0], arrows), t))
             frontier = nxt
+        return words
 
     @staticmethod
     def _column_key(w: Word):
         return (len(w[1]), w[0], w[1])
 
-    def _reduce(self, two_term: list[Relation]):
+    def _reduce(self, words: list[tuple[Word, Optional[int]]], two_term: list[Relation]):
         """Row reduce one sparse row per translate u*r*v of a two-term
-        relation in one ``rref`` call.  The allowed words are numbered from
-        the largest ``_column_key`` down, so each reduced row pivots on its
-        longest word, and a pivot word is minus the rest of its row."""
+        relation.  The allowed words are numbered from the largest
+        ``_column_key`` down, so each reduced row pivots on its longest
+        word, and a pivot word is minus the rest of its row; the tagged
+        words are numbered after them.
+
+        Without kind-two relation k, the words are the allowed ones and
+        those tagged k, and each translate's row keeps its entries there.
+        The rows with no tagged entry are common to every such algebra and
+        to this one: one forward step puts them into one pivot dict.  Each
+        verdict of ``redundant`` inserts the other rows, kept to the
+        allowed words and those tagged k, into a copy of that dict
+        (``_forward`` changes no pivot row, so a shallow copy will do) and
+        asks whether the unit row of k's monomial enlarges the span.  This algebra keeps only the allowed entries of
+        the other rows, and its back-substitution in ``rref`` runs last,
+        since it rewrites the shared pivot rows in place."""
         f = self.field
         by_source: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
         by_target: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
-        for w in self.allowed:
+        for w, _ in words:
             by_source[w[0]].append(w)
             by_target[self.word_target(w)].append(w)
         order = sorted(self.allowed, key=self._column_key, reverse=True)
         self._column = column = {w: j for j, w in enumerate(order)}
-        rows: list[dict] = []
+        n_allowed = len(order)
+        columns = dict(column)
+        tag_at: list[int] = []  # the tag of column n_allowed + i
+        for w, tag in words:
+            if tag is not None:
+                columns[w] = n_allowed + len(tag_at)
+                tag_at.append(tag)
+        common: list[dict] = []
+        tagged: list[dict] = []  # the rows with an entry on a tagged word
         for r in two_term:
             terms = [(f.from_fraction(c), self._path_key(p)) for c, p in r.terms]
             min_len = min(len(t[1]) for t in terms)
             for u in by_target[r.source]:
                 lu = len(u[1])
                 if lu + min_len > self.maxlen:
-                    continue
+                    break
                 for v in by_source[r.target]:
                     if lu + min_len + len(v[1]) > self.maxlen:
-                        continue
+                        break
                     row: dict = {}
                     for coeff, mid in terms:
-                        j = column.get((u[0], u[1] + mid + v[1]))
+                        j = columns.get((u[0], u[1] + mid + v[1]))
                         if j is not None:
                             row[j] = f.add(row.get(j, f.zero), coeff)
-                    rows.append({j: x for j, x in row.items() if not f.is_zero(x)})
-        red, pivots = linalg.rref(rows, f)
-        self._pivot_rows: dict[int, dict] = dict(zip(pivots, red))
+                    row = {j: x for j, x in row.items() if not f.is_zero(x)}
+                    (tagged if row and max(row) >= n_allowed else common).append(row)
+
+        def keep(row: dict, tag: Optional[int]) -> dict:
+            """The row's entries on the allowed words and those tagged ``tag``."""
+            return {j: x for j, x in row.items()
+                    if j < n_allowed or tag_at[j - n_allowed] == tag}
+
+        pivots: dict = {}
+        linalg._forward(pivots, common, f)
+        self.redundant: dict[int, bool] = {}
+        for k, r in enumerate(self.relations):
+            if r.kind != "two":
+                continue
+            p = r.terms[0][1]
+            j = columns.get((p.source, self._path_key(p)))
+            if j is None:  # the monomial is zero there without relation k
+                self.redundant[k] = True
+                continue
+            span = dict(pivots)
+            linalg._forward(span, [keep(row, k) for row in tagged], f)
+            size = len(span)
+            linalg._forward(span, [{j: f.one}], f)
+            self.redundant[k] = len(span) == size
+        red, pivot_cols = linalg.rref([keep(row, None) for row in tagged], f, pivots)
+        self._pivot_rows: dict[int, dict] = dict(zip(pivot_cols, red))
         self.basis: list[Word] = [w for w in reversed(order)
                                   if column[w] not in self._pivot_rows]
         self.basis_index: dict[Word, int] = {w: i for i, w in enumerate(self.basis)}
@@ -309,7 +386,8 @@ def expected_projective_dims(g: BrauerGraph) -> dict[str, int]:
 
 def is_redundant_relation(pres: Presentation, index: int, field=QQ) -> bool:
     """Ideal-membership test: can relation ``index`` be omitted from the
-    generating set?  Exactly when it holds in the algebra of the others."""
+    generating set?  Exactly when it holds in the algebra of the others,
+    which is built here; the reference for ``FiniteDimAlgebra.redundant``."""
     others = [r for i, r in enumerate(pres.all_relations) if i != index]
     return FiniteDimAlgebra(pres, field, others).relation_holds(pres.all_relations[index])
 

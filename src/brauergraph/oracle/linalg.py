@@ -55,15 +55,17 @@ def _forward(pivots: dict, rows: Iterable, f) -> None:
             _subtract(r, r[c], p, f)
 
 
-def rref(rows: Iterable, field) -> tuple[list[dict], list]:
+def rref(rows: Iterable, field, pivots: Optional[dict] = None) -> tuple[list[dict], list]:
     """Reduced row echelon form; returns the nonzero rows and pivot columns,
-    in increasing pivot order.
+    in increasing pivot order.  ``pivots``, when given, holds rows already
+    put through ``_forward``, and the forward step starts from them; the
+    dict and its rows are rewritten in place.
 
     After the forward step, back-substitution runs from the last pivot row
     up: every pivot row below the current one is already reduced, so
     clearing one of its pivot columns touches no other pivot column."""
     f = field
-    pivots: dict = {}
+    pivots = {} if pivots is None else pivots
     _forward(pivots, rows, f)
     cols = sorted(pivots)
     for c in reversed(cols):

@@ -6,6 +6,12 @@ be injected - flipping one differential sign, dropping one relation from
 the oracle's algebra - to confirm that the harness actually detects
 corruption.
 
+The graph is presented once per ``verify_graph`` call, and the oracle's
+algebra is built once from that presentation; the minimal-generator check
+reads the algebra's verdict on each kind-two relation
+(``FiniteDimAlgebra.redundant``).  Under a drop fault those verdicts come
+from a second algebra, of the full presentation.
+
 Each simple is resolved once per ``verify_graph`` call: one oracle walk
 (``ProjResolution.from_oracle``, grown to the deepest degree any check
 reads), one string trace and one combinatorial complex per edge, shared
@@ -37,7 +43,7 @@ from ..resolution import (
     obstruction_element,
 )
 from ..strings import dimension, iterate_syzygy, realize, syzygy
-from .algebra import build_algebra, expected_projective_dims, is_redundant_relation
+from .algebra import build_algebra, expected_projective_dims
 from .ext import (
     ExtElement,
     ProjResolution,
@@ -148,14 +154,16 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
             report.add("selfinjectivity",
                        f"projective at {e} has top {dict(top)} and socle {dict(soc)}")
 
-    # minimal generating set against ideal membership
+    # minimal generating set against ideal membership, read off an algebra
+    # of the full presentation: dropping a relation renumbers the others
     if not pres.a2_case:
+        verdicts = (la if drop is None else build_algebra(pres, field_obj)).redundant
         retained_ids = {id(r) for r in pres.minimal_relations}
         for i, r in enumerate(pres.all_relations):
             if r.kind != "two":
                 continue
             retained = id(r) in retained_ids
-            redundant = is_redundant_relation(pres, i, field_obj)
+            redundant = verdicts[i]
             if retained == redundant:
                 report.add(
                     "minimal-generators",
@@ -165,7 +173,7 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
                 )
 
     # classification consistency
-    kr = koszul_report(g)
+    kr = koszul_report(g, pres)
     h = kr.homogeneity
     if (h.kind == "Quadratic") != quadratic_family_check(g):
         report.add("classification",

@@ -308,9 +308,10 @@ def present(g: BrauerGraph) -> Presentation:
     return Presentation(g, q, rels, minimal, q.a2_case)
 
 
-def homogeneity(g: BrauerGraph) -> Homogeneity:
-    """Classify the multiset of lengths in a minimal generating set."""
-    pres = present(g)
+def homogeneity(g: BrauerGraph, pres: Optional[Presentation] = None) -> Homogeneity:
+    """Classify the multiset of lengths in a minimal generating set;
+    ``pres``, when given, is the presentation of ``g``."""
+    pres = pres or present(g)
     lengths: set[int] = set()
     for r in pres.minimal_relations:
         if not r.is_length_homogeneous():

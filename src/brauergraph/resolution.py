@@ -371,15 +371,20 @@ def generation_certificate(g: BrauerGraph, elem: CanonicalExtElement) -> Generat
     chain = _Chain(g, elem.source, n)
     if elem.target != chain.edge[i]:
         raise HypothesisError("element target does not match the resolution summand")
+
+    def canon(m: int, j: int) -> CanonicalExtElement:
+        # _Chain(g, elem.source, m) for m <= n is a prefix of this chain
+        return CanonicalExtElement(elem.source, m, j, chain.edge[j])
+
     if n <= 1 or (n == 2 and i == 0):
         return GenerationCertificate(elem)
     if i == 0:  # n even >= 4
-        left = generation_certificate(g, _canon(g, elem.source, n - 2, 0))
-        right = GenerationCertificate(_canon(g, elem.source, 2, 0))
+        left = generation_certificate(g, canon(n - 2, 0))
+        right = GenerationCertificate(canon(2, 0))
         return GenerationCertificate(elem, (left, right))
     if n % 2 == 1 and i in (1, -1):
-        left = generation_certificate(g, _canon(g, elem.source, n - 1, 0))
-        right = GenerationCertificate(_canon(g, elem.source, 1, i))
+        left = generation_certificate(g, canon(n - 1, 0))
+        right = GenerationCertificate(canon(1, i))
         return GenerationCertificate(elem, (left, right))
     step = 1 if i > 0 else -1
     mid_edge = chain.edge[i - step]
@@ -387,16 +392,11 @@ def generation_certificate(g: BrauerGraph, elem: CanonicalExtElement) -> Generat
     # half-edge actually used, which disambiguates loops and multiple edges
     exit_h = chain.exit_half(i - step, step)
     side = 1 if exit_h.end == 1 else -1
-    left = generation_certificate(g, _canon(g, elem.source, n - 1, i - step))
+    left = generation_certificate(g, canon(n - 1, i - step))
     right = GenerationCertificate(
         CanonicalExtElement(mid_edge, 1, side, chain.edge[i])
     )
     return GenerationCertificate(elem, (left, right))
-
-
-def _canon(g: BrauerGraph, source: str, n: int, i: int) -> CanonicalExtElement:
-    chain = _Chain(g, source, n)
-    return CanonicalExtElement(source, n, i, chain.edge[i])
 
 
 # ----------------------------------------------------------------------

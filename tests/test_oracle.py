@@ -41,7 +41,7 @@ from brauergraph.oracle.modules import (
     projective_cover,
     projective_module,
 )
-from brauergraph.presentation import present
+from brauergraph.presentation import Presentation, present
 from brauergraph.resolution import explicit_resolver, resolve_simple
 from conftest import desk_graphs, pendant_triangle
 
@@ -410,6 +410,33 @@ def test_redundancy(a4, a3, triangle):
             if r.kind == "two":
                 assert not is_redundant_relation(p3, i, field)
         assert not any(is_redundant_relation(pt, i, field) for i in range(9)), field
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["Q", "F2", "F3"])
+def test_kind_two_verdicts_match_the_reference(field):
+    """The algebra's verdict on each kind-two relation, read off its shared
+    elimination, equals ``is_redundant_relation``, which builds the algebra
+    of the other relations: over census(3,2) and the desk graphs, and over
+    the desk graphs with any one relation dropped, where some translates
+    have entries both on allowed and on tagged words."""
+    seen = Counter()
+    for g in census(3, 2):
+        pres = present(g)
+        verdicts = build_algebra(pres, field).redundant
+        assert set(verdicts) == {i for i, r in enumerate(pres.all_relations)
+                                 if r.kind == "two"}
+        for i, redundant in verdicts.items():
+            assert redundant == is_redundant_relation(pres, i, field), (g, i)
+            seen[redundant] += 1
+    # 62 redundant; 20 essential, and the square of the single-edge graph's loop
+    assert seen == {True: 62, False: 21}
+    for name, g in desk_graphs():
+        pres = present(g)
+        for drop in [None, *range(len(pres.all_relations))]:
+            kept = [r for i, r in enumerate(pres.all_relations) if i != drop]
+            sub = Presentation(g, pres.quiver, kept, kept, pres.a2_case)
+            for i, redundant in build_algebra(pres, field, kept).redundant.items():
+                assert redundant == is_redundant_relation(sub, i, field), (name, drop, i)
 
 
 def test_oracle_syzygy_chain(a4):

@@ -1,5 +1,9 @@
+import sys
+from collections import Counter
+
 import pytest
 
+from brauergraph import presentation
 from brauergraph.census import census
 from brauergraph.graph import cycle_graph, triangle_graph
 from brauergraph.oracle import ext, linalg, modules
@@ -49,6 +53,36 @@ def test_drop_fault_detected(triangle):
     for k in range(pres_len):
         rep = verify_graph(triangle, max_degree=2, fault=Fault(drop_relation=k))
         assert not rep.ok, k
+
+
+def test_one_presentation_and_one_algebra_per_call(monkeypatch):
+    """``verify_graph`` presents the graph once and builds one algebra,
+    whose minimal-generator verdicts it reads; a drop fault adds the
+    algebra of the full presentation, since the faulted one answers for
+    other relations.  The single-edge trivial graph, which has no
+    minimal-generator check, is left out."""
+    calls = Counter()
+    present, init = presentation.present, FiniteDimAlgebra.__init__
+
+    def counted_present(g):
+        calls["present"] += 1
+        return present(g)
+
+    def counted_init(self, *args, **kwargs):
+        calls["algebra"] += 1
+        init(self, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("brauergraph") and getattr(module, "present", None) is present:
+            monkeypatch.setattr(module, "present", counted_present)
+    monkeypatch.setattr(FiniteDimAlgebra, "__init__", counted_init)
+    graphs = [g for g in census(3, 2) if not g.is_a2_trivial()]
+    assert len(graphs) == 139
+    for fault, algebras in [(None, 1), (Fault(drop_relation=0), 2)]:
+        for g in graphs:
+            calls.clear()
+            assert verify_graph(g, max_degree=2, fault=fault).ok == (fault is None)
+            assert calls == {"present": 1, "algebra": algebras}, (g, fault)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["q", "f2"])
