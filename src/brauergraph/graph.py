@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -120,6 +121,7 @@ class BrauerGraph:
         for v, halves in self.rotation.items():
             for i, h in enumerate(halves):
                 self._position.setdefault(h, (v, i))
+        self._truncated_ends: dict[str, tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -188,21 +190,27 @@ class BrauerGraph:
         return self.valency(v) == 1 and self.multiplicity(v) == 1
 
     def truncated_ends(self, e: str) -> tuple[str, ...]:
-        a, b = self.ends(e)
-        out = []
-        for v in (a, b) if a != b else (a,):
-            if self.is_truncated(e, v):
-                out.append(v)
-        return tuple(out)
+        """The ends at which ``e`` is truncated, from a table filled on first
+        use: ``is_truncated`` runs once per edge end and graph."""
+        ends = self._truncated_ends.get(e)
+        if ends is None:
+            a, b = self.ends(e)
+            ends = tuple(v for v in ((a, b) if a != b else (a,)) if self.is_truncated(e, v))
+            self._truncated_ends[e] = ends
+        return ends
 
     def edge_is_truncated(self, e: str) -> bool:
         return bool(self.truncated_ends(e))
 
+    @cached_property
+    def _truncated_edge_count(self) -> int:
+        return sum(self.edge_is_truncated(e) for e in self.edge_ids)
+
     def has_truncated_edge(self) -> bool:
-        return any(self.edge_is_truncated(e) for e in self.edge_ids)
+        return self._truncated_edge_count > 0
 
     def has_nontruncated_edge(self) -> bool:
-        return any(not self.edge_is_truncated(e) for e in self.edge_ids)
+        return self._truncated_edge_count < len(self.edge_ids)
 
     def successor_half(self, h: HalfEdge) -> HalfEdge:
         v, i = self.position(h)
@@ -238,7 +246,7 @@ class BrauerGraph:
         """Edges around ``v`` in cyclic order starting at ``e`` (loops twice)."""
         if not self.incident(e, v):
             raise BrauerGraphError(f"edge {e!r} is not incident with vertex {v!r}")
-        if self.is_truncated(e, v):
+        if v in self.truncated_ends(e):
             raise BrauerGraphError(
                 f"edge {e!r} is truncated at {v!r}; no successor sequence there"
             )
@@ -250,7 +258,7 @@ class BrauerGraph:
 
     def occurs_in_successor_sequence(self, t: str, s: str, v: str) -> bool:
         """True when ``t`` appears (other than in position 0) around ``v`` seen from ``s``."""
-        if not self.incident(s, v) or self.is_truncated(s, v):
+        if not self.incident(s, v) or v in self.truncated_ends(s):
             return False
         if self.is_loop(s) or self.is_loop(t):
             raise BrauerGraphError("occurrence test requires non-loop edges")
@@ -291,7 +299,7 @@ class BrauerGraph:
             raise HypothesisError(f"edge {e!r} is not truncated at either endpoint")
         alpha = trunc[0]
         beta = self.other_end(e, alpha)
-        if self.is_truncated(e, beta):
+        if beta in trunc:
             raise HypothesisError(
                 "walk undefined on the single-edge graph with trivial multiplicities"
             )
@@ -303,7 +311,7 @@ class BrauerGraph:
         cap = 4 * len(self.edge_ids) + 4
         while True:
             exit_v = self.other_end(cur, shared)
-            if self.is_truncated(cur, exit_v):
+            if exit_v in self.truncated_ends(cur):
                 break
             nxt, v = self.follows(prev, cur, shared)
             prev, cur, shared = cur, nxt, v

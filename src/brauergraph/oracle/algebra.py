@@ -165,7 +165,10 @@ class FiniteDimAlgebra:
         verdict of ``redundant`` inserts the other rows, kept to the
         allowed words and those tagged k, into a copy of that dict
         (``_forward`` changes no pivot row, so a shallow copy will do) and
-        asks whether the unit row of k's monomial enlarges the span.  This algebra keeps only the allowed entries of
+        asks whether the unit row of k's monomial enlarges the span.  The
+        restriction matters when one translate touches words of two tags,
+        as the commutation relation does when both its monomials are
+        kind-two relations.  This algebra keeps only the allowed entries of
         the other rows, and its back-substitution in ``rref`` runs last,
         since it rewrites the shared pivot rows in place."""
         f = self.field

@@ -21,9 +21,23 @@ A degree-n cohomology element of the simple at s is a functional on the
 generators of the n-th projective in a fixed resolution of s; the basis
 dual to the generators is the canonical basis.  Products are computed by
 lifting one factor through the resolution of its target and composing.
+
+Lifts are kept.  The lift is linear in the class (psi_0 is, composing is,
+and ``linalg.solve_left`` returns the solution supported on the pivot
+columns, which is linear in its right-hand side), so each resolution keeps
+in ``lifts`` the levels of the lift of each of its basis classes, keyed by
+(degree, generator index, target resolution), and solves a level only past
+the deepest one kept.  ``lift_through`` of a general class is the sum of
+c_i times the kept levels of its basis classes e_i, equal to lifting it
+whole, and ``yoneda_multiply`` is bilinear: it reads y off level
+``y.degree`` of each e_i's lift and sums over the coefficients of x.  A
+lift through a complex that is not exact fails with the same
+``RuntimeError`` at the level that cannot be solved.
+
 The subalgebra generated in low degrees is closed degree by degree from
 its generators: each new span is the products of a lower span with one
-generator (``_closure_spans``).
+generator (``_closure_spans``), so each generator g is lifted once, to
+depth N - deg g, however many products read it.
 """
 from __future__ import annotations
 
@@ -62,6 +76,9 @@ class ProjResolution:
         self.summands: list[list[tuple[str, Optional[int], Optional[int]]]] = []
         self.syzygies: list[Module] = []
         self._inclusion: Optional[ModuleMap] = None  # last syzygy -> Q^{n-1}
+        # the levels psi_0, psi_1, ... of the lift of each basis class, kept
+        # by lift_through: (degree, generator index, target resolution) -> levels
+        self.lifts: dict[tuple[int, int, ProjResolution], list[ModuleMap]] = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -198,69 +215,104 @@ def lift_through(x: ExtElement, target_res: ProjResolution, m: int) -> ModuleMap
     """Chain map Q^{n+m} of the source resolution -> Q^m of the target's.
 
     Every coefficient of ``x`` must sit on a summand whose edge is the
-    target resolution's simple.
+    target resolution's simple.  The lift is linear in ``x``: it is the
+    sum of c_i times the lift of the basis class e_i over the nonzero
+    coefficients c_i.  The levels of each basis class's lift are kept on
+    ``x.res`` and solved only past the deepest level kept; for a basis
+    class the kept level itself is returned.
     """
-    la = x.res.la
-    f = la.field
-    n = x.degree
-    src = x.res
-    t = target_res.source
-    for i, c in x.coeffs.items():
-        if not f.is_zero(c) and src.summands[n][i][0] != t:
+    src, n = x.res, x.degree
+    f = src.la.field
+    terms = [(i, c) for i, c in x.coeffs.items() if not f.is_zero(c)]
+    for i, _ in terms:
+        if src.summands[n][i][0] != target_res.source:
             raise ValueError("element does not map into the requested simple")
+    levels = [_extend_lift(src, n, i, target_res, m)[m] for i, _ in terms]
+    if len(terms) == 1 and terms[0][1] == f.one:
+        return levels[0]
+    qm = target_res.modules[m]
+    images = [[f.zero] * qm.dim(e) for e, _ in src.modules[n + m].generators]
+    for (_, c), psi in zip(terms, levels):
+        for image, row in zip(images, psi.images):
+            for k, y in enumerate(row):
+                if not f.is_zero(y):
+                    image[k] = f.add(image[k], f.mul(c, y))
+    return map_from_generators(src.modules[n + m], qm, images)
 
-    # psi_0 sends each generator to its coefficient times the generator of
-    # the target's Q^0, and a generator at another edge to zero
-    q0 = target_res.modules[0]
-    _, t_gen = q0.generators[0]
-    images = []
-    for i, (e, _) in enumerate(src.modules[n].generators):
-        image = [f.zero] * q0.dim(e)
-        if e == t:
-            image[t_gen] = x.coeffs.get(i, f.zero)
-        images.append(image)
-    psi = map_from_generators(src.modules[n], q0, images)
-    for k in range(1, m + 1):
-        # composing reads psi's blocks, so every level but the last builds them
-        rhs = src.maps[n + k].compose(psi)
-        g = target_res.maps[k]
-        generators = src.modules[n + k].generators
-        # one system per vertex: every generator there solves against g's block
-        by_vertex: dict[str, list[int]] = {}
-        for j, (gv, _) in enumerate(generators):
-            by_vertex.setdefault(gv, []).append(j)
-        images: list = [None] * len(generators)
-        for gv, js in by_vertex.items():
-            ys = linalg.solve_left(
-                g.blocks[gv], [rhs.images[j] for j in js], f)
-            if ys is None:
-                raise RuntimeError("comparison lifting failed; complex not exact?")
-            for j, y in zip(js, ys):
-                images[j] = y
-        psi = map_from_generators(src.modules[n + k], target_res.modules[k], images)
-    return psi
+
+def _extend_lift(src: ProjResolution, n: int, i: int, target_res: ProjResolution,
+                 m: int) -> list[ModuleMap]:
+    """The levels 0..m (at least) of the lift of basis class i of degree n
+    of ``src`` through ``target_res``, kept in ``src.lifts``; only the
+    levels past the deepest kept one are solved."""
+    levels = src.lifts.setdefault((n, i, target_res), [])
+    if not levels:
+        # psi_0 sends generator i to the generator of the target's Q^0 and
+        # every other generator to zero
+        f = src.la.field
+        q0 = target_res.modules[0]
+        images = [[f.zero] * q0.dim(e) for e, _ in src.modules[n].generators]
+        images[i][q0.generators[0][1]] = f.one
+        levels.append(map_from_generators(src.modules[n], q0, images))
+    for k in range(len(levels), m + 1):
+        levels.append(_lift_level(src, n, i, target_res, k, levels[-1]))
+    return levels
+
+
+def _lift_level(src: ProjResolution, n: int, i: int, target_res: ProjResolution,
+                k: int, psi: ModuleMap) -> ModuleMap:
+    """Level k of the lift of basis class i of degree n, from level k - 1
+    ``psi``: each generator of Q^{n+k} goes to a solution against the
+    target's differential of its image under the differential and ``psi``."""
+    f = src.la.field
+    # composing reads psi's blocks, so every level but the deepest builds them
+    rhs = src.maps[n + k].compose(psi)
+    g = target_res.maps[k]
+    generators = src.modules[n + k].generators
+    # one system per vertex: every generator there solves against g's block
+    by_vertex: dict[str, list[int]] = {}
+    for j, (gv, _) in enumerate(generators):
+        by_vertex.setdefault(gv, []).append(j)
+    images: list = [None] * len(generators)
+    for gv, js in by_vertex.items():
+        ys = linalg.solve_left(g.blocks[gv], [rhs.images[j] for j in js], f)
+        if ys is None:
+            raise RuntimeError("comparison lifting failed; complex not exact?")
+        for j, y in zip(js, ys):
+            images[j] = y
+    return map_from_generators(src.modules[n + k], target_res.modules[k], images)
 
 
 def yoneda_multiply(y: ExtElement, x: ExtElement) -> ExtElement:
-    """Composite class y o x where x ends at the simple y starts from."""
-    f = x.res.la.field
-    out: dict[int, object] = {}
+    """Composite class y o x where x ends at the simple y starts from.
+
+    The product is bilinear: it is the sum, over the nonzero coefficients
+    c_i of ``x``, of c_i times ``y`` read off level ``y.degree`` of the
+    kept lift of the basis class e_i.  A level not kept yet is lifted by
+    ``lift_through``."""
+    src, n, m = x.res, x.degree, y.degree
+    f = src.la.field
     for t in x.targets():
         if y.res.source != t:
             raise ValueError("factors not composable")
-    psi = lift_through(x, y.res, y.degree)
-    for j, (gv, _) in enumerate(x.res.modules[x.degree + y.degree].generators):
-        row = psi.images[j]
-        total = f.zero
-        for i, c in y.coeffs.items():
-            if f.is_zero(c):
-                continue
-            tgv, tgi = y.res.modules[y.degree].generators[i]
-            if tgv == gv:
-                total = f.add(total, f.mul(c, row[tgi]))
-        if not f.is_zero(total):
-            out[j] = total
-    return ExtElement(x.res, x.degree + y.degree, out)
+    y_gens = y.res.modules[m].generators
+    y_terms = [(y_gens[i], c) for i, c in y.coeffs.items() if not f.is_zero(c)]
+    generators = src.modules[n + m].generators
+    totals = [f.zero] * len(generators)
+    for i, a in x.coeffs.items():
+        if f.is_zero(a):
+            continue
+        levels = src.lifts.get((n, i, y.res), ())
+        psi = (levels[m] if len(levels) > m
+               else lift_through(ExtElement(src, n, {i: f.one}), y.res, m))
+        for j, (gv, _) in enumerate(generators):
+            row = psi.images[j]
+            total = f.zero
+            for (tgv, tgi), c in y_terms:
+                if tgv == gv:
+                    total = f.add(total, f.mul(c, row[tgi]))
+            totals[j] = f.add(totals[j], f.mul(a, total))
+    return ExtElement(src, n + m, {j: c for j, c in enumerate(totals) if not f.is_zero(c)})
 
 
 def generated_subalgebra_dims(resolutions: dict[str, ProjResolution],

@@ -16,6 +16,12 @@ Each simple is resolved once per ``verify_graph`` call: one oracle walk
 (``ProjResolution.from_oracle``, grown to the deepest degree any check
 reads), one string trace and one combinatorial complex per edge, shared
 by every check that reads them.
+
+The certificate check reads every certificate of an edge off one
+follows-chain (``resolution.edge_certificates``), evaluates each element
+once, and its Yoneda products, like the closure of the obstruction check,
+read the lifts that the resolutions keep: each level of each basis
+class's lift is solved once per call.
 """
 from __future__ import annotations
 
@@ -33,12 +39,10 @@ from ..graph import (
 )
 from ..presentation import present
 from ..resolution import (
-    CanonicalExtElement,
-    _Chain,
     delta,
+    edge_certificates,
     explicit_resolver,
     ext_dim,
-    generation_certificate,
     generation_degrees,
     obstruction_element,
 )
@@ -307,11 +311,9 @@ def _check_certificates(report: DiffReport, g, la, cert_cap: int, resolutions):
     f = la.field
     products = {}
     for e in g.edge_ids:
-        chain = _Chain(g, e, cert_cap)
+        certs = edge_certificates(g, e, cert_cap)
         for n in range(1, cert_cap + 1):
-            for i in range(-n, n + 1, 2):
-                elem = CanonicalExtElement(e, n, i, chain.edge[i])
-                cert = generation_certificate(g, elem)
+            for i, cert in certs[n].items():
                 value = _evaluate(cert, resolutions, products)
                 target = canonical_element(resolutions[e], n, i)
                 if not _scalar_multiple(value, target, f):

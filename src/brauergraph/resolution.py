@@ -319,7 +319,7 @@ def graded_generation_degrees(g: BrauerGraph, e: str, n_max: int) -> list[set[in
 
     def socle_depth(edge: str) -> int:
         for v in set(g.ends(edge)):
-            if not g.is_truncated(edge, v):
+            if v not in g.truncated_ends(edge):
                 return g.valency(v) * g.multiplicity(v)
         raise HypothesisError("edge truncated at both ends has no string syzygies")
 
@@ -355,7 +355,18 @@ def graded_generation_degrees(g: BrauerGraph, e: str, n_max: int) -> list[set[in
 
 
 def generation_certificate(g: BrauerGraph, elem: CanonicalExtElement) -> GenerationCertificate:
-    """Factor a canonical cohomology element into degree-one/two leaves.
+    """Factor a canonical cohomology element into degree-one/two leaves;
+    the certificate is the one ``edge_certificates`` builds for it."""
+    cert = edge_certificates(g, elem.source, elem.degree)[elem.degree][elem.position]
+    if cert.element != elem:
+        raise HypothesisError("element target does not match the resolution summand")
+    return cert
+
+
+def edge_certificates(g: BrauerGraph, e: str,
+                      n_max: int) -> list[dict[int, GenerationCertificate]]:
+    """The certificates of every canonical class of the simple at ``e`` in
+    degrees 0..n_max: entry n maps each position to its certificate.
 
     A leaf is a degree-one class or the degree-two class at position zero;
     positions +-2 in degree two are products of two degree-one classes.
@@ -364,39 +375,36 @@ def generation_certificate(g: BrauerGraph, elem: CanonicalExtElement) -> Generat
     at zero.  Odd degree n at position +-1: the class of degree n - 1 at
     position zero times the degree-one class at +-1 of the start simple
     itself (the displayed identity).
+
+    All of them are read off one chain, degree by degree, so the left
+    factor of each certificate is the lower-degree certificate already
+    built, not a copy of it.
     """
     if g.has_truncated_edge():
         raise HypothesisError("certificates require a graph with no truncated edges")
-    n, i = elem.degree, elem.position
-    chain = _Chain(g, elem.source, n)
-    if elem.target != chain.edge[i]:
-        raise HypothesisError("element target does not match the resolution summand")
-
-    def canon(m: int, j: int) -> CanonicalExtElement:
-        # _Chain(g, elem.source, m) for m <= n is a prefix of this chain
-        return CanonicalExtElement(elem.source, m, j, chain.edge[j])
-
-    if n <= 1 or (n == 2 and i == 0):
-        return GenerationCertificate(elem)
-    if i == 0:  # n even >= 4
-        left = generation_certificate(g, canon(n - 2, 0))
-        right = GenerationCertificate(canon(2, 0))
-        return GenerationCertificate(elem, (left, right))
-    if n % 2 == 1 and i in (1, -1):
-        left = generation_certificate(g, canon(n - 1, 0))
-        right = GenerationCertificate(canon(1, i))
-        return GenerationCertificate(elem, (left, right))
-    step = 1 if i > 0 else -1
-    mid_edge = chain.edge[i - step]
-    # the side of mid's own resolution continuing the chain is read off the
-    # half-edge actually used, which disambiguates loops and multiple edges
-    exit_h = chain.exit_half(i - step, step)
-    side = 1 if exit_h.end == 1 else -1
-    left = generation_certificate(g, canon(n - 1, i - step))
-    right = GenerationCertificate(
-        CanonicalExtElement(mid_edge, 1, side, chain.edge[i])
-    )
-    return GenerationCertificate(elem, (left, right))
+    chain = _Chain(g, e, n_max)
+    certs: list[dict[int, GenerationCertificate]] = []
+    for n in range(n_max + 1):
+        level: dict[int, GenerationCertificate] = {}
+        for i in range(-n, n + 1, 2):
+            elem = CanonicalExtElement(e, n, i, chain.edge[i])
+            if n <= 1 or (n == 2 and i == 0):
+                factors: tuple = ()
+            elif i == 0:  # n even >= 4
+                factors = (certs[n - 2][0], certs[2][0])
+            elif n % 2 == 1 and i in (1, -1):
+                factors = (certs[n - 1][0], certs[1][i])
+            else:
+                step = 1 if i > 0 else -1
+                # the side of mid's own resolution continuing the chain is read
+                # off the half-edge actually used, which disambiguates loops
+                # and multiple edges
+                side = 1 if chain.exit_half(i - step, step).end == 1 else -1
+                mid = CanonicalExtElement(chain.edge[i - step], 1, side, chain.edge[i])
+                factors = (certs[n - 1][i - step], GenerationCertificate(mid))
+            level[i] = GenerationCertificate(elem, factors)
+        certs.append(level)
+    return certs
 
 
 # ----------------------------------------------------------------------

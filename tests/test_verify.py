@@ -3,10 +3,10 @@ from collections import Counter
 
 import pytest
 
-from brauergraph import presentation
+from brauergraph import presentation, resolution
 from brauergraph.census import census
-from brauergraph.graph import cycle_graph, triangle_graph
-from brauergraph.oracle import ext, linalg, modules
+from brauergraph.graph import BrauerGraph, cycle_graph, triangle_graph
+from brauergraph.oracle import ext, linalg, modules, verify
 from brauergraph.oracle.algebra import FiniteDimAlgebra
 from brauergraph.oracle.fields import QQ, PrimeField
 from brauergraph.oracle.verify import Fault, verify_graph
@@ -128,13 +128,14 @@ def test_each_simple_resolved_once(monkeypatch, g, max_degree, covers, complexes
 
 
 @pytest.mark.parametrize("g, max_degree, solves", [
-    (triangle_graph(), 8, 108),
-    (cycle_graph(6), 8, 216),
-    (pendant_triangle(), 6, 733),
+    (triangle_graph(), 8, 90),
+    (cycle_graph(6), 8, 180),
+    (pendant_triangle(), 6, 253),
 ], ids=["triangle@8", "cycle6@8", "pendant_triangle@6"])
 def test_solve_left_calls(monkeypatch, g, max_degree, solves):
     """Only lifting solves linear systems: ``kernel_module`` reads the
-    syzygy action off the reduced kernel basis and solves none."""
+    syzygy action off the reduced kernel basis and solves none, and each
+    level of a basis class's lift is solved once."""
     calls = {"all": 0, "in_kernel": 0}
     inside = [0]
     solve_left, kernel = linalg.solve_left, modules.kernel_module
@@ -194,3 +195,70 @@ def test_projective_rows_built_once(monkeypatch, g, max_degree, products):
     pairs = sum(len(la.quiver.arrows_from[la.word_target(w)])
                 for la in algebras for w in la.basis)
     assert len(calls) <= pairs
+
+
+@pytest.mark.parametrize("g, max_degree", [
+    (triangle_graph(), 8),
+    (cycle_graph(6), 8),
+    (pendant_triangle(), 6),
+], ids=["triangle@8", "cycle6@8", "pendant_triangle@6"])
+def test_each_lift_level_solved_once(monkeypatch, g, max_degree):
+    """Every (resolution, degree, generator, target) lift is kept on its
+    resolution, so each of its levels is solved once per ``verify_graph``:
+    by the certificates on the triangle and the cycle, by the closure on the
+    pendant triangle."""
+    solved = []
+    lift_level = ext._lift_level
+
+    def recorded(src, n, i, target_res, k, psi):
+        solved.append((src, n, i, target_res, k))
+        return lift_level(src, n, i, target_res, k, psi)
+
+    monkeypatch.setattr(ext, "_lift_level", recorded)
+    assert verify_graph(g, max_degree=max_degree).ok
+    assert solved
+    assert len(solved) == len(set(solved))
+
+
+@pytest.mark.parametrize("g", [triangle_graph(), cycle_graph(6), cycle_graph(8, 2)],
+                         ids=["triangle", "cycle6", "cycle8_m2"])
+def test_one_chain_per_edge_for_certificates(monkeypatch, g):
+    """``_check_certificates`` reads every certificate of an edge off one
+    follows-chain."""
+    chains = []
+    inside = [0]
+    chain_init, check = resolution._Chain.__init__, verify._check_certificates
+
+    def counted_init(self, g, e, n):
+        if inside[0]:
+            chains.append(e)
+        chain_init(self, g, e, n)
+
+    def marked_check(*args):
+        inside[0] += 1
+        try:
+            return check(*args)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(resolution._Chain, "__init__", counted_init)
+    monkeypatch.setattr(verify, "_check_certificates", marked_check)
+    assert verify_graph(g, max_degree=4).ok
+    assert sorted(chains) == sorted(g.edge_ids)
+
+
+def test_truncation_read_from_a_table(monkeypatch):
+    """``is_truncated`` runs at most once per edge end and graph: every
+    other truncation question of ``verify_graph`` reads the graph's table."""
+    calls = Counter()
+    is_truncated = BrauerGraph.is_truncated
+
+    def counted(self, e, v):
+        calls[id(self)] += 1
+        return is_truncated(self, e, v)
+
+    monkeypatch.setattr(BrauerGraph, "is_truncated", counted)
+    graphs = [g for _, g in desk_graphs()] + list(census(3, 2))
+    for g in graphs:
+        assert verify_graph(g, max_degree=3).ok
+        assert 0 < calls[id(g)] <= 2 * len(g.edge_ids), g.edge_ids
