@@ -26,8 +26,8 @@ Lifts are kept.  The lift is linear in the class (psi_0 is, composing is,
 and ``linalg.solve_left`` returns the solution supported on the pivot
 columns, which is linear in its right-hand side), so each resolution keeps
 in ``lifts`` the levels of the lift of each of its basis classes, keyed by
-(degree, generator index, target resolution), and solves a level only past
-the deepest one kept.  ``lift_through`` of a general class is the sum of
+(degree, generator index, target resolution, held by a weak reference),
+and solves a level only past the deepest one kept.  ``lift_through`` of a general class is the sum of
 c_i times the kept levels of its basis classes e_i, equal to lifting it
 whole, and ``yoneda_multiply`` is bilinear: it reads y off level
 ``y.degree`` of each e_i's lift and sums over the coefficients of x.  A
@@ -41,6 +41,7 @@ depth N - deg g, however many products read it.
 """
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from typing import Optional
 
@@ -77,8 +78,10 @@ class ProjResolution:
         self.syzygies: list[Module] = []
         self._inclusion: Optional[ModuleMap] = None  # last syzygy -> Q^{n-1}
         # the levels psi_0, psi_1, ... of the lift of each basis class, kept
-        # by lift_through: (degree, generator index, target resolution) -> levels
-        self.lifts: dict[tuple[int, int, ProjResolution], list[ModuleMap]] = {}
+        # by lift_through: (degree, generator index, weak reference to the
+        # target resolution) -> levels; a weak key ties no resolution to
+        # another, so no reference cycle outlives a verify call
+        self.lifts: dict[tuple[int, int, weakref.ref], list[ModuleMap]] = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -245,7 +248,7 @@ def _extend_lift(src: ProjResolution, n: int, i: int, target_res: ProjResolution
     """The levels 0..m (at least) of the lift of basis class i of degree n
     of ``src`` through ``target_res``, kept in ``src.lifts``; only the
     levels past the deepest kept one are solved."""
-    levels = src.lifts.setdefault((n, i, target_res), [])
+    levels = src.lifts.setdefault((n, i, weakref.ref(target_res)), [])
     if not levels:
         # psi_0 sends generator i to the generator of the target's Q^0 and
         # every other generator to zero
@@ -302,7 +305,7 @@ def yoneda_multiply(y: ExtElement, x: ExtElement) -> ExtElement:
     for i, a in x.coeffs.items():
         if f.is_zero(a):
             continue
-        levels = src.lifts.get((n, i, y.res), ())
+        levels = src.lifts.get((n, i, weakref.ref(y.res)), ())
         psi = (levels[m] if len(levels) > m
                else lift_through(ExtElement(src, n, {i: f.one}), y.res, m))
         for j, (gv, _) in enumerate(generators):

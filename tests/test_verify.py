@@ -1,3 +1,4 @@
+import gc
 import sys
 from collections import Counter
 
@@ -262,3 +263,18 @@ def test_truncation_read_from_a_table(monkeypatch):
     for g in graphs:
         assert verify_graph(g, max_degree=3).ok
         assert 0 < calls[id(g)] <= 2 * len(g.edge_ids), g.edge_ids
+
+
+def test_verify_leaves_no_reference_cycles():
+    """Kept lifts refer to their target resolutions weakly, so everything a
+    ``verify_graph`` call builds is freed by reference counting when it
+    returns, and a run of many calls does not wait on the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for g, max_degree in [(triangle_graph(), 6), (cycle_graph(8, 2), 4),
+                              (pendant_triangle(), 5)]:
+            assert verify_graph(g, max_degree=max_degree).ok
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
