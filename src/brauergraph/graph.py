@@ -121,7 +121,6 @@ class BrauerGraph:
         for v, halves in self.rotation.items():
             for i, h in enumerate(halves):
                 self._position.setdefault(h, (v, i))
-        self._truncated_ends: dict[str, tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -184,33 +183,32 @@ class BrauerGraph:
     # ------------------------------------------------------------------
     # truncation and successors
 
+    @cached_property
+    def _truncation(self) -> dict[str, tuple[str, ...]]:
+        """Each edge -> the ends at which it is truncated (a vertex of
+        valency and multiplicity one), built once per graph on first use;
+        every truncation question reads it."""
+        return {e: tuple(v for v in dict.fromkeys(self.edge_ends[e])
+                         if self.valency(v) == 1 and self.multiplicity(v) == 1)
+                for e in self.edge_ids}
+
     def is_truncated(self, e: str, v: str) -> bool:
         if not self.incident(e, v):
             raise BrauerGraphError(f"edge {e!r} is not incident with vertex {v!r}")
-        return self.valency(v) == 1 and self.multiplicity(v) == 1
+        return v in self._truncation[e]
 
     def truncated_ends(self, e: str) -> tuple[str, ...]:
-        """The ends at which ``e`` is truncated, from a table filled on first
-        use: ``is_truncated`` runs once per edge end and graph."""
-        ends = self._truncated_ends.get(e)
-        if ends is None:
-            a, b = self.ends(e)
-            ends = tuple(v for v in ((a, b) if a != b else (a,)) if self.is_truncated(e, v))
-            self._truncated_ends[e] = ends
-        return ends
+        self.ends(e)
+        return self._truncation[e]
 
     def edge_is_truncated(self, e: str) -> bool:
         return bool(self.truncated_ends(e))
 
-    @cached_property
-    def _truncated_edge_count(self) -> int:
-        return sum(self.edge_is_truncated(e) for e in self.edge_ids)
-
     def has_truncated_edge(self) -> bool:
-        return self._truncated_edge_count > 0
+        return any(self._truncation.values())
 
     def has_nontruncated_edge(self) -> bool:
-        return self._truncated_edge_count < len(self.edge_ids)
+        return not all(self._truncation.values())
 
     def successor_half(self, h: HalfEdge) -> HalfEdge:
         v, i = self.position(h)
@@ -246,7 +244,7 @@ class BrauerGraph:
         """Edges around ``v`` in cyclic order starting at ``e`` (loops twice)."""
         if not self.incident(e, v):
             raise BrauerGraphError(f"edge {e!r} is not incident with vertex {v!r}")
-        if v in self.truncated_ends(e):
+        if self.is_truncated(e, v):
             raise BrauerGraphError(
                 f"edge {e!r} is truncated at {v!r}; no successor sequence there"
             )
@@ -258,7 +256,7 @@ class BrauerGraph:
 
     def occurs_in_successor_sequence(self, t: str, s: str, v: str) -> bool:
         """True when ``t`` appears (other than in position 0) around ``v`` seen from ``s``."""
-        if not self.incident(s, v) or v in self.truncated_ends(s):
+        if not self.incident(s, v) or self.is_truncated(s, v):
             return False
         if self.is_loop(s) or self.is_loop(t):
             raise BrauerGraphError("occurrence test requires non-loop edges")
@@ -299,7 +297,7 @@ class BrauerGraph:
             raise HypothesisError(f"edge {e!r} is not truncated at either endpoint")
         alpha = trunc[0]
         beta = self.other_end(e, alpha)
-        if beta in trunc:
+        if self.is_truncated(e, beta):
             raise HypothesisError(
                 "walk undefined on the single-edge graph with trivial multiplicities"
             )
@@ -311,7 +309,7 @@ class BrauerGraph:
         cap = 4 * len(self.edge_ids) + 4
         while True:
             exit_v = self.other_end(cur, shared)
-            if exit_v in self.truncated_ends(cur):
+            if self.is_truncated(cur, exit_v):
                 break
             nxt, v = self.follows(prev, cur, shared)
             prev, cur, shared = cur, nxt, v

@@ -319,7 +319,7 @@ def graded_generation_degrees(g: BrauerGraph, e: str, n_max: int) -> list[set[in
 
     def socle_depth(edge: str) -> int:
         for v in set(g.ends(edge)):
-            if v not in g.truncated_ends(edge):
+            if not g.is_truncated(edge, v):
                 return g.valency(v) * g.multiplicity(v)
         raise HypothesisError("edge truncated at both ends has no string syzygies")
 
@@ -356,7 +356,9 @@ def graded_generation_degrees(g: BrauerGraph, e: str, n_max: int) -> list[set[in
 
 def generation_certificate(g: BrauerGraph, elem: CanonicalExtElement) -> GenerationCertificate:
     """Factor a canonical cohomology element into degree-one/two leaves;
-    the certificate is the one ``edge_certificates`` builds for it."""
+    the certificate is the one ``edge_certificates`` builds for it.  Each
+    call builds every certificate of ``elem.source`` through ``elem.degree``,
+    so a caller that wants many of them reads ``edge_certificates`` once."""
     cert = edge_certificates(g, elem.source, elem.degree)[elem.degree][elem.position]
     if cert.element != elem:
         raise HypothesisError("element target does not match the resolution summand")

@@ -249,20 +249,22 @@ def test_one_chain_per_edge_for_certificates(monkeypatch, g):
 
 
 def test_truncation_read_from_a_table(monkeypatch):
-    """``is_truncated`` runs at most once per edge end and graph: every
-    other truncation question of ``verify_graph`` reads the graph's table."""
-    calls = Counter()
-    is_truncated = BrauerGraph.is_truncated
+    """Each graph builds its truncation table once, on first use, and
+    every truncation question of ``verify_graph`` reads it: the rule is
+    evaluated at most twice per edge (once per end) and graph."""
+    evaluated = Counter()
+    table = BrauerGraph._truncation.func
 
-    def counted(self, e, v):
-        calls[id(self)] += 1
-        return is_truncated(self, e, v)
+    def counted(self):
+        evaluated[id(self)] += 2 * len(self.edge_ids)
+        return table(self)
 
-    monkeypatch.setattr(BrauerGraph, "is_truncated", counted)
+    monkeypatch.setattr(BrauerGraph._truncation, "func", counted)
     graphs = [g for _, g in desk_graphs()] + list(census(3, 2))
     for g in graphs:
         assert verify_graph(g, max_degree=3).ok
-        assert 0 < calls[id(g)] <= 2 * len(g.edge_ids), g.edge_ids
+        g.has_truncated_edge()
+        assert evaluated[id(g)] == 2 * len(g.edge_ids), g.edge_ids
 
 
 def test_verify_leaves_no_reference_cycles():
