@@ -63,11 +63,22 @@ class ValidationReport:
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise BrauerGraphError(f"cannot read rational value {value!r}")
+
+
+def _as_integer(value, what: str) -> int:
+    """A JSON integer: ``int()`` would read a float or a boolean as another
+    number."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BrauerGraphError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class BrauerGraph:
@@ -555,17 +566,30 @@ def triangle_graph(multiplicity: int = 1) -> BrauerGraph:
 
 
 def from_dict(doc: dict) -> BrauerGraph:
+    """The graph of a ``.bg.json`` document; anything that does not read as
+    one raises ``BrauerGraphError`` naming the field."""
     try:
-        vertices = [(str(v["id"]), int(v.get("multiplicity", 1))) for v in doc["vertices"]]
+        vertices = [(str(v["id"]), _as_integer(v.get("multiplicity", 1),
+                                               f"multiplicity of vertex {v['id']!r}"))
+                    for v in doc["vertices"]]
         edges = [(str(e["id"]), (str(e["ends"][0]), str(e["ends"][1]))) for e in doc["edges"]]
+        rotation = doc.get("rotation", {})
+        if not isinstance(rotation, dict):
+            raise BrauerGraphError(f"rotation must map vertex ids to half-edge lists, "
+                                   f"got {rotation!r}")
         rotation = {
-            str(v): [HalfEdge(str(pair[0]), int(pair[1])) for pair in halves]
-            for v, halves in doc.get("rotation", {}).items()
+            str(v): [HalfEdge(str(pair[0]), _as_integer(pair[1], f"half-edge end at vertex {v!r}"))
+                     for pair in halves]
+            for v, halves in rotation.items()
         }
-        quantizer = {
-            (str(q["edge"]), str(q["vertex"])): _as_fraction(q["value"])
-            for q in doc.get("quantizer", [])
-        }
+        quantizer = {}
+        for q in doc.get("quantizer", []):
+            e, v = str(q["edge"]), str(q["vertex"])
+            try:
+                quantizer[(e, v)] = _as_fraction(q["value"])
+            except BrauerGraphError as exc:
+                raise BrauerGraphError(f"quantizer value of edge {e!r} at vertex {v!r}: "
+                                       f"{exc}") from None
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise BrauerGraphError(f"malformed graph document: {exc}") from exc
     return BrauerGraph(vertices, edges, rotation, quantizer)

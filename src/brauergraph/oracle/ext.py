@@ -76,7 +76,10 @@ class ProjResolution:
         self.modules: list[ProjectiveSum] = []
         self.maps: list[Optional[ModuleMap]] = [None]  # maps[n]: Q^n -> Q^{n-1}
         self.summands: list[list[tuple[str, Optional[int], Optional[int]]]] = []
-        self.syzygies: list[Module] = []
+        self._syzygies: list[Module] = []
+        # the cover of the last syzygy taken, whose kernel is taken on the
+        # first read of ``syzygies``
+        self._pending: Optional[ModuleMap] = None
         self._inclusion: Optional[ModuleMap] = None  # last syzygy -> Q^{n-1}
         # the levels psi_0, psi_1, ... of the lift of each basis class, kept
         # by lift_through: (degree, generator index, weak reference to the
@@ -108,21 +111,33 @@ class ProjResolution:
         ``n_max`` by projective covers of kernels; ``n_max = -1`` starts an
         empty walk for ``grow``."""
         res = cls(la, source)
-        res.syzygies.append(simple_module(la, source))
+        res._syzygies.append(simple_module(la, source))
         return res.grow(n_max)
 
     def grow(self, n_max: int) -> "ProjResolution":
         """Extend an oracle resolution through degree ``n_max``; degrees
-        already walked are kept as they are."""
+        already walked are kept as they are.  The kernel of the deepest
+        cover stays pending until ``syzygies`` is read."""
         for _ in range(len(self.modules), n_max + 1):
             P, cover, summ = projective_cover(self.syzygies[-1])
             self.modules.append(P)
             self.summands.append([(e, d, None) for e, d in summ])
             if self._inclusion is not None:
                 self.maps.append(cover.compose(self._inclusion))
-            K, self._inclusion = kernel_module(cover)
-            self.syzygies.append(K)
+            self._pending = cover
         return self
+
+    @property
+    def syzygies(self) -> list[Module]:
+        """The syzygies of the simple, ``syzygies[0]`` the simple itself:
+        n + 2 of them once an oracle walk has grown through degree n (none
+        for ``from_steps``).  The last is taken, as the kernel of the
+        deepest cover, on the first read."""
+        if self._pending is not None:
+            K, self._inclusion = kernel_module(self._pending)
+            self._syzygies.append(K)
+            self._pending = None
+        return self._syzygies
 
     # -- checks ----------------------------------------------------------
 

@@ -268,6 +268,40 @@ def test_batch_verify_reports_unloadable_file(graph_files, tmp_path):
     assert (code, out) == (1, "") and str(junk) in err
 
 
+def _set_quantizer(doc, value):
+    doc["quantizer"] = [{"edge": "e1", "vertex": "alpha", "value": value}]
+
+
+@pytest.mark.parametrize("corrupt, names", [
+    (lambda doc: doc.update(rotation=[]), ["rotation"]),
+    (lambda doc: _set_quantizer(doc, "1/0"), ["quantizer", "'1/0'", "'e1'", "'alpha'"]),
+    (lambda doc: doc["vertices"][0].update(multiplicity=1.5),
+     ["multiplicity", "1.5", "'alpha'"]),
+    (lambda doc: doc["vertices"][0].update(multiplicity=True),
+     ["multiplicity", "True", "'alpha'"]),
+], ids=["rotation-list", "quantizer-zero-denominator", "multiplicity-float",
+        "multiplicity-bool"])
+def test_malformed_graph_document(graph_files, tmp_path, corrupt, names):
+    """A document that is JSON but not a graph exits 1 with one stderr line
+    naming the field, and no traceback; in a batch it gets its own exit-1
+    entry and the other graphs are still verified.  A float or boolean
+    multiplicity is refused, not read as another number."""
+    doc = to_dict(triangle_graph())
+    corrupt(doc)
+    bad = tmp_path / "bad.bg.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = invoke(["verify", "--max", "2", "--input", str(bad)])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("malformed graph document: ")
+    assert all(name in err for name in names), err
+    code, out, _ = invoke(["verify", "--max", "2", "--input-dir", str(tmp_path)])
+    assert code == 1
+    results = {os.path.basename(r["input"]): r for r in json.loads(out)}
+    assert {name: r["exit"] for name, r in results.items()} == {
+        "a4.bg.json": 0, "bad.bg.json": 1, "triangle.bg.json": 0}
+    assert results["bad.bg.json"]["report"] == {"ok": False, "diffs": [err.strip()]}
+
+
 def test_batch_verify_reports_refused_fault(tmp_path):
     """A graph whose injected fault is refused gets its own exit-2 entry and
     the other graphs are still verified: the triangle's relation 3 is a real

@@ -15,7 +15,7 @@ from brauergraph.graph import (
     star_graph,
     triangle_graph,
 )
-from brauergraph.oracle import algebra, linalg
+from brauergraph.oracle import algebra, ext, linalg
 from brauergraph.oracle.algebra import (
     OracleSizeError,
     build_algebra,
@@ -475,6 +475,44 @@ def test_oracle_syzygy_chain(a4):
     assert [m.descriptor() for m in grown.syzygies] == [
         m.descriptor() for m in walk.syzygies]
     assert [grown.summands[n] for n in range(6)] == [walk.summands[n] for n in range(6)]
+
+
+def _walk_objects(walk) -> tuple:
+    return ([(P.generators, P.total_dim) for P in walk.modules], walk.summands,
+            [phi.images for phi in walk.maps[1:]],
+            [m.descriptor() for m in walk.syzygies])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_syzygies_read_between_grows(monkeypatch, name, g, field):
+    """The syzygy under the deepest cover is taken on the first read of
+    ``syzygies``: a walk read after every ``grow``, a walk read only at the
+    end and one ``from_oracle`` call hold the same modules, summands, map
+    images and syzygies, and a walk grown through degree n holds n + 2
+    syzygies."""
+    kernels = [0]
+    kernel = ext.kernel_module
+
+    def counted_kernel(phi):
+        kernels[0] += 1
+        return kernel(phi)
+
+    monkeypatch.setattr(ext, "kernel_module", counted_kernel)
+    la = build_algebra(present(g), field)
+    for e in g.edge_ids:
+        read = ProjResolution.from_oracle(la, e, -1)
+        for n in range(4):
+            kernels[0] = 0
+            read.grow(n)
+            assert kernels == [0]
+            assert len(read.syzygies) == n + 2 and kernels == [1]
+        kernels[0] = 0
+        unread = ProjResolution.from_oracle(la, e, -1).grow(1).grow(3)
+        assert kernels == [3]
+        fresh = ProjResolution.from_oracle(la, e, 3)
+        assert len(fresh.syzygies) == 5
+        assert _walk_objects(read) == _walk_objects(unread) == _walk_objects(fresh)
 
 
 def test_min_resolution_and_ext_dims(triangle):

@@ -6,7 +6,7 @@ import pytest
 
 from brauergraph import presentation, resolution
 from brauergraph.census import census
-from brauergraph.graph import BrauerGraph, cycle_graph, triangle_graph
+from brauergraph.graph import BrauerGraph, HalfEdge, cycle_graph, triangle_graph
 from brauergraph.oracle import ext, linalg, modules, verify
 from brauergraph.oracle.algebra import FiniteDimAlgebra
 from brauergraph.oracle.fields import QQ, PrimeField
@@ -158,6 +158,44 @@ def test_solve_left_calls(monkeypatch, g, max_degree, solves):
         monkeypatch.setattr(namespace, "kernel_module", marked_kernel)
     assert verify_graph(g, max_degree=max_degree).ok
     assert calls == {"all": solves, "in_kernel": 0}
+
+
+def _bouquet(multiplicity: int, n_loops: int) -> BrauerGraph:
+    """One vertex with ``n_loops`` loops, each loop's two ends adjacent."""
+    loops = [f"e{i + 1}" for i in range(n_loops)]
+    return BrauerGraph([("v", multiplicity)], [(e, ("v", "v")) for e in loops],
+                       {"v": [HalfEdge(e, end) for e in loops for end in (0, 1)]})
+
+
+@pytest.mark.parametrize("g, max_degree, kernels, covers", [
+    (triangle_graph(), 8, 24, 27),
+    (cycle_graph(8, 2), 5, 40, 48),
+    (pendant_triangle(), 6, 24, 24),
+    (cycle_graph(6), 8, 48, 54),
+    (_bouquet(2, 4), 3, 12, 16),
+], ids=["triangle@8", "cycle8_m2@5", "pendant_triangle@6", "cycle6@8", "bouquet4_m2@3"])
+def test_kernel_taken_only_when_read(monkeypatch, g, max_degree, kernels, covers):
+    """An oracle walk takes the syzygy under its deepest cover only when a
+    check reads it: the resolution, Nakayama-degree and linearity checks
+    read covers alone, so a walk grown through degree n by them makes n + 1
+    covers and n kernels; the strings check reads the syzygy under its
+    deepest cover (the pendant triangle)."""
+    calls = {"kernel": 0, "cover": 0}
+    kernel, cover = modules.kernel_module, modules.projective_cover
+
+    def counted_kernel(phi):
+        calls["kernel"] += 1
+        return kernel(phi)
+
+    def counted_cover(mod):
+        calls["cover"] += 1
+        return cover(mod)
+
+    for namespace in (modules, ext):
+        monkeypatch.setattr(namespace, "kernel_module", counted_kernel)
+        monkeypatch.setattr(namespace, "projective_cover", counted_cover)
+    assert verify_graph(g, max_degree=max_degree).ok
+    assert calls == {"kernel": kernels, "cover": covers}
 
 
 @pytest.mark.parametrize("g, max_degree, products", [

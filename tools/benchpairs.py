@@ -14,10 +14,15 @@ odd, so a drift of the host's speed does not favour one side.  The output
 file is rewritten after every pair; it holds every run's end-to-end metrics
 and, per workload and seed, each metric's median and quartiles on both
 sides, the change's wins (pairs in which it is better in the direction
-``BENCHMARK.json`` declares) and whether a gain claim holds: at least
+``BENCHMARK.json`` declares), whether a gain claim holds - at least
 ``PAIRS`` pairs, wins in at least nine of ten of them, a median gap wider
 than the base's interquartile range, and no larger share of failed
-operations on the change's side than on the base's.
+operations on the change's side than on the base's - and whether a
+regression was shown, by the metric's ``bound`` in ``BENCHMARK.json``:
+"yes" when the change's median is worse than the base's by more than
+``bound`` times the base's median, else "unresolved" when the base's
+interquartile range is wider than that and some change run does not beat
+every base run, else "no".
 """
 from __future__ import annotations
 
@@ -69,25 +74,39 @@ def failed_share(pairs: list[dict], side: str) -> float:
     return sum(p[side]["failed"] for p in pairs) / attempted if attempted else 0.0
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: quartiles of both sides, the change's wins, the median gap
-    and whether a gain claim holds."""
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of ``BENCHMARK.json`` (its ``name``, ``better``
+    and ``bound``): quartiles of both sides, the change's wins, the median
+    gap, whether a gain claim holds and whether a regression was shown."""
     no_more_failures = failed_share(pairs, "change") <= failed_share(pairs, "base")
     all_correct = all(p[side]["correct"] and not p[side]["failed"]
                       for p in pairs for side in ("base", "change"))
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         bq, cq = quartiles(base), quartiles(change)
         gap = sign * (cq[1] - bq[1])
+        # the acceptance rule: worse by more than bound x the base's median is
+        # a regression; a base spread wider than that leaves it unresolved
+        # unless every change run beats every base run
+        allowed = metric["bound"] * abs(bq[1])
+        if -gap > allowed:
+            regressed = "yes"
+        elif (bq[2] - bq[0] > allowed
+              and min(sign * c for c in change) <= max(sign * b for b in base)):
+            regressed = "unresolved"
+        else:
+            regressed = "no"
         out[name] = {"base": bq, "change": cq, "wins": wins, "pairs": len(pairs),
                      "all_correct": all_correct,
                      "median_gap": gap, "base_iqr": bq[2] - bq[0],
                      "gain_holds": (len(pairs) >= PAIRS and wins >= 0.9 * len(pairs)
-                                    and gap > bq[2] - bq[0] and no_more_failures)}
+                                    and gap > bq[2] - bq[0] and no_more_failures),
+                     "regression": regressed}
     return out
 
 
@@ -102,7 +121,7 @@ def main(argv=None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = bench["end_to_end"]
     seconds = bench["run_seconds"]
     doc = {"base": _git("rev-parse", args.base),
            "change": _git("rev-parse", "HEAD") + (" + working tree"
@@ -123,12 +142,12 @@ def main(argv=None) -> int:
                     pair = {side: run_once(where, workload, seed, seconds)
                             for side, where in (sides if p % 2 == 0 else sides[::-1])}
                     pairs.append(pair)
-                    entry[str(seed)] = {"pairs": pairs, "summary": summarize(pairs, better)}
+                    entry[str(seed)] = {"pairs": pairs, "summary": summarize(pairs, metrics)}
                     with open(args.out, "w", encoding="utf-8") as fh:
                         json.dump(doc, fh, indent=1)
                     print(f"{workload} seed {seed} pair {p + 1}: " + ", ".join(
-                        f"{name} {pair['base']['metrics'][name]:.4g} -> "
-                        f"{pair['change']['metrics'][name]:.4g}" for name in better),
+                        f"{m['name']} {pair['base']['metrics'][m['name']]:.4g} -> "
+                        f"{pair['change']['metrics'][m['name']]:.4g}" for m in metrics),
                         flush=True)
     finally:
         _git("worktree", "remove", "--force", base_dir)
