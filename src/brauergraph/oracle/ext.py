@@ -3,9 +3,14 @@ projectives, chain-map lifting, Yoneda products, and closure of the
 subalgebra generated in low degrees.
 
 ``ProjResolution.from_oracle`` is the one cover-then-kernel walk over the
-oracle: it keeps every syzygy it computes and ``grow`` extends it on
-demand, so a caller resolves each simple once and reads syzygies, summands
-and generation degrees of any depth off the same object.
+oracle, and ``grow`` extends it on demand, so a caller resolves each simple
+once and reads syzygies, summands and generation degrees of any depth off
+the same object.  The covers and the differentials between them are all a
+walk needs to report generators and their degrees; the syzygy under the
+deepest cover, the walk's deepest kernel, is needed only to go one
+degree further.  So it is taken on the first read of ``syzygies`` (or by
+the next ``grow``), and a walk that is never read below its deepest cover
+never computes it.
 
 Every map between the projectives of a resolution is built by
 ``modules.map_from_generators`` from the images of the generators: the
@@ -66,8 +71,10 @@ class ProjResolution:
     ``modules[n]`` is the n-th projective, a ``ProjectiveSum`` whose
     ``generators`` place each summand's generator; ``summands[n]`` lists
     (edge, generation degree or None, position or None) per summand.  An
-    oracle resolution also keeps ``syzygies[n]``, the n-th syzygy of the
-    simple (``syzygies[0]`` is the simple itself).
+    oracle resolution also has ``syzygies[n]``, the n-th syzygy of the
+    simple (``syzygies[0]`` is the simple itself).  Each syzygy is the
+    kernel of the cover above it, and the one under the deepest cover is
+    taken on the first read of ``syzygies``.
     """
 
     def __init__(self, la: FiniteDimAlgebra, source: str):

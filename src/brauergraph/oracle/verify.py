@@ -15,7 +15,11 @@ from a second algebra, of the full presentation.
 Each simple is resolved once per ``verify_graph`` call: one oracle walk
 (``ProjResolution.from_oracle``, grown to the deepest degree any check
 reads), one string trace and one combinatorial complex per edge, shared
-by every check that reads them.
+by every check that reads them.  A walk takes the syzygy under its
+deepest cover only on the first read of ``syzygies``: the strings check
+reads it, while the resolution, obstruction, Nakayama-degree and
+linearity checks read only covers, summands and differentials, so a walk
+grown by them alone never computes it.
 
 The certificate check reads every certificate of an edge off one
 follows-chain (``resolution.edge_certificates``), evaluates each element

@@ -103,19 +103,38 @@ def test_report_json(triangle):
     assert doc == {"ok": True, "diffs": []}
 
 
-@pytest.mark.parametrize("g, max_degree, covers, complexes", [
-    (triangle_graph(), 8, 27, 3),
-    (cycle_graph(6), 8, 54, 6),
-    (pendant_triangle(), 6, 24, 0),
-], ids=["triangle@8", "cycle6@8", "pendant_triangle@6"])
-def test_each_simple_resolved_once(monkeypatch, g, max_degree, covers, complexes):
-    """One oracle cover per (edge, degree) and one complex per edge."""
-    calls = {"cover": 0, "from_steps": 0}
-    cover, from_steps = modules.projective_cover, ext.ProjResolution.from_steps.__func__
+def _bouquet(multiplicity: int, n_loops: int) -> BrauerGraph:
+    """One vertex with ``n_loops`` loops, each loop's two ends adjacent."""
+    loops = [f"e{i + 1}" for i in range(n_loops)]
+    return BrauerGraph([("v", multiplicity)], [(e, ("v", "v")) for e in loops],
+                       {"v": [HalfEdge(e, end) for e in loops for end in (0, 1)]})
+
+
+@pytest.mark.parametrize("g, max_degree, covers, kernels, complexes", [
+    (triangle_graph(), 8, 27, 24, 3),
+    (cycle_graph(6), 8, 54, 48, 6),
+    (pendant_triangle(), 6, 24, 24, 0),
+    (cycle_graph(8, 2), 5, 48, 40, 8),
+    (_bouquet(2, 4), 3, 16, 12, 4),
+], ids=["triangle@8", "cycle6@8", "pendant_triangle@6", "cycle8_m2@5", "bouquet4_m2@3"])
+def test_each_simple_resolved_once(monkeypatch, g, max_degree, covers, kernels, complexes):
+    """One oracle cover per (edge, degree) and one complex per edge.  A
+    walk takes the syzygy under its deepest cover only when a check reads
+    it: the resolution, Nakayama-degree and linearity checks read covers
+    alone, so a walk they grow through degree n makes n + 1 covers and n
+    kernels, while the strings check reads that syzygy (the pendant
+    triangle)."""
+    calls = {"cover": 0, "kernel": 0, "from_steps": 0}
+    cover, kernel = modules.projective_cover, modules.kernel_module
+    from_steps = ext.ProjResolution.from_steps.__func__
 
     def counted_cover(mod):
         calls["cover"] += 1
         return cover(mod)
+
+    def counted_kernel(phi):
+        calls["kernel"] += 1
+        return kernel(phi)
 
     def counted_from_steps(cls, la, source, steps):
         calls["from_steps"] += 1
@@ -123,9 +142,10 @@ def test_each_simple_resolved_once(monkeypatch, g, max_degree, covers, complexes
 
     for namespace in (modules, ext):
         monkeypatch.setattr(namespace, "projective_cover", counted_cover)
+        monkeypatch.setattr(namespace, "kernel_module", counted_kernel)
     monkeypatch.setattr(ext.ProjResolution, "from_steps", classmethod(counted_from_steps))
     assert verify_graph(g, max_degree=max_degree).ok
-    assert calls == {"cover": covers, "from_steps": complexes}
+    assert calls == {"cover": covers, "kernel": kernels, "from_steps": complexes}
 
 
 @pytest.mark.parametrize("g, max_degree, solves", [
@@ -158,44 +178,6 @@ def test_solve_left_calls(monkeypatch, g, max_degree, solves):
         monkeypatch.setattr(namespace, "kernel_module", marked_kernel)
     assert verify_graph(g, max_degree=max_degree).ok
     assert calls == {"all": solves, "in_kernel": 0}
-
-
-def _bouquet(multiplicity: int, n_loops: int) -> BrauerGraph:
-    """One vertex with ``n_loops`` loops, each loop's two ends adjacent."""
-    loops = [f"e{i + 1}" for i in range(n_loops)]
-    return BrauerGraph([("v", multiplicity)], [(e, ("v", "v")) for e in loops],
-                       {"v": [HalfEdge(e, end) for e in loops for end in (0, 1)]})
-
-
-@pytest.mark.parametrize("g, max_degree, kernels, covers", [
-    (triangle_graph(), 8, 24, 27),
-    (cycle_graph(8, 2), 5, 40, 48),
-    (pendant_triangle(), 6, 24, 24),
-    (cycle_graph(6), 8, 48, 54),
-    (_bouquet(2, 4), 3, 12, 16),
-], ids=["triangle@8", "cycle8_m2@5", "pendant_triangle@6", "cycle6@8", "bouquet4_m2@3"])
-def test_kernel_taken_only_when_read(monkeypatch, g, max_degree, kernels, covers):
-    """An oracle walk takes the syzygy under its deepest cover only when a
-    check reads it: the resolution, Nakayama-degree and linearity checks
-    read covers alone, so a walk grown through degree n by them makes n + 1
-    covers and n kernels; the strings check reads the syzygy under its
-    deepest cover (the pendant triangle)."""
-    calls = {"kernel": 0, "cover": 0}
-    kernel, cover = modules.kernel_module, modules.projective_cover
-
-    def counted_kernel(phi):
-        calls["kernel"] += 1
-        return kernel(phi)
-
-    def counted_cover(mod):
-        calls["cover"] += 1
-        return cover(mod)
-
-    for namespace in (modules, ext):
-        monkeypatch.setattr(namespace, "kernel_module", counted_kernel)
-        monkeypatch.setattr(namespace, "projective_cover", counted_cover)
-    assert verify_graph(g, max_degree=max_degree).ok
-    assert calls == {"kernel": kernels, "cover": covers}
 
 
 @pytest.mark.parametrize("g, max_degree, products", [
