@@ -27,7 +27,6 @@ from .graph import (
     load_file,
     loop_graph,
     path_graph,
-    recognize_family,
     star_centers,
     star_graph,
     to_dict,
@@ -55,7 +54,6 @@ from .strings import (
     period,
     syzygy,
     syzygy_of_simple,
-    uniserial,
     validate_acceptable,
 )
 from .resolution import (

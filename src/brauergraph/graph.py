@@ -12,6 +12,7 @@ All objects are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -60,7 +61,18 @@ class ValidationReport:
         self.violations.append(message)
 
 
-def _as_fraction(value) -> Fraction:
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 1  # a refused value is quoted one level deep
+
+
+def _refuse(value, shape: str, what: str, *args):
+    """Refuse a value read from outside that is not ``shape``.  It is named
+    by ``what.format(*args)``, built only here, so that reading a valid
+    document formats no names."""
+    raise BrauerGraphError(f"{what.format(*args)} must be {shape}, not {_SHORT.repr(value)}")
+
+
+def _as_fraction(value, what: str, *args) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -70,15 +82,13 @@ def _as_fraction(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise BrauerGraphError(f"cannot read rational value {value!r}")
+    return _refuse(value, "a rational", what, *args)
 
 
-def _as_integer(value, what: str) -> int:
+def _as_integer(value, what: str, *args) -> int:
     """A JSON integer: ``int()`` would read a float or a boolean as another
     number."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BrauerGraphError(f"{what} must be an integer, got {value!r}")
-    return value
+    return value if type(value) is int else _refuse(value, "an integer", what, *args)
 
 
 class BrauerGraph:
@@ -94,7 +104,7 @@ class BrauerGraph:
         self,
         vertices: Iterable[tuple[str, int]],
         edges: Iterable[tuple[str, tuple[str, str]]],
-        rotation: Mapping[str, Sequence[HalfEdge | tuple[str, int]]],
+        rotation: Mapping[str, Sequence[HalfEdge]],
         quantizer: Optional[Mapping[tuple[str, str], Fraction | int | str]] = None,
     ):
         self.multiplicity_map: dict[str, int] = {}
@@ -113,19 +123,14 @@ class BrauerGraph:
             self.edge_ids.append(e)
             self.edge_ends[e] = (ends[0], ends[1])
 
-        self.rotation: dict[str, tuple[HalfEdge, ...]] = {}
-        for v, halves in rotation.items():
-            out = []
-            for h in halves:
-                if not isinstance(h, HalfEdge):
-                    h = HalfEdge(h[0], int(h[1]))
-                out.append(h)
-            self.rotation[v] = tuple(out)
+        self.rotation: dict[str, tuple[HalfEdge, ...]] = {
+            v: tuple(halves) for v, halves in rotation.items()}
 
         self.quantizer: dict[tuple[str, str], Fraction] = {}
         if quantizer:
             for (e, v), q in quantizer.items():
-                self.quantizer[(e, v)] = _as_fraction(q)
+                self.quantizer[(e, v)] = _as_fraction(
+                    q, "quantizer value of edge {!r} at vertex {!r}", e, v)
 
         # (vertex, index) of each half-edge actually listed in a rotation
         self._position: dict[HalfEdge, tuple[str, int]] = {}
@@ -241,29 +246,6 @@ class BrauerGraph:
         if self.valency(v) == 1:
             return e
         return self.successor_half(self.half_at(e, v)).edge
-
-    def successor_sequence_halves(self, h: HalfEdge) -> list[HalfEdge]:
-        v, _ = self.position(h)
-        out = [h]
-        cur = h
-        for _ in range(self.valency(v) - 1):
-            cur = self.successor_half(cur)
-            out.append(cur)
-        return out
-
-    def successor_sequence(self, e: str, v: str) -> list[str]:
-        """Edges around ``v`` in cyclic order starting at ``e`` (loops twice)."""
-        if not self.incident(e, v):
-            raise BrauerGraphError(f"edge {e!r} is not incident with vertex {v!r}")
-        if self.is_truncated(e, v):
-            raise BrauerGraphError(
-                f"edge {e!r} is truncated at {v!r}; no successor sequence there"
-            )
-        if self.is_loop(e):
-            raise BrauerGraphError(
-                f"edge {e!r} is a loop; use successor_sequence_halves"
-            )
-        return [h.edge for h in self.successor_sequence_halves(self.half_at(e, v))]
 
     def occurs_in_successor_sequence(self, t: str, s: str, v: str) -> bool:
         """True when ``t`` appears (other than in position 0) around ``v`` seen from ``s``."""
@@ -466,30 +448,6 @@ def star_centers(g: BrauerGraph) -> list[str]:
     return out
 
 
-def recognize_family(g: BrauerGraph) -> str:
-    """One of ``A_n``, ``A~_n``, ``Star``, ``Loop``, ``Other``.
-
-    Paths are reported as ``A_n`` even when they are also one- or two-edge
-    stars; star-shaped criteria consult :func:`star_centers` instead.
-    """
-    n_v, n_e = len(g.vertex_ids), len(g.edge_ids)
-    if n_e == 1 and g.is_loop(g.edge_ids[0]):
-        return "Loop"
-    if any(g.is_loop(e) for e in g.edge_ids):
-        return "Other"
-    if not g.is_connected():
-        return "Other"
-    multiple = len({frozenset(g.ends(e)) for e in g.edge_ids}) < n_e
-    valencies = [g.valency(v) for v in g.vertex_ids]
-    if not multiple and n_e == n_v - 1 and all(k <= 2 for k in valencies):
-        return "A_n"
-    if n_e == n_v and all(k == 2 for k in valencies):
-        return "A~_n"
-    if star_centers(g):
-        return "Star"
-    return "Other"
-
-
 # ----------------------------------------------------------------------
 # constructors and serialization
 
@@ -565,33 +523,59 @@ def triangle_graph(multiplicity: int = 1) -> BrauerGraph:
     return BrauerGraph(vertices, edges, rotation)
 
 
+def _list(value, what: str, *args) -> list:
+    return value if isinstance(value, list) else _refuse(value, "a list", what, *args)
+
+
+def _pair(value, what: str, *args) -> list:
+    if isinstance(value, list) and len(value) == 2:
+        return value
+    return _refuse(value, "a list of two", what, *args)
+
+
+def _member(obj, key: str, what: str, *args):
+    """``obj[key]`` of the JSON object named ``what.format(*args)``."""
+    if isinstance(obj, dict) and key in obj:
+        return obj[key]
+    if isinstance(obj, dict):
+        raise BrauerGraphError(f"{what.format(*args)} has no {key!r}")
+    return _refuse(obj, "an object", what, *args)
+
+
 def from_dict(doc: dict) -> BrauerGraph:
     """The graph of a ``.bg.json`` document; anything that does not read as
-    one raises ``BrauerGraphError`` naming the field."""
+    one raises ``BrauerGraphError`` naming the field, and the vertex or edge
+    where there is one."""
     try:
-        vertices = [(str(v["id"]), _as_integer(v.get("multiplicity", 1),
-                                               f"multiplicity of vertex {v['id']!r}"))
-                    for v in doc["vertices"]]
-        edges = [(str(e["id"]), (str(e["ends"][0]), str(e["ends"][1]))) for e in doc["edges"]]
+        vertices = []
+        for k, v in enumerate(_list(_member(doc, "vertices", "the document"), "vertices")):
+            vid = str(_member(v, "id", "vertex #{}", k + 1))
+            vertices.append((vid, _as_integer(v.get("multiplicity", 1),
+                                              "multiplicity of vertex {!r}", vid)))
+        edges = []
+        for k, e in enumerate(_list(_member(doc, "edges", "the document"), "edges")):
+            eid = str(_member(e, "id", "edge #{}", k + 1))
+            ends = _pair(_member(e, "ends", "edge {!r}", eid), "ends of edge {!r}", eid)
+            edges.append((eid, (str(ends[0]), str(ends[1]))))
         rotation = doc.get("rotation", {})
         if not isinstance(rotation, dict):
-            raise BrauerGraphError(f"rotation must map vertex ids to half-edge lists, "
-                                   f"got {rotation!r}")
+            _refuse(rotation, "an object", "rotation")
+        # each half-edge is checked to be a pair before its end is read
         rotation = {
-            str(v): [HalfEdge(str(pair[0]), _as_integer(pair[1], f"half-edge end at vertex {v!r}"))
-                     for pair in halves]
+            str(v): [HalfEdge(str(_pair(h, "half-edge at vertex {!r}", v)[0]),
+                              _as_integer(h[1], "half-edge end at vertex {!r}", v))
+                     for h in _list(halves, "rotation at vertex {!r}", v)]
             for v, halves in rotation.items()
         }
         quantizer = {}
-        for q in doc.get("quantizer", []):
-            e, v = str(q["edge"]), str(q["vertex"])
-            try:
-                quantizer[(e, v)] = _as_fraction(q["value"])
-            except BrauerGraphError as exc:
-                raise BrauerGraphError(f"quantizer value of edge {e!r} at vertex {v!r}: "
-                                       f"{exc}") from None
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise BrauerGraphError(f"malformed graph document: {exc}") from exc
+        for k, q in enumerate(_list(doc.get("quantizer", []), "quantizer")):
+            e, v = (str(_member(q, key, "quantizer entry #{}", k + 1))
+                    for key in ("edge", "vertex"))
+            quantizer[(e, v)] = _as_fraction(
+                _member(q, "value", "quantizer entry of edge {!r} at vertex {!r}", e, v),
+                "quantizer value of edge {!r} at vertex {!r}", e, v)
+    except BrauerGraphError as exc:
+        raise BrauerGraphError(f"malformed graph document: {exc}") from None
     return BrauerGraph(vertices, edges, rotation, quantizer)
 
 

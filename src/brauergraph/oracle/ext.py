@@ -27,18 +27,18 @@ generators of the n-th projective in a fixed resolution of s; the basis
 dual to the generators is the canonical basis.  Products are computed by
 lifting one factor through the resolution of its target and composing.
 
-Lifts are kept.  The lift is linear in the class (psi_0 is, composing is,
-and ``linalg.solve_left`` returns the solution supported on the pivot
-columns, which is linear in its right-hand side), so each resolution keeps
-in ``lifts`` the levels of the lift of each of its basis classes, keyed by
-(degree, generator index, target resolution, held by a weak reference;
-``_kept_levels`` owns the key), and solves a level only past the deepest
-one kept.  ``lift_through`` of a general class is the sum of c_i times the
-kept levels of its basis classes e_i, equal to lifting it whole, and
-``yoneda_multiply`` is bilinear: it reads y off level ``y.degree`` of each
-e_i's lift and sums over the coefficients of x.  A lift through a complex
-that is not exact fails with the same ``RuntimeError`` at the level that
-cannot be solved.
+Lifts are kept.  ``lift_through`` lifts one basis class, and each
+resolution keeps in ``lifts`` the levels of the lift of each of its basis
+classes, keyed by (degree, generator index, target resolution, held by a
+weak reference); a level is solved only past the deepest one kept, and
+every read of a level goes through ``lift_through``.  The lift is linear
+in the class (psi_0 is, composing is, and ``linalg.solve_left`` returns the
+solution supported on the pivot columns, which is linear in its right-hand
+side), so ``yoneda_multiply`` is bilinear: it reads y off level
+``y.degree`` of each basis class e_i's lift and sums over the coefficients
+of x, which equals lifting x whole.  A lift through a complex that is not
+exact fails with the same ``RuntimeError`` at the level that cannot be
+solved.
 
 The subalgebra generated in low degrees is closed degree by degree from
 its generators: each new span is the products of a lower span with one
@@ -157,11 +157,11 @@ class ProjResolution:
                 bad.append(n)
         return bad
 
-    def exactness_defects(self, n_max: Optional[int] = None) -> list[int]:
-        """Degrees n with dim ker f^n != dim im f^{n+1} (f^0 the augmentation)."""
+    def exactness_defects(self, n_max: int) -> list[int]:
+        """Degrees n <= ``n_max`` with dim ker f^n != dim im f^{n+1} (f^0 the
+        augmentation)."""
         bad = []
-        top = (len(self.modules) - 2) if n_max is None else n_max
-        for n in range(0, top + 1):
+        for n in range(0, n_max + 1):
             if n == 0:
                 ker = self.modules[0].total_dim - 1
             else:
@@ -237,48 +237,17 @@ def canonical_element(res: ProjResolution, degree: int, position: int) -> ExtEle
     raise ValueError(f"no summand at position {position} in degree {degree}")
 
 
-def lift_through(x: ExtElement, target_res: ProjResolution, m: int) -> ModuleMap:
-    """Chain map Q^{n+m} of the source resolution -> Q^m of the target's.
+def lift_through(src: ProjResolution, n: int, i: int, target_res: ProjResolution,
+                 m: int) -> ModuleMap:
+    """Level m of the lift of basis class i of degree n of ``src`` through
+    ``target_res``: the chain map Q^{n+m} of ``src`` -> Q^m of the target's.
 
-    Every coefficient of ``x`` must sit on a summand whose edge is the
-    target resolution's simple.  The lift is linear in ``x``: it is the
-    sum of c_i times the lift of the basis class e_i over the nonzero
-    coefficients c_i.  The levels of each basis class's lift are kept on
-    ``x.res`` and solved only past the deepest level kept; for a basis
-    class the kept level itself is returned.
-    """
-    src, n = x.res, x.degree
-    f = src.la.field
-    terms = [(i, c) for i, c in x.coeffs.items() if not f.is_zero(c)]
-    for i, _ in terms:
-        if src.summands[n][i][0] != target_res.source:
-            raise ValueError("element does not map into the requested simple")
-    levels = [_extend_lift(src, n, i, target_res, m)[m] for i, _ in terms]
-    if len(terms) == 1 and terms[0][1] == f.one:
-        return levels[0]
-    qm = target_res.modules[m]
-    images = [[f.zero] * qm.dim(e) for e, _ in src.modules[n + m].generators]
-    for (_, c), psi in zip(terms, levels):
-        for image, row in zip(images, psi.images):
-            for k, y in enumerate(row):
-                if not f.is_zero(y):
-                    image[k] = f.add(image[k], f.mul(c, y))
-    return map_from_generators(src.modules[n + m], qm, images)
-
-
-def _kept_levels(src: ProjResolution, n: int, i: int,
-                 target_res: ProjResolution) -> list[ModuleMap]:
-    """The levels kept so far of the lift of basis class i of degree n of
-    ``src`` through ``target_res``: the list stored in ``src.lifts``."""
-    return src.lifts.setdefault((n, i, weakref.ref(target_res)), [])
-
-
-def _extend_lift(src: ProjResolution, n: int, i: int, target_res: ProjResolution,
-                 m: int) -> list[ModuleMap]:
-    """The levels 0..m (at least) of the lift of basis class i of degree n
-    of ``src`` through ``target_res``, kept in ``src.lifts``; only the
-    levels past the deepest kept one are solved."""
-    levels = _kept_levels(src, n, i, target_res)
+    Summand i must be the target resolution's simple.  The levels are kept
+    in ``src.lifts``, and only the levels past the deepest one kept are
+    solved."""
+    if src.summands[n][i][0] != target_res.source:
+        raise ValueError("element does not map into the requested simple")
+    levels = src.lifts.setdefault((n, i, weakref.ref(target_res)), [])
     if not levels:
         # psi_0 sends generator i to the generator of the target's Q^0 and
         # every other generator to zero
@@ -289,7 +258,7 @@ def _extend_lift(src: ProjResolution, n: int, i: int, target_res: ProjResolution
         levels.append(map_from_generators(src.modules[n], q0, images))
     for k in range(len(levels), m + 1):
         levels.append(_lift_level(src, n, i, target_res, k, levels[-1]))
-    return levels
+    return levels[m]
 
 
 def _lift_level(src: ProjResolution, n: int, i: int, target_res: ProjResolution,
@@ -321,8 +290,7 @@ def yoneda_multiply(y: ExtElement, x: ExtElement) -> ExtElement:
 
     The product is bilinear: it is the sum, over the nonzero coefficients
     c_i of ``x``, of c_i times ``y`` read off level ``y.degree`` of the
-    kept lift of the basis class e_i.  A level not kept yet is lifted by
-    ``lift_through``."""
+    lift of the basis class e_i, which ``lift_through`` keeps."""
     src, n, m = x.res, x.degree, y.degree
     f = src.la.field
     for t in x.targets():
@@ -335,12 +303,7 @@ def yoneda_multiply(y: ExtElement, x: ExtElement) -> ExtElement:
     for i, a in x.coeffs.items():
         if f.is_zero(a):
             continue
-        # a level not kept yet is solved through lift_through, not
-        # _extend_lift, so that perfbench's ext.lift layer (which wraps
-        # lift_through) times and counts the solving, and not the reads
-        levels = _kept_levels(src, n, i, y.res)
-        psi = (levels[m] if len(levels) > m
-               else lift_through(ExtElement(src, n, {i: f.one}), y.res, m))
+        psi = lift_through(src, n, i, y.res, m)
         for j, (gv, _) in enumerate(generators):
             row = psi.images[j]
             total = f.zero

@@ -82,7 +82,6 @@ class Quiver:
             self.arrows_from[a.source].append(a)
             self.arrows_into[a.target].append(a)
         self.arrow_index = {a: i for i, a in enumerate(self.arrows)}
-        self.by_name = {a.name: a for a in self.arrows}
         self._val: dict[str, int] = {}
         for a in self.arrows:
             self._val[a.vertex] = max(self._val.get(a.vertex, 0), a.pos + 1)
@@ -194,15 +193,6 @@ def cycle_half(g: BrauerGraph, q: Quiver, h: HalfEdge) -> Path:
     return arrow_run(g, q, v, pos, g.valency(v))
 
 
-def cycle(g: BrauerGraph, q: Quiver, e: str, v: str) -> Path:
-    """Cycle of a non-loop edge at a vertex where it is not truncated."""
-    if g.is_loop(e):
-        raise BrauerGraphError(f"edge {e!r} is a loop; use cycle_half")
-    if g.is_truncated(e, v):
-        raise BrauerGraphError(f"edge {e!r} is truncated at {v!r}; no cycle there")
-    return cycle_half(g, q, g.half_at(e, v))
-
-
 def special_path(g: BrauerGraph, q: Quiver, s_i: str, s_j: str, v: str) -> Path:
     """The connecting subpath from ``s_i`` to ``s_j`` inside the cycle at ``v``."""
     if g.is_loop(s_i) or g.is_loop(s_j):
@@ -290,12 +280,10 @@ def far_successor_truncated(g: BrauerGraph, e: str) -> bool:
     return g.is_truncated(succ_half.edge, g.vertex_of(succ_half.other()))
 
 
-def minimal_relations(g: BrauerGraph, q: Optional[Quiver] = None,
-                      rels: Optional[list[Relation]] = None) -> list[Relation]:
-    """Keep every kind-one and kind-three relation; keep a kind-two relation
-    exactly when ``far_successor_truncated`` holds for its edge."""
-    q = q or build_quiver(g)
-    rels = rels if rels is not None else relations_all(g, q)
+def minimal_relations(g: BrauerGraph, q: Quiver, rels: list[Relation]) -> list[Relation]:
+    """Of the relations ``rels`` of ``g`` over ``q``, keep every kind-one and
+    kind-three relation; keep a kind-two relation exactly when
+    ``far_successor_truncated`` holds for its edge."""
     if q.a2_case:
         return list(rels)
     return [r for r in rels if r.kind != "two" or far_successor_truncated(g, r.edge)]

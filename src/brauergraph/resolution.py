@@ -37,9 +37,6 @@ class ResolutionStep:
     differential: dict  # (row, col) -> (sign, Path); empty in degree zero
     generation_degrees: Optional[tuple[tuple[int, int], ...]] = None  # (position, degree)
 
-    def summand_edges(self) -> tuple[str, ...]:
-        return tuple(e for _, e in self.summands)
-
     def to_json(self) -> dict:
         doc: dict = {
             "degree": self.degree,
@@ -107,7 +104,6 @@ class _Chain:
     """
 
     def __init__(self, g: BrauerGraph, e: str, n: int):
-        self.g = g
         self.edge: dict[int, str] = {0: e}
         # per adjacent pair (r, r+1) for r >= 0: (vertex, exit position of edge r)
         self.plus_link: dict[int, tuple[str, int]] = {}

@@ -62,18 +62,9 @@ class StringDescriptor:
     def edges(self) -> tuple[str, ...]:
         return tuple(e for e, _ in self.entries)
 
-    def signs(self) -> tuple[int, ...]:
-        return tuple(s for _, s in self.entries)
-
     def reverse(self) -> "StringDescriptor":
         """Same module: a string read backwards is isomorphic to itself."""
         return StringDescriptor(tuple(reversed(self.entries)))
-
-    def star_flip(self) -> "StringDescriptor":
-        """Flip every sign; acceptable again but usually a different module."""
-        if self.is_simple:
-            raise HypothesisError("the flip of a one-entry descriptor is not a string")
-        return StringDescriptor(tuple((e, -s) for e, s in self.entries))
 
     def top(self) -> Counter:
         return Counter(e for e, s in self.entries if s == PLUS)
@@ -99,20 +90,16 @@ class SyzygyTrace:
     start: str
     descriptors: list[StringDescriptor]
     period: Optional[int] = None
-    cap_hit: bool = False
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "start": self.start,
             "trace": [
                 {"degree": n, "string": d.to_json()}
                 for n, d in enumerate(self.descriptors)
             ],
+            "period": self.period,
         }
-        out["period"] = self.period
-        if self.cap_hit:
-            out["period_search_capped"] = True
-        return out
 
 
 def _require_reduced(g: BrauerGraph):
@@ -171,17 +158,6 @@ def dimension(g: BrauerGraph, sigma: StringDescriptor) -> int:
         top_e, soc_e = (x, y) if sx == PLUS else (y, x)
         total += _dist(g, top_e, soc_e, v) + 1
     return total - (len(sigma) - 2)
-
-
-def uniserial(g: BrauerGraph, top: str, socle: str) -> Optional[StringDescriptor]:
-    """The unique uniserial with the given top and socle, when one exists."""
-    _require_reduced(g)
-    if top == socle:
-        return StringDescriptor.simple(top)
-    shared = [v for v in set(g.ends(top)) if v in set(g.ends(socle))]
-    if not shared:
-        return None
-    return StringDescriptor.of((top, PLUS), (socle, MINUS))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import pytest
@@ -108,3 +109,20 @@ def test_regression_unresolved_when_the_base_spreads_wider_than_the_bound():
     assert benchpairs.summarize(pairs, METRICS)["graphs_per_s"]["regression"] == "no"
     pairs = _set(_pairs(benchpairs.PAIRS), "verify_p50_ms", base, [9.0] * 10)
     assert benchpairs.summarize(pairs, METRICS)["verify_p50_ms"]["regression"] == "no"
+
+
+def test_run_once_keeps_the_measured_source_digest(tmp_path):
+    """``run_once`` reads the result line of a checkout's ``perfbench/run.py``
+    and keeps the ``src=`` digest of its header line."""
+    result = {"correct": True, "attempted": 12, "failed": 0,
+              "metrics": {"graphs_per_s": {"value": 24.5, "unit": "graphs/s"}}}
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print('# workload=deep-cli seed=1 held_out_seed=2 rev=abc src=0123456789ab "
+        "python=3.11.7 nproc=2')\n"
+        "print('# failed_frac 0/12')\n"
+        f"print({json.dumps(json.dumps(result))})\n")
+    run = benchpairs.run_once(str(tmp_path), "deep-cli", 1, 0.1)
+    assert run == {"src": "0123456789ab", "correct": True, "attempted": 12, "failed": 0,
+                   "metrics": {"graphs_per_s": 24.5}}

@@ -279,15 +279,28 @@ def _set_quantizer(doc, value):
      ["multiplicity", "1.5", "'alpha'"]),
     (lambda doc: doc["vertices"][0].update(multiplicity=True),
      ["multiplicity", "True", "'alpha'"]),
+    (lambda doc: doc.update(quantizer={"e1": 1}), ["quantizer", "list"]),
+    (lambda doc: doc.update(vertices={"alpha": 1}), ["vertices", "list"]),
+    (lambda doc: doc["edges"][0].update(ends=["alpha"]), ["ends", "'e1'"]),
+    (lambda doc: doc["rotation"]["alpha"].__setitem__(0, ["e1"]),
+     ["half-edge", "'alpha'", "['e1']"]),
+    (lambda doc: doc["vertices"][0].__delitem__("id"), ["vertex #1", "'id'"]),
+    (lambda doc: doc.update(quantizer=[{"edge": "e1", "vertex": "alpha"}]),
+     ["quantizer", "'value'", "'e1'", "'alpha'"]),
+    (lambda doc: doc.update(edges=5), ["edges", "list"]),
+    (lambda doc: [doc], ["document", "object"]),
 ], ids=["rotation-list", "quantizer-zero-denominator", "multiplicity-float",
-        "multiplicity-bool"])
+        "multiplicity-bool", "quantizer-object", "vertices-object", "edge-one-end",
+        "half-edge-one-entry", "vertex-without-id", "quantizer-without-value",
+        "edges-number", "document-list"])
 def test_malformed_graph_document(graph_files, tmp_path, corrupt, names):
     """A document that is JSON but not a graph exits 1 with one stderr line
-    naming the field, and no traceback; in a batch it gets its own exit-1
-    entry and the other graphs are still verified.  A float or boolean
-    multiplicity is refused, not read as another number."""
+    naming the field, and the vertex or edge where there is one, and no
+    traceback; in a batch it gets its own exit-1 entry and the other graphs
+    are still verified.  A float or boolean multiplicity is refused, not
+    read as another number."""
     doc = to_dict(triangle_graph())
-    corrupt(doc)
+    doc = corrupt(doc) or doc
     bad = tmp_path / "bad.bg.json"
     bad.write_text(json.dumps(doc))
     code, out, err = invoke(["verify", "--max", "2", "--input", str(bad)])

@@ -147,9 +147,8 @@ def test_oracle_entries_over_q_are_exact(name, g):
             matrices.extend(_dense_block(phi, v) for v in phi.blocks)
         for n in range(3):
             for i, (t, _, _) in enumerate(res.summands[n]):
-                x = ExtElement(res, n, {i: QQ.one})
                 for m in range(3 - n + 1):
-                    psi = lift_through(x, walks[t], m)
+                    psi = lift_through(res, n, i, walks[t], m)
                     matrices.extend(_dense_block(psi, v) for v in psi.blocks)
     assert all(_is_canonical_rational(x) for m in matrices for row in m for x in row)
 
@@ -633,9 +632,8 @@ def test_oracle_maps_commute_with_arrows(name, g, field):
         for res in resolutions.values():
             for n in range(3):
                 for i, (t, _, _) in enumerate(res.summands[n]):
-                    x = ExtElement(res, n, {i: field.one})
                     for m in range(3 - n + 1):
-                        assert _commutes(lift_through(x, resolutions[t], m)), (n, i, m)
+                        assert _commutes(lift_through(res, n, i, resolutions[t], m)), (n, i, m)
 
 
 def _eager_blocks(phi):
@@ -703,9 +701,8 @@ def test_maps_are_their_generator_images(name, g, field):
         for res in resolutions.values():
             for n in range(3):
                 for i, (t, _, _) in enumerate(res.summands[n]):
-                    x = ExtElement(res, n, {i: field.one})
                     for m in range(3 - n + 1):
-                        psi = lift_through(x, resolutions[t], m)
+                        psi = lift_through(res, n, i, resolutions[t], m)
                         _check_images(psi, resolutions[t].maps[m] if m else None)
 
 
@@ -729,8 +726,7 @@ def test_block_rows_hold_no_zero(name, g, field):
         for res in resolutions.values():
             for n in range(3):
                 for i, (t, _, _) in enumerate(res.summands[n]):
-                    x = ExtElement(res, n, {i: field.one})
-                    maps.extend(lift_through(x, resolutions[t], m) for m in range(4 - n))
+                    maps.extend(lift_through(res, n, i, resolutions[t], m) for m in range(4 - n))
     for phi in maps:
         for v, block in phi.blocks.items():
             assert len(block) == phi.source.dim(v)
@@ -869,9 +865,9 @@ def _random_class(rng, res, n, field, target=None):
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
 @pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
 def test_products_of_combinations_match_the_whole_lift(name, g, field):
-    """``yoneda_multiply`` and ``lift_through`` on random linear combinations
-    give exactly the coefficients of lifting the whole class at once, on
-    the oracle walks and on the path-matrix complexes, through degree 3."""
+    """``yoneda_multiply`` of random linear combinations gives exactly the
+    coefficients of lifting the whole class at once, on the oracle walks and
+    on the path-matrix complexes, through degree 3."""
     rng = random.Random(name)
     la = build_algebra(present(g), field)
     walks = {e: ProjResolution.from_oracle(la, e, 3) for e in g.edge_ids}
@@ -882,8 +878,6 @@ def test_products_of_combinations_match_the_whole_lift(name, g, field):
                     for _ in range(2):
                         x = _random_class(rng, res, n, field, t)
                         for m in range(3 - n + 1):
-                            want = _whole_lift(x, resolutions[t], m).images
-                            assert lift_through(x, resolutions[t], m).images == want
                             y = _random_class(rng, resolutions[t], m, field)
                             got = yoneda_multiply(y, x).coeffs
                             ref = _whole_product(y, x)
@@ -903,9 +897,26 @@ def test_lift_through_a_flipped_complex_is_refused(triangle):
     flipped = ProjResolution.from_steps(la, "e1", _flip(steps["e1"], ("e1", 2, 0, 0)))
     x = canonical_element(complexes["e2"], 1, -1)
     assert x.targets() == {"e1"}
+    (i,) = x.coeffs
     for _ in range(2):
         with pytest.raises(RuntimeError, match="comparison lifting failed"):
-            lift_through(x, flipped, 3)
+            lift_through(x.res, 1, i, flipped, 3)
         with pytest.raises(RuntimeError, match="comparison lifting failed"):
             yoneda_multiply(canonical_element(flipped, 3, 1), x)
-    assert lift_through(x, flipped, 2).images == _whole_lift(x, flipped, 2).images
+    assert lift_through(x.res, 1, i, flipped, 2).images == _whole_lift(x, flipped, 2).images
+
+
+def test_lift_and_product_refuse_mismatched_simples(triangle):
+    """A class whose summand is not the target's simple is not lifted, and
+    no level is kept for it; factors that do not compose are refused."""
+    la = build_algebra(present(triangle))
+    walks = {e: ProjResolution.from_oracle(la, e, 3) for e in triangle.edge_ids}
+    res = walks["e1"]
+    i = next(i for i, (t, _, _) in enumerate(res.summands[1]) if t != "e1")
+    with pytest.raises(ValueError, match="does not map into the requested simple"):
+        lift_through(res, 1, i, walks["e1"], 1)
+    assert res.lifts == {}
+    x = ExtElement(res, 1, {i: la.field.one})
+    y = ExtElement(walks["e1"], 1, {0: la.field.one})
+    with pytest.raises(ValueError, match="factors not composable"):
+        yoneda_multiply(y, x)

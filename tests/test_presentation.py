@@ -1,9 +1,6 @@
 from fractions import Fraction
 
-import pytest
-
 from brauergraph.graph import (
-    BrauerGraphError,
     loop_graph,
     path_graph,
     star_graph,
@@ -11,7 +8,7 @@ from brauergraph.graph import (
 )
 from brauergraph.presentation import (
     build_quiver,
-    cycle,
+    cycle_half,
     homogeneity,
     present,
     quiver_to_dot,
@@ -41,7 +38,7 @@ def test_quiver_a4(a4):
 
 def test_cycle_and_special_path(triangle):
     q = build_quiver(triangle)
-    c = cycle(triangle, q, "e1", "alpha")
+    c = cycle_half(triangle, q, triangle.half_at("e1", "alpha"))
     assert c.length == 2 and c.source == c.target == "e1"
     assert [a.name for a in c.arrows] == ["a(e1,e3)", "a(e3,e1)"]
     st = star_graph(3)
@@ -118,13 +115,6 @@ def test_a2_special_case(a2):
     (rel,) = pres.all_relations
     assert rel.kind == "two" and rel.lengths() == (2,)
     assert pres.minimal_relations == pres.all_relations
-
-
-def test_loop_requires_half_edge_for_cycle():
-    lp = loop_graph()
-    q = build_quiver(lp)
-    with pytest.raises(BrauerGraphError):
-        cycle(lp, q, "e1", "v1")
 
 
 def test_dot_and_json(triangle):

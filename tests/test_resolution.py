@@ -25,7 +25,7 @@ def test_resolve_triangle_first_steps(triangle):
     assert [a.name for a in q1.differential[(0, 0)][1].arrows] == ["a(e1,e3)"]
     assert [a.name for a in q1.differential[(0, 1)][1].arrows] == ["a(e1,e2)"]
     assert steps[2].summands == ((-2, "e2"), (0, "e1"), (2, "e3"))
-    assert steps[3].summand_edges() == ("e1", "e3", "e2", "e1")
+    assert [e for _, e in steps[3].summands] == ["e1", "e3", "e2", "e1"]
     # diagonal signs alternate with the parity of the degree
     assert steps[2].differential[(0, 0)][0] == -1
     assert steps[3].differential[(0, 0)][0] == 1

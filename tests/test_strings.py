@@ -15,7 +15,6 @@ from brauergraph.strings import (
     realize,
     syzygy,
     syzygy_of_simple,
-    uniserial,
     validate_acceptable,
 )
 from conftest import reduced_desk_graphs
@@ -41,7 +40,7 @@ def test_reverse_and_star_flip(triangle):
         ("e2", "+"), ("e1", "-"), ("e3", "+")
     ).entries
     assert StringDescriptor.simple("e1").reverse() == StringDescriptor.simple("e1")
-    flip = sigma.star_flip()
+    flip = StringDescriptor(tuple((e, -s) for e, s in sigma.entries))
     assert flip.entries == StringDescriptor.of(
         ("e3", "-"), ("e1", "+"), ("e2", "-")
     ).entries
@@ -61,10 +60,8 @@ def test_top_socle(triangle):
 
 
 def test_uniserial_and_dimension(triangle, a4):
-    u = uniserial(a4, "e2", "e1")
-    assert u is not None and dimension(a4, u) == 2
-    assert uniserial(a4, "e1", "e1") == StringDescriptor.simple("e1")
-    assert uniserial(a4, "e1", "e3") is None
+    # the uniserial with top e2 and socle e1
+    assert dimension(a4, StringDescriptor.of(("e2", "+"), ("e1", "-"))) == 2
     big = StringDescriptor.of(("e2", "+"), ("e3", "-"), ("e1", "+"),
                               ("e2", "-"), ("e3", "+"))
     assert dimension(triangle, big) == 5
@@ -190,7 +187,7 @@ def test_syzygy_outputs_acceptable(data):
     assert validate_acceptable(g, sigma)
     assert validate_acceptable(g, sigma.reverse())
     if len(sigma) > 1:
-        assert validate_acceptable(g, sigma.star_flip())
+        assert validate_acceptable(g, StringDescriptor(tuple((e, -s) for e, s in sigma.entries)))
 
 
 def test_non_reduced_graph_rejected(star3_m2):

@@ -12,8 +12,10 @@ at the end.  Both sides run their own, unchanged ``perfbench/run.py`` with
 runs the base first when p is even and the working tree first when p is
 odd, so a drift of the host's speed does not favour one side.  The output
 file is rewritten after every pair; it holds every run's end-to-end metrics
-and, per workload and seed, each metric's median and quartiles on both
-sides, the change's wins (pairs in which it is better in the direction
+and the ``src=`` digest of the code it measured (the change is labelled
+"+ working tree" when ``src/`` differs from ``HEAD``), and, per workload
+and seed, each metric's median and quartiles on both sides, the change's
+wins (pairs in which it is better in the direction
 ``BENCHMARK.json`` declares), whether a gain claim holds - at least
 ``PAIRS`` pairs, wins in at least nine of ten of them, a median gap wider
 than the base's interquartile range, and no larger share of failed
@@ -45,7 +47,8 @@ def _git(*args: str) -> str:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``perfbench/run.py`` run in ``checkout``: its result line."""
+    """One untraced ``perfbench/run.py`` run in ``checkout``: its result line,
+    and the ``src=`` digest of the code it measured from its header line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -55,7 +58,9 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"perfbench failed in {checkout} (exit {proc.returncode}): "
                            f"{proc.stderr.strip()[-500:]}")
     result = json.loads(lines[-1])
-    return {"correct": result["correct"], "attempted": result["attempted"],
+    src = next((word[len("src="):] for line in lines if line.startswith("# workload=")
+                for word in line.split() if word.startswith("src=")), None)
+    return {"src": src, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
@@ -124,8 +129,8 @@ def main(argv=None) -> int:
     metrics = bench["end_to_end"]
     seconds = bench["run_seconds"]
     doc = {"base": _git("rev-parse", args.base),
-           "change": _git("rev-parse", "HEAD") + (" + working tree"
-                                                  if _git("status", "--porcelain") else ""),
+           "change": _git("rev-parse", "HEAD") + (
+               " + working tree" if _git("status", "--porcelain", "--", "src") else ""),
            "python": platform.python_version(), "nproc": os.cpu_count(),
            "seconds": seconds, "order": "base first in even pairs",
            "workloads": {}}
