@@ -91,10 +91,9 @@ def _check_edges(n_edges: int) -> None:
                          f"all (2k)! permutations; asked for {n_edges}")
 
 
-def _graph_from_sigma(sigma: tuple[int, ...],
-                      multiplicities: tuple[int, ...]) -> BrauerGraph:
-    n_edges = len(sigma) // 2
-    # vertices = cycles of sigma
+def _cycles(sigma: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of sigma, the vertices, each from its least dart, in order
+    of that dart."""
     seen: set[int] = set()
     cycles: list[list[int]] = []
     for d in range(len(sigma)):
@@ -108,6 +107,11 @@ def _graph_from_sigma(sigma: tuple[int, ...],
             seen.add(nd)
             nd = sigma[nd]
         cycles.append(cyc)
+    return cycles
+
+
+def _graph_from_cycles(cycles: list[list[int]],
+                       multiplicities: tuple[int, ...]) -> BrauerGraph:
     vertex_of_dart = {}
     for vi, cyc in enumerate(cycles):
         for d in cyc:
@@ -115,7 +119,7 @@ def _graph_from_sigma(sigma: tuple[int, ...],
     vertices = [(f"v{vi}", multiplicities[vi]) for vi in range(len(cycles))]
     edges = [
         (f"e{i}", (vertex_of_dart[2 * i], vertex_of_dart[2 * i + 1]))
-        for i in range(n_edges)
+        for i in range(len(vertex_of_dart) // 2)
     ]
     rotation = {
         f"v{vi}": [HalfEdge(f"e{d // 2}", d % 2) for d in cyc]
@@ -132,16 +136,6 @@ def census(max_edges: int, max_multiplicity: int) -> Iterator[BrauerGraph]:
     _check_edges(max_edges)
     for k in range(1, max_edges + 1):
         for sigma in rotation_systems(k):
-            n_vertices = len({_cycle_id(sigma, d) for d in range(2 * k)})
-            for mults in product(range(1, max_multiplicity + 1), repeat=n_vertices):
-                yield _graph_from_sigma(sigma, mults)
-
-
-def _cycle_id(sigma: tuple[int, ...], d: int) -> int:
-    cur = d
-    best = d
-    while True:
-        cur = sigma[cur]
-        if cur == d:
-            return best
-        best = min(best, cur)
+            cycles = _cycles(sigma)
+            for mults in product(range(1, max_multiplicity + 1), repeat=len(cycles)):
+                yield _graph_from_cycles(cycles, mults)

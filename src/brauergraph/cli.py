@@ -289,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ext)
 
     p = sub.add_parser("verify", help="cross-check everything against the oracle")
-    p.add_argument("--input")
-    p.add_argument("--input-dir", help="verify every .bg.json in a directory")
+    inputs = p.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--input", help="graph file (.bg.json)")
+    inputs.add_argument("--input-dir", help="verify every .bg.json in a directory")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--field", type=_field, default="q", help="q or fp:<prime>")
     p.add_argument("--max", type=_degree, default=4)
@@ -306,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not args.input and not args.input_dir:
-        parser.error("verify needs --input or --input-dir")
     try:
         return args.func(args)
     except SystemExit as exc:

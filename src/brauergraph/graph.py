@@ -91,6 +91,11 @@ def _as_integer(value, what: str, *args) -> int:
     return value if type(value) is int else _refuse(value, "an integer", what, *args)
 
 
+def _as_string(value, what: str, *args) -> str:
+    """A JSON string: ``str()`` would read an object as a name and 1 as "1"."""
+    return value if type(value) is str else _refuse(value, "a string", what, *args)
+
+
 class BrauerGraph:
     """A finite graph with per-vertex cyclic half-edge order and multiplicities.
 
@@ -549,27 +554,29 @@ def from_dict(doc: dict) -> BrauerGraph:
     try:
         vertices = []
         for k, v in enumerate(_list(_member(doc, "vertices", "the document"), "vertices")):
-            vid = str(_member(v, "id", "vertex #{}", k + 1))
+            vid = _as_string(_member(v, "id", "vertex #{}", k + 1), "id of vertex #{}", k + 1)
             vertices.append((vid, _as_integer(v.get("multiplicity", 1),
                                               "multiplicity of vertex {!r}", vid)))
         edges = []
         for k, e in enumerate(_list(_member(doc, "edges", "the document"), "edges")):
-            eid = str(_member(e, "id", "edge #{}", k + 1))
+            eid = _as_string(_member(e, "id", "edge #{}", k + 1), "id of edge #{}", k + 1)
             ends = _pair(_member(e, "ends", "edge {!r}", eid), "ends of edge {!r}", eid)
-            edges.append((eid, (str(ends[0]), str(ends[1]))))
+            edges.append((eid, tuple(_as_string(x, "end of edge {!r}", eid) for x in ends)))
         rotation = doc.get("rotation", {})
         if not isinstance(rotation, dict):
             _refuse(rotation, "an object", "rotation")
         # each half-edge is checked to be a pair before its end is read
         rotation = {
-            str(v): [HalfEdge(str(_pair(h, "half-edge at vertex {!r}", v)[0]),
+            str(v): [HalfEdge(_as_string(_pair(h, "half-edge at vertex {!r}", v)[0],
+                                         "half-edge edge at vertex {!r}", v),
                               _as_integer(h[1], "half-edge end at vertex {!r}", v))
                      for h in _list(halves, "rotation at vertex {!r}", v)]
             for v, halves in rotation.items()
         }
         quantizer = {}
         for k, q in enumerate(_list(doc.get("quantizer", []), "quantizer")):
-            e, v = (str(_member(q, key, "quantizer entry #{}", k + 1))
+            e, v = (_as_string(_member(q, key, "quantizer entry #{}", k + 1),
+                               "{} of quantizer entry #{}", key, k + 1)
                     for key in ("edge", "vertex"))
             quantizer[(e, v)] = _as_fraction(
                 _member(q, "value", "quantizer entry of edge {!r} at vertex {!r}", e, v),

@@ -86,7 +86,7 @@ class FiniteDimAlgebra:
         self._reduce(self._enumerate_words(monomials),
                      [r for r in self.relations if len(r.terms) > 1])
         self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
-        self._projective_action: dict[str, dict[str, list[tuple]]] = {}
+        self._projective_action: dict[str, dict[str, list[dict]]] = {}
 
     def _check_quantizer(self):
         """A quantizer value that is zero or has no inverse over the field
@@ -266,17 +266,18 @@ class FiniteDimAlgebra:
         at, neg = self._basis_at, self.field.neg
         return {at[k]: neg(c) for k, c in prow.items() if k != j}
 
-    def projective_action(self, e: str) -> dict[str, list[tuple]]:
+    def projective_action(self, e: str) -> dict[str, list[dict]]:
         """The arrow action on the projective at ``e``, computed on first use:
         per arrow name, one row per word from e to the arrow's source (in
-        ``projective_words`` order), each row the (position, coefficient)
-        nonzeros of that word times the arrow in the block of its target."""
+        ``projective_words`` order), each row the nonzeros (position ->
+        coefficient) of that word times the arrow in the block of its
+        target."""
         action = self._projective_action.get(e)
         if action is None:
             words, pos = self.projective_words[e], self.word_position
             action = {
-                a.name: [tuple((pos[j], c) for j, c in
-                               self.word_to_vec(e, self.basis[i][1] + (ai,)).items())
+                a.name: [{pos[j]: c for j, c in
+                          self.word_to_vec(e, self.basis[i][1] + (ai,)).items()}
                          for i in words[a.source]]
                 for ai, a in enumerate(self.quiver.arrows)
             }

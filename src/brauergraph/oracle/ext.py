@@ -40,6 +40,10 @@ of x, which equals lifting x whole.  A lift through a complex that is not
 exact fails with the same ``RuntimeError`` at the level that cannot be
 solved.
 
+Every vector here - a generator image, a lifting level's right-hand side
+or solution, the coefficients of an ``ExtElement`` - is a dict of its
+nonzeros, the oracle's one row form (``oracle/linalg.py``).
+
 The subalgebra generated in low degrees is closed degree by degree from
 its generators: each new span is the products of a lower span with one
 generator (``_closure_spans``), so each generator g is lifted once, to
@@ -187,19 +191,21 @@ class ProjResolution:
         return sorted({d for _, d, _ in self.summands[n] if d is not None})
 
 
-def _path_images(P: ProjectiveSum, Q: ProjectiveSum, differential: dict) -> list[list]:
+def _path_images(P: ProjectiveSum, Q: ProjectiveSum, differential: dict) -> list[dict]:
     """Generator images of a sparse path matrix P -> Q: the generator of
     column ``col`` goes to the sum over rows of sign times the path, read in
     the summand ``row`` of Q."""
     la = P.la
     f = la.field
-    images = [[f.zero] * Q.dim(e) for e, _ in P.generators]
+    images: list[dict] = [{} for _ in P.generators]
     for (row, col), (sign, path) in differential.items():
         offset = Q.offsets[row][P.generators[col][0]]
+        image = images[col]
         for j, c in la.path_to_vec(path).items():
             k = offset + la.word_position[j]
-            images[col][k] = f.add(images[col][k], c if sign > 0 else f.neg(c))
-    return images
+            c = c if sign > 0 else f.neg(c)
+            image[k] = f.add(image[k], c) if k in image else c
+    return [{k: x for k, x in image.items() if not f.is_zero(x)} for image in images]
 
 
 # ----------------------------------------------------------------------
@@ -207,27 +213,22 @@ def _path_images(P: ProjectiveSum, Q: ProjectiveSum, differential: dict) -> list
 
 
 class ExtElement:
-    """A functional on the generators of one projective of one resolution."""
+    """A functional on the generators of one projective of one resolution;
+    ``coeffs`` holds its nonzero coefficients, generator index ->
+    coefficient, the zeros given to it dropped here."""
 
     def __init__(self, res: ProjResolution, degree: int, coeffs: dict[int, object]):
         self.res = res
         self.degree = degree
-        self.coeffs = dict(coeffs)
+        f = res.la.field
+        self.coeffs = {i: c for i, c in coeffs.items() if not f.is_zero(c)}
 
     @property
     def source(self) -> str:
         return self.res.source
 
     def targets(self) -> set[str]:
-        return {
-            self.res.summands[self.degree][i][0]
-            for i, c in self.coeffs.items()
-            if not self.res.la.field.is_zero(c)
-        }
-
-    def is_zero(self) -> bool:
-        f = self.res.la.field
-        return all(f.is_zero(c) for c in self.coeffs.values())
+        return {self.res.summands[self.degree][i][0] for i in self.coeffs}
 
 
 def canonical_element(res: ProjResolution, degree: int, position: int) -> ExtElement:
@@ -251,10 +252,9 @@ def lift_through(src: ProjResolution, n: int, i: int, target_res: ProjResolution
     if not levels:
         # psi_0 sends generator i to the generator of the target's Q^0 and
         # every other generator to zero
-        f = src.la.field
         q0 = target_res.modules[0]
-        images = [[f.zero] * q0.dim(e) for e, _ in src.modules[n].generators]
-        images[i][q0.generators[0][1]] = f.one
+        images: list[dict] = [{} for _ in src.modules[n].generators]
+        images[i] = {q0.generators[0][1]: src.la.field.one}
         levels.append(map_from_generators(src.modules[n], q0, images))
     for k in range(len(levels), m + 1):
         levels.append(_lift_level(src, n, i, target_res, k, levels[-1]))
@@ -296,22 +296,22 @@ def yoneda_multiply(y: ExtElement, x: ExtElement) -> ExtElement:
     for t in x.targets():
         if y.res.source != t:
             raise ValueError("factors not composable")
-    y_gens = y.res.modules[m].generators
-    y_terms = [(y_gens[i], c) for i, c in y.coeffs.items() if not f.is_zero(c)]
-    generators = src.modules[n + m].generators
-    totals = [f.zero] * len(generators)
-    for i, a in x.coeffs.items():
-        if f.is_zero(a):
-            continue
-        psi = lift_through(src, n, i, y.res, m)
-        for j, (gv, _) in enumerate(generators):
-            row = psi.images[j]
-            total = f.zero
-            for (tgv, tgi), c in y_terms:
-                if tgv == gv:
-                    total = f.add(total, f.mul(c, row[tgi]))
-            totals[j] = f.add(totals[j], f.mul(a, total))
-    return ExtElement(src, n + m, {j: c for j, c in enumerate(totals) if not f.is_zero(c)})
+    # y's coefficients per vertex: (position in the block there, coefficient)
+    y_at: dict[str, list[tuple[int, object]]] = {}
+    for i, c in y.coeffs.items():
+        tgv, tgi = y.res.modules[m].generators[i]
+        y_at.setdefault(tgv, []).append((tgi, c))
+    lifts = [(a, lift_through(src, n, i, y.res, m).images) for i, a in x.coeffs.items()]
+    totals = {}
+    for j, (gv, _) in enumerate(src.modules[n + m].generators):
+        total = f.zero
+        for a, images in lifts:
+            row = images[j]
+            for tgi, c in y_at.get(gv, ()):
+                if tgi in row:
+                    total = f.add(total, f.mul(a, f.mul(c, row[tgi])))
+        totals[j] = total
+    return ExtElement(src, n + m, totals)
 
 
 def generated_subalgebra_dims(resolutions: dict[str, ProjResolution],

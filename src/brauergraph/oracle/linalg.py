@@ -1,11 +1,11 @@
 """Exact linear algebra over a field object, on sparse rows.
 
-A row is stored as its nonzeros: a dict column -> coefficient with no zero
-coefficient.  ``rref`` and ``rank`` also take a row as a tuple of
-(column, coefficient) pairs, the form of a module's arrow action.  Linear
-maps between right modules are stored in the row-vector convention: a map
-sends the row vector v to v*A, so its kernel is the left kernel of A and
-its image is the row space.
+A row, here and everywhere in the oracle, is stored as its nonzeros: a
+dict column -> coefficient with no zero coefficient.  Every function here
+takes and returns rows in that form only.  Linear maps between right
+modules are stored in the row-vector convention: a map sends the row
+vector v to v*A, so its kernel is the left kernel of A and its image is
+the row space.
 
 Every elimination of the oracle runs one forward step, ``_forward``: it
 reduces each row by the pivot rows found so far until its least column is
@@ -107,9 +107,9 @@ def left_kernel(rows: list[dict], field) -> list[dict]:
     return list(basis.values())
 
 
-def solve_left(a: list[dict], bs: list[list], field) -> Optional[list[list]]:
-    """One solution v of v A = b for every dense row b of ``bs``, or None
-    when any of them is inconsistent; each v is dense, of length len(a).
+def solve_left(a: list[dict], bs: list[dict], field) -> Optional[list[dict]]:
+    """One solution v of v A = b for every row b of ``bs``, or None when any
+    of them is inconsistent; each v is a row over the indices of A's rows.
 
     A is row reduced once, transposed, with every b as one more column
     after A's rows; a pivot in the columns of A does not depend on the
@@ -120,13 +120,12 @@ def solve_left(a: list[dict], bs: list[list], field) -> Optional[list[list]]:
     nrows = len(a)
     columns = _columns(a)
     for k, b in enumerate(bs, nrows):
-        for j, x in enumerate(b):
-            if not f.is_zero(x):
-                columns.setdefault(j, {})[k] = x
+        for j, x in b.items():
+            columns.setdefault(j, {})[k] = x
     red, pivots = rref(columns.values(), f)
     if pivots and pivots[-1] >= nrows:
         return None
-    solutions = [[f.zero] * nrows for _ in bs]
+    solutions: list[dict] = [{} for _ in bs]
     for r, pc in zip(red, pivots):
         for k, x in r.items():
             if k >= nrows:
@@ -137,9 +136,9 @@ def solve_left(a: list[dict], bs: list[list], field) -> Optional[list[list]]:
 class SparseReducer:
     """A growing span of sparse rows, keyed by any comparable columns.
 
-    Both questions run the forward step on one row, with its zero
-    coefficients dropped: ``add`` on the span's own pivot rows, and
-    ``contains`` on a copy of them, so the span does not grow."""
+    Both questions run the forward step on one row: ``add`` on the span's
+    own pivot rows, and ``contains`` on a copy of them, so the span does not
+    grow."""
 
     def __init__(self, field):
         self.field = field
@@ -147,9 +146,8 @@ class SparseReducer:
 
     def _insert(self, pivots: dict, row: dict) -> bool:
         """Does the row enlarge the span of ``pivots``?  It is inserted."""
-        f = self.field
         n = len(pivots)
-        _forward(pivots, [((c, x) for c, x in row.items() if not f.is_zero(x))], f)
+        _forward(pivots, [row], self.field)
         return len(pivots) > n
 
     def add(self, row: dict) -> bool:

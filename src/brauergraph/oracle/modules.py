@@ -1,16 +1,16 @@
 """Right modules over the oracle algebra as explicit representations.
 
 A module assigns to each quiver vertex a based vector space and to each
-arrow a matrix acting on row vectors.  Every matrix here is stored sparse,
-in one form only, and no matrix is ever written out dense:
+arrow a matrix acting on row vectors.  Every vector here is one sparse row,
+the dict of its nonzeros (column -> coefficient), and no vector is ever
+written out dense:
 
 - an arrow's action: ``action[name]`` has one row per basis vector of the
-  arrow's source block, each the tuple of its (column, coefficient)
-  nonzeros;
+  arrow's source block, in the target's block;
 - a module map's blocks: ``blocks[v]`` has one row per basis vector of the
-  source at v, each the dict of its nonzeros in the target's block at v.
-
-Only the generator images of a map out of projectives are dense rows.
+  source at v, in the target's block at v;
+- the generator images of a map out of projectives: one row per generator,
+  in the target's block at the generator's edge.
 
 Everything needed downstream - tops, socles, projective covers, kernels,
 minimal resolutions - reduces to row reductions of these sparse rows, and
@@ -64,11 +64,11 @@ from .algebra import FiniteDimAlgebra
 class Module:
     def __init__(self, la: FiniteDimAlgebra,
                  degrees: dict[str, list[Optional[int]]],
-                 action: dict[str, list[tuple]]):
+                 action: dict[str, list[dict]]):
         self.la = la
         self.degrees = degrees  # per quiver vertex, one entry per basis vector
-        # per arrow name, one row per basis vector at the arrow's source: the
-        # (column, coefficient) nonzeros of its image at the arrow's target
+        # per arrow name, one row per basis vector at the arrow's source: its
+        # image at the arrow's target
         self.action = action
 
     def dim(self, v: str) -> int:
@@ -87,7 +87,7 @@ class Module:
         """Per vertex, the basis positions that are no pivot column of
         M * rad there, which the arrow rows into the vertex span: their
         classes are a basis of the top."""
-        radical: dict[str, list[tuple]] = {}
+        radical: dict[str, list[dict]] = {}
         for a in self.la.quiver.arrows:
             rows = [row for row in self.action[a.name] if row]
             if rows:
@@ -110,8 +110,8 @@ class Module:
             stacked: list[dict] = [{} for _ in range(n)]
             col0 = 0
             for a in self.la.quiver.arrows_from.get(v, ()):
-                for row, pairs in zip(stacked, self.action[a.name]):
-                    for j, x in pairs:
+                for row, image in zip(stacked, self.action[a.name]):
+                    for j, x in image.items():
                         row[col0 + j] = x
                 col0 += self.dim(a.target)
             k = n - linalg.rank(stacked, self.la.field)
@@ -131,17 +131,17 @@ class Module:
 class ModuleMap:
     """Per-vertex matrices (row convention) commuting with the arrow action.
 
-    ``blocks[v]`` has one row per basis vector of the source at v, each a
-    dict of its nonzeros in the target's block at v; rows may be shared
-    and are never changed.  A map out of a ``ProjectiveSum`` is stored as
-    ``images``, one dense target row per generator, and its blocks are
-    pushed from them on first read; a map out of any other module (a
-    kernel inclusion) is given by its blocks and has no images.
+    ``blocks[v]`` has one row per basis vector of the source at v, in the
+    target's block at v; rows may be shared and are never changed.  A map
+    out of a ``ProjectiveSum`` is stored as ``images``, one target row per
+    generator, and its blocks are pushed from them on first read; a map out
+    of any other module (a kernel inclusion) is given by its blocks and has
+    no images.
     """
 
     def __init__(self, source: Module, target: Module,
                  blocks: Optional[dict[str, list[dict]]] = None,
-                 images: Optional[list[list]] = None):
+                 images: Optional[list[dict]] = None):
         self.source = source
         self.target = target
         self.images = images
@@ -153,13 +153,11 @@ class ModuleMap:
         """Each summand's basis word w goes to its generator's image times w."""
         source, target = self.source, self.target
         la = source.la
-        f = la.field
         blocks: dict[str, list[dict]] = {v: [] for v in la.quiver.vertices}
         for (e, _), image in zip(source.generators, self.images):
-            start = {j: x for j, x in enumerate(image) if not f.is_zero(x)}
-            pushed = {(): start}
+            pushed = {(): image}
             for v, words in la.projective_words[e].items():
-                if not start:  # a generator sent to zero sends every word to zero
+                if not image:  # a generator sent to zero sends every word to zero
                     blocks[v].extend({} for _ in words)
                     continue
                 blocks[v].extend(_push(target, pushed, la.basis[i][1]) for i in words)
@@ -175,18 +173,14 @@ class ModuleMap:
         """This map, out of a sum of projectives, followed by ``then``: each
         generator image times ``then``'s block at the generator's edge."""
         f = self.source.la.field
-        images = []
-        for (e, _), image in zip(self.source.generators, self.images):
-            vec = {i: x for i, x in enumerate(image) if not f.is_zero(x)}
-            images.append(_dense(_times(vec, then.blocks[e], f).items(),
-                                 then.target.dim(e), f))
+        images = [_times(image, then.blocks[e], f)
+                  for (e, _), image in zip(self.source.generators, self.images)]
         return map_from_generators(self.source, then.target, images)
 
     def is_zero(self) -> bool:
         """A map out of a sum of projectives is zero exactly when it kills
         every generator."""
-        f = self.source.la.field
-        return all(f.is_zero(x) for image in self.images for x in image)
+        return not any(self.images)
 
     def total_image_dim(self) -> int:
         return sum(self.ranks.values())
@@ -199,7 +193,7 @@ def simple_module(la: FiniteDimAlgebra, e: str) -> Module:
     """The simple at ``e``, in degree 0 when the algebra is graded."""
     degrees = {v: ([0 if la.graded else None] if v == e else [])
                for v in la.quiver.vertices}
-    action = {a.name: [()] * len(degrees[a.source]) for a in la.quiver.arrows}
+    action = {a.name: [{} for _ in degrees[a.source]] for a in la.quiver.arrows}
     return Module(la, degrees, action)
 
 
@@ -225,7 +219,7 @@ class ProjectiveSum(Module):
             for v, words in la.projective_words[e].items():
                 degrees[v].extend(((d or 0) + la.degree(i)) if la.graded else None
                                   for i in words)
-        action: dict[str, list[tuple]] = {a.name: [] for a in la.quiver.arrows}
+        action: dict[str, list[dict]] = {a.name: [] for a in la.quiver.arrows}
         for (e, _), offsets in zip(self.generators, self.offsets):
             rows_at = la.projective_action(e)
             for a in la.quiver.arrows:
@@ -233,7 +227,7 @@ class ProjectiveSum(Module):
                 col0 = offsets[a.target]
                 action[a.name].extend(
                     rows if col0 == 0 else
-                    [tuple((col0 + j, x) for j, x in row) for row in rows])
+                    [{col0 + j: x for j, x in row.items()} for row in rows])
         super().__init__(la, degrees, action)
 
 
@@ -243,7 +237,7 @@ def projective_module(la: FiniteDimAlgebra, e: str) -> ProjectiveSum:
 
 
 def map_from_generators(source: ProjectiveSum, target: Module,
-                        images: list[list]) -> ModuleMap:
+                        images: list[dict]) -> ModuleMap:
     """The module map out of a sum of projectives that sends the generator of
     summand k to ``images[k]``, a row vector in the target's block at that
     summand's edge; each basis word w of the summand goes to ``images[k]``
@@ -261,24 +255,14 @@ def _push(mod: Module, pushed: dict[tuple, dict], arrows: tuple[int, ...]) -> di
     return pushed[arrows]
 
 
-def _times(vec: dict, rows: list, f) -> dict:
-    """The sparse vector ``vec`` (index -> nonzero coefficient) times the
-    sparse rows ``rows`` - arrow rows of (column, coefficient) pairs or
-    block rows as dicts - over the nonzeros of both."""
+def _times(vec: dict, rows: list[dict], f) -> dict:
+    """The sparse row ``vec`` times the sparse rows ``rows``, over the
+    nonzeros of both."""
     out: dict = {}
     for i, x in vec.items():
-        row = rows[i]
-        for j, y in (row.items() if type(row) is dict else row):
+        for j, y in rows[i].items():
             out[j] = f.add(out[j], f.mul(x, y)) if j in out else f.mul(x, y)
     return {j: x for j, x in out.items() if not f.is_zero(x)}
-
-
-def _dense(pairs, n: int, f) -> list:
-    """The (column, coefficient) pairs ``pairs`` as a dense row of width n."""
-    row = [f.zero] * n
-    for j, x in pairs:
-        row[j] = x
-    return row
 
 
 def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]]:
@@ -288,14 +272,11 @@ def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]
     f = la.field
     tops = mod.top_positions()
     summands: list[tuple[str, Optional[int]]] = []
-    images: list[list] = []
+    images: list[dict] = []
     for v in la.quiver.vertices:
-        n = mod.dim(v)
         for i in tops.get(v, ()):
             summands.append((v, mod.degrees[v][i]))
-            unit = [f.zero] * n
-            unit[i] = f.one
-            images.append(unit)
+            images.append({i: f.one})
     P = ProjectiveSum(la, summands)
     return P, map_from_generators(P, mod, images), summands
 
@@ -334,7 +315,7 @@ def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
             coords = {at[i]: x for i, x in image.items() if i in at}
             if _times(coords, basis[a.target], f) != image:
                 raise RuntimeError("kernel is not closed under the action")
-            action[a.name].append(tuple(sorted(coords.items())))
+            action[a.name].append(coords)
     K = Module(la, degrees, action)
     incl = ModuleMap(K, P, blocks=basis)
     return K, incl

@@ -344,15 +344,11 @@ def _evaluate(cert, resolutions, products):
 
 
 def _scalar_multiple(value: ExtElement, target: ExtElement, f) -> bool:
-    if value.is_zero():
+    v, t = value.coeffs, target.coeffs
+    if not v or set(v) != set(t):
         return False
-    v = {i: c for i, c in value.coeffs.items() if not f.is_zero(c)}
-    t = {i: c for i, c in target.coeffs.items() if not f.is_zero(c)}
-    if set(v) != set(t):
-        return False
-    ratios = {i: f.mul(v[i], f.inv(t[i])) for i in v}
-    vals = list(ratios.values())
-    return all(f.is_zero(f.sub(x, vals[0])) for x in vals)
+    ratios = [f.mul(x, f.inv(t[i])) for i, x in v.items()]
+    return all(f.is_zero(f.sub(x, ratios[0])) for x in ratios)
 
 
 def _check_obstruction(report: DiffReport, g, la, walks):

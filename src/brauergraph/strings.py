@@ -314,5 +314,4 @@ def realize(g: BrauerGraph, sigma: StringDescriptor, la):
         for step, a in enumerate(arrows):
             src_node, tgt_node = chain[step], chain[step + 1]
             rows[a.name][pos[src_node]][pos[tgt_node]] = f.one
-    action = {name: [tuple(sorted(row.items())) for row in m] for name, m in rows.items()}
-    return Module(la, degrees, action)
+    return Module(la, degrees, rows)

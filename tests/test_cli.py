@@ -173,6 +173,21 @@ def test_bad_input_exits_without_traceback(graph_files, tmp_path, args, code):
     assert proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("inputs", [[], ["--input", "JUNK", "--input-dir", "DIR"]],
+                         ids=["neither", "both"])
+def test_verify_takes_exactly_one_input(graph_files, tmp_path, capsys, inputs):
+    """``verify`` reads one --input or one --input-dir: neither, and both (a
+    non-JSON --input beside a clean directory), are usage errors (2)."""
+    junk = tmp_path / "junk.txt"
+    junk.write_text("{not json")
+    names = {"JUNK": str(junk), "DIR": str(tmp_path)}
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--max", "2", *(names.get(a, a) for a in inputs)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--input" in captured.err
+
+
 def test_verify_ok_and_exit_codes(graph_files):
     code, out, _ = invoke(["verify", "--max", "3", "--input", graph_files["a4"]])
     assert code == 0 and json.loads(out)["ok"] is True
@@ -289,10 +304,23 @@ def _set_quantizer(doc, value):
      ["quantizer", "'value'", "'e1'", "'alpha'"]),
     (lambda doc: doc.update(edges=5), ["edges", "list"]),
     (lambda doc: [doc], ["document", "object"]),
+    (lambda doc: doc["vertices"][0].update(id={"x": 1}),
+     ["id of vertex #1", "string", "{'x': 1}"]),
+    (lambda doc: doc["vertices"][0].update(id=1), ["id of vertex #1", "string", "1"]),
+    (lambda doc: doc["edges"][1].update(id=2), ["id of edge #2", "string", "2"]),
+    (lambda doc: doc["edges"][0].update(ends=["alpha", 2]), ["end of edge 'e1'", "string"]),
+    (lambda doc: doc["rotation"]["alpha"].__setitem__(0, [1, 0]),
+     ["half-edge edge", "'alpha'", "string"]),
+    (lambda doc: doc.update(quantizer=[{"edge": 1, "vertex": "alpha", "value": 2}]),
+     ["edge of quantizer entry #1", "string"]),
+    (lambda doc: doc.update(quantizer=[{"edge": "e1", "vertex": ["alpha"], "value": 2}]),
+     ["vertex of quantizer entry #1", "string", "['alpha']"]),
 ], ids=["rotation-list", "quantizer-zero-denominator", "multiplicity-float",
         "multiplicity-bool", "quantizer-object", "vertices-object", "edge-one-end",
         "half-edge-one-entry", "vertex-without-id", "quantizer-without-value",
-        "edges-number", "document-list"])
+        "edges-number", "document-list", "vertex-id-object", "vertex-id-number",
+        "edge-id-number", "edge-end-number", "half-edge-edge-number",
+        "quantizer-edge-number", "quantizer-vertex-list"])
 def test_malformed_graph_document(graph_files, tmp_path, corrupt, names):
     """A document that is JSON but not a graph exits 1 with one stderr line
     naming the field, and the vertex or edge where there is one, and no

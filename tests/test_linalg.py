@@ -106,11 +106,13 @@ def test_sparse_reduction_matches_gauss_jordan(name, data):
     assert linalg.rank(sparse, f) == len(want_pivots)
     kernel = linalg.left_kernel(sparse, f)
     assert [_dense(v, len(rows), f) for v in kernel] == _reference_left_kernel(rows, ncols, f)
-    got = linalg.solve_left(sparse, bs, f)
+    got = linalg.solve_left(sparse, _sparse(bs, f), f)
     want = [_reference_solve(rows, ncols, b, f) for b in bs]
     if any(v is None for v in want):
         assert got is None
         return
+    assert all(not f.is_zero(x) for v in got for x in v.values())
+    got = [_dense(v, len(rows), f) for v in got]
     assert got == want
     for v, b in zip(got, bs):
         product = [f.zero] * ncols
@@ -123,7 +125,7 @@ def test_sparse_reduction_matches_gauss_jordan(name, data):
 @given(data=st.data())
 def test_reducer_membership_matches_gauss_jordan(name, data):
     """``add`` returns True exactly when the rank grows, and ``contains``
-    exactly when it would not; every row keeps its zero coefficients."""
+    exactly when it would not; every row is given as its nonzeros."""
     f = FIELDS[name]
     ncols, rows, probes = data.draw(_system(f))
 
@@ -134,11 +136,12 @@ def test_reducer_membership_matches_gauss_jordan(name, data):
     span: list = []
     for row in rows:
         grows = rank(span + [row]) > rank(span)
-        assert reducer.contains(dict(enumerate(row))) is not grows
-        assert reducer.add(dict(enumerate(row))) is grows
+        (sparse,) = _sparse([row], f)
+        assert reducer.contains(sparse) is not grows
+        assert reducer.add(sparse) is grows
         span.append(row)
-    for b in probes:
-        assert reducer.contains(dict(enumerate(b))) is (rank(span + [b]) == rank(span))
+    for b, sparse in zip(probes, _sparse(probes, f)):
+        assert reducer.contains(sparse) is (rank(span + [b]) == rank(span))
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
@@ -155,7 +158,7 @@ def test_sparse_reduction_edge_cases(name):
     assert linalg.rank(zero_rows, f) == 0
     # rows of width 0 are zero rows: every unit vector is in the left kernel
     assert linalg.left_kernel(zero_rows, f) == [{0: one}, {1: one}, {2: one}]
-    assert linalg.solve_left(zero_rows, [[], []], f) == [[f.zero] * 3] * 2
-    assert linalg.solve_left(zero_rows, [[f.zero, one]], f) is None
+    assert linalg.solve_left(zero_rows, [{}, {}], f) == [{}, {}]
+    assert linalg.solve_left(zero_rows, [{1: one}], f) is None
     # a row of pairs reduces like the same row as a dict
     assert linalg.rank([((1, one), (3, one)), {1: one, 3: one}], f) == 1

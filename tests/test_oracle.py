@@ -46,7 +46,8 @@ from brauergraph.oracle.modules import (
 from brauergraph.oracle.verify import _flip
 from brauergraph.presentation import Presentation, Relation, present
 from brauergraph.resolution import explicit_resolver, resolve_simple
-from conftest import desk_graphs, pendant_triangle
+from brauergraph.strings import iterate_syzygy, realize
+from conftest import desk_graphs, pendant_triangle, reduced_desk_graphs
 
 
 def test_linalg_basics():
@@ -58,9 +59,9 @@ def test_linalg_basics():
     v = k[0]
     assert v.get(0, 0) * 1 + v.get(1, 0) * 2 == 0
     sol = linalg.solve_left([{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}],
-                            [[Fraction(3), Fraction(2)]], f)
-    assert sol == [[Fraction(1), Fraction(2)]]
-    assert linalg.solve_left([{}], [[Fraction(1)]], f) is None
+                            [{0: Fraction(3), 1: Fraction(2)}], f)
+    assert sol == [{0: Fraction(1), 1: Fraction(2)}]
+    assert linalg.solve_left([{}], [{0: Fraction(1)}], f) is None
 
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -85,12 +86,20 @@ def _mat_mul(a, b, f):
     return out
 
 
+def _dense_row(row, n, f):
+    """The sparse row ``row`` written out as a dense row of width n."""
+    out = [f.zero] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
 def _dense_action(mod, a):
     """The action of the arrow ``a`` on ``mod``, its sparse rows written out
     as a dense source.dim x target.dim matrix."""
     m = _zeros(mod.dim(a.source), mod.dim(a.target), mod.la.field)
     for i, row in enumerate(mod.action[a.name]):
-        for j, x in row:
+        for j, x in row.items():
             m[i][j] = x
     return m
 
@@ -164,26 +173,29 @@ def test_solve_left_many_rows_matches_one_at_a_time(data):
     a = data.draw(st.lists(rows, min_size=nrows, max_size=nrows))
     bs = data.draw(st.lists(rows, max_size=4))
     sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
-    alone = [linalg.solve_left(sparse, [b], f) for b in bs]
-    got = linalg.solve_left(sparse, bs, f)
+    sparse_bs = [{j: x for j, x in enumerate(b) if x} for b in bs]
+    alone = [linalg.solve_left(sparse, [b], f) for b in sparse_bs]
+    got = linalg.solve_left(sparse, sparse_bs, f)
     if any(sol is None for sol in alone):
         assert got is None
         return
     assert got == [sol[0] for sol in alone]
     for v, b in zip(got, bs):
-        assert len(v) == len(a)
+        assert set(v) <= set(range(len(a)))
+        v = _dense_row(v, len(a), f)
         assert [sum(v[i] * a[i][j] for i in range(len(a))) % 3 for j in range(ncols)] == b
 
 
 def test_solve_left_edge_cases():
     f = QQ
     a = [{0: 1}, {0: 1, 1: 1}]
-    assert linalg.solve_left(a, [[3, 2], [0, 1], [0, 0]], f) == [[1, 2], [-1, 1], [0, 0]]
-    assert linalg.solve_left([{1: 1}], [[0, 1], [1, 0]], f) is None
+    assert linalg.solve_left(a, [{0: 3, 1: 2}, {1: 1}, {}], f) == [
+        {0: 1, 1: 2}, {0: -1, 1: 1}, {}]
+    assert linalg.solve_left([{1: 1}], [{1: 1}, {0: 1}], f) is None
     assert linalg.solve_left(a, [], f) == []
     # no rows: only zero right-hand sides are reached, by the empty vector
-    assert linalg.solve_left([], [[0, 0], [0, 0]], f) == [[], []]
-    assert linalg.solve_left([], [[0, 0], [0, 1]], f) is None
+    assert linalg.solve_left([], [{}, {}], f) == [{}, {}]
+    assert linalg.solve_left([], [{}, {1: 1}], f) is None
 
 
 def test_sparse_reducer():
@@ -645,7 +657,7 @@ def _eager_blocks(phi):
     for (e, _), image in zip(phi.source.generators, phi.images):
         for v in la.quiver.vertices:
             for i in la.projective_words[e].get(v, ()):
-                row = list(image)
+                row = _dense_row(image, phi.target.dim(e), f)
                 for ai in la.basis[i][1]:
                     a = la.quiver.arrows[ai]
                     m = _dense_action(phi.target, a)
@@ -678,7 +690,9 @@ def _check_images(phi, then=None):
     if then is not None:
         comp = phi.compose(then)
         blockwise = _blockwise_composite(phi, then)
-        assert comp.images == [blockwise[gv][gi] for gv, gi in phi.source.generators]
+        assert [_dense_row(image, comp.target.dim(gv), f)
+                for image, (gv, _) in zip(comp.images, phi.source.generators)] == [
+            blockwise[gv][gi] for gv, gi in phi.source.generators]
         assert _dense_blocks(comp) == blockwise
         assert comp.is_zero() == all(f.is_zero(x) for m in blockwise.values()
                                      for row in m for x in row)
@@ -706,34 +720,73 @@ def test_maps_are_their_generator_images(name, g, field):
                         _check_images(psi, resolutions[t].maps[m] if m else None)
 
 
+def _assert_rows_hold_no_zero(rows, width, field, where):
+    """Each row is a dict of nonzeros at columns below ``width``."""
+    for row in rows:
+        assert type(row) is dict, where
+        assert all(0 <= j < width and not field.is_zero(x)
+                   for j, x in row.items()), (where, row)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
 @pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
 def test_block_rows_hold_no_zero(name, g, field):
-    """Every stored block row - of the differentials of oracle walks and
-    path-matrix complexes, their composites, kernel inclusions and lifted
-    chain maps to depth 3 - is a dict of nonzeros inside the target's
-    block, one per basis vector of the source."""
+    """Every stored vector is a dict of nonzeros inside its block: the block
+    rows and generator images of the differentials of oracle walks and
+    path-matrix complexes, their composites, covers, kernel inclusions and
+    lifted chain maps to depth 3; the arrow rows of covers, kernels and
+    realized strings; ``solve_left`` solutions; and the coefficients of
+    Yoneda products."""
     la = build_algebra(present(g), field)
     walks = {e: ProjResolution.from_oracle(la, e, 3) for e in g.edge_ids}
     complexes = _explicit_complexes(g, la, 3)
     maps = []
+    modules = []
     for res in [*walks.values(), *complexes.values()]:
         maps.extend(res.maps[1:])
         maps.extend(res.maps[n].compose(res.maps[n - 1]) for n in range(2, len(res.maps)))
     for walk in walks.values():
-        maps.extend(kernel_module(projective_cover(syz)[1])[1] for syz in walk.syzygies)
+        for syz in walk.syzygies:
+            P, cover, _ = projective_cover(syz)
+            K, incl = kernel_module(cover)
+            maps.extend([cover, incl])
+            modules.extend([P, K])
+    if name in dict(reduced_desk_graphs()):
+        for e in g.edge_ids:
+            modules.extend(realize(g, sigma, la)
+                           for sigma in iterate_syzygy(g, e, 2).descriptors)
     for resolutions in (walks, complexes):
         for res in resolutions.values():
             for n in range(3):
                 for i, (t, _, _) in enumerate(res.summands[n]):
                     maps.extend(lift_through(res, n, i, resolutions[t], m) for m in range(4 - n))
     for phi in maps:
+        if phi.images is not None:
+            assert len(phi.images) == len(phi.source.generators)
+            for (gv, _), image in zip(phi.source.generators, phi.images):
+                _assert_rows_hold_no_zero([image], phi.target.dim(gv), field, ("image", gv))
         for v, block in phi.blocks.items():
             assert len(block) == phi.source.dim(v)
-            for row in block:
-                assert type(row) is dict
-                assert all(0 <= j < phi.target.dim(v) and not field.is_zero(x)
-                           for j, x in row.items()), (v, row)
+            _assert_rows_hold_no_zero(block, phi.target.dim(v), field, v)
+            if phi.target.dim(v):
+                # every block row is in the row space, solved for by itself
+                solutions = linalg.solve_left(block, block, field)
+                assert solutions is not None
+                _assert_rows_hold_no_zero(solutions, len(block), field, ("solve_left", v))
+    for mod in modules:
+        for a in la.quiver.arrows:
+            rows = mod.action[a.name]
+            assert len(rows) == mod.dim(a.source)
+            _assert_rows_hold_no_zero(rows, mod.dim(a.target), field, a.name)
+    for res in walks.values():
+        for i, (t, _, _) in enumerate(res.summands[1]):
+            x = ExtElement(res, 1, {i: field.one})
+            for m in (1, 2):
+                for j in range(len(walks[t].summands[m])):
+                    y = ExtElement(walks[t], m, {j: field.one})
+                    coeffs = yoneda_multiply(y, x).coeffs
+                    _assert_rows_hold_no_zero([coeffs], len(res.summands[1 + m]), field,
+                                              ("product", i, m, j))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
@@ -748,7 +801,11 @@ def test_kernel_action_matches_solve_left(name, g, field):
             K, incl = kernel_module(cover)
             for a in la.quiver.arrows:
                 images = _mat_mul(_dense_block(incl, a.source), _dense_action(P, a), field)
-                want = linalg.solve_left(incl.blocks[a.target], images, field)
+                want = linalg.solve_left(
+                    incl.blocks[a.target],
+                    [{j: x for j, x in enumerate(row) if not field.is_zero(x)} for row in images],
+                    field)
+                want = [_dense_row(v, K.dim(a.target), field) for v in want]
                 assert _dense_action(K, a) == want, (e, a.name)
 
 
@@ -783,7 +840,7 @@ def test_projective_rows_match_word_products(name, g, field):
     for P in sums:
         for a in la.quiver.arrows:
             assert _dense_action(P, a) == _reference_action(P, a), a.name
-            assert all(not field.is_zero(x) for row in P.action[a.name] for _, x in row)
+            assert all(not field.is_zero(x) for row in P.action[a.name] for x in row.values())
     for e, P in zip(edges, sums):
         assert P.top() == Counter({e: 1}) and P.socle() == Counter({e: 1}), e
 
@@ -812,12 +869,8 @@ def _whole_lift(x, target_res, m):
     n, src, t = x.degree, x.res, target_res.source
     q0 = target_res.modules[0]
     _, t_gen = q0.generators[0]
-    images = []
-    for i, (e, _) in enumerate(src.modules[n].generators):
-        image = [f.zero] * q0.dim(e)
-        if e == t:
-            image[t_gen] = x.coeffs.get(i, f.zero)
-        images.append(image)
+    images = [{t_gen: x.coeffs[i]} if e == t and i in x.coeffs else {}
+              for i, (e, _) in enumerate(src.modules[n].generators)]
     psi = map_from_generators(src.modules[n], q0, images)
     for k in range(1, m + 1):
         rhs = src.maps[n + k].compose(psi)
@@ -846,7 +899,7 @@ def _whole_product(y, x):
         for i, c in y.coeffs.items():
             tgv, tgi = y.res.modules[y.degree].generators[i]
             if tgv == gv:
-                total = f.add(total, f.mul(c, psi.images[j][tgi]))
+                total = f.add(total, f.mul(c, psi.images[j].get(tgi, f.zero)))
         if not f.is_zero(total):
             out[j] = total
     return out

@@ -119,7 +119,7 @@ def test_realize(triangle, a4):
     la4 = build_algebra(present(a4))
     u = realize(a4, StringDescriptor.of(("e2", "+"), ("e1", "-")), la4)
     assert u.total_dim == 2
-    ranks = {name: sum(1 for row in rows for _, x in row if x != 0)
+    ranks = {name: sum(1 for row in rows for x in row.values() if x != 0)
              for name, rows in u.action.items()}
     assert sum(ranks.values()) == 1  # a single arrow acts with rank one
     big = iterate_syzygy(triangle, "e1", 1).descriptors[1]
