@@ -12,12 +12,23 @@ that are no pivot.
 Two reduction strategies give the same quotient:
 
 * ``build_algebra`` quotients by the monomial relations first - the words
-  are the paths with no monomial relation as a subword, enumerated once
-  into one word list - and then row reduces the translates of the
-  remaining two-term relations over those words;
+  are the paths with no monomial relation as a subword - and then row
+  reduces the translates of the remaining two-term relations over those
+  words;
 * ``build_algebra_naive`` enumerates every path and every translate of
   every relation and reduces them all.  It exists as an independent check
   and is only usable on tiny inputs.
+
+``build_algebra`` holds its words, the tagged words below included, as one
+trie keyed by arrow index: node k is the k-th word enumerated, shortest
+first, and its children are the one-arrow extensions that are words too.  A word is enumerated only as an
+extension of its prefix, so the words are prefix-closed, and three readers
+rest on that.  The enumeration builds the trie once, reading each vertex's
+out-arrows as (index, target) pairs.  The reduction drops a term m of a
+relation r from every translate u*r*v as soon as u*m is no word, since no
+u*m*v is one then, and builds no translate whose terms are all dropped.
+The arrow rows of each projective are the normal forms of the children of
+the basis words, with no word built or looked up.
 
 A kind-two relation is a monomial whose omission the paper's minimal
 generating set decides, so ``build_algebra`` answers for each one whether
@@ -83,7 +94,7 @@ class FiniteDimAlgebra:
                 m = self._path_key(r.terms[0][1])
                 monos = monomials.setdefault(len(m), {})
                 monos[m] = i if r.kind == "two" and m not in monos else FORBIDDEN
-        self._reduce(self._enumerate_words(monomials),
+        self._reduce(*self._enumerate_words(monomials),
                      [r for r in self.relations if len(r.terms) > 1])
         self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
         self._projective_action: dict[str, dict[str, list[dict]]] = {}
@@ -110,53 +121,80 @@ class FiniteDimAlgebra:
         return src if not arrows else self.quiver.arrows[arrows[-1]].target
 
     def _enumerate_words(self, monomials: dict[int, dict[tuple[int, ...], int]]
-                         ) -> list[tuple[Word, Optional[int]]]:
-        """Every word, shortest first, with its tag: the index of the one
-        kind-two monomial it contains, or None for an allowed word.  A word
-        is extended by one arrow while no suffix of the extension is a
-        forbidden monomial and the kind-two monomials among its suffixes
+                         ) -> tuple[list[Word], list[Optional[int]], list[str]]:
+        """The word trie: every word, shortest first, and its tag, the index
+        of the one kind-two monomial it contains or None for an allowed
+        word, and its target.  Word k is node k of the trie, the vertex words
+        first in ``quiver.vertices`` order, and ``_children[k]`` maps an arrow index a to the node of the word
+        followed by a, when that word is enumerated.
+
+        A word is extended by one arrow while no suffix of the extension is
+        a forbidden monomial and the kind-two monomials among its suffixes
         are its own tag's, so no subword of an allowed word is a monomial
-        relation and no word contains two distinct kind-two monomials."""
-        self.allowed: list[Word] = []
-        words: list[tuple[Word, Optional[int]]] = []
-        frontier: list[tuple[Word, Optional[int]]] = [((v, ()), None)
-                                                      for v in self.quiver.vertices]
-        while frontier:
-            nxt: list[tuple[Word, Optional[int]]] = []
-            for w, tag in frontier:
-                words.append((w, tag))
-                if tag is None:
-                    self.allowed.append(w)
-                    if len(self.allowed) > WORD_CAP:
-                        raise OracleSizeError(f"more than {WORD_CAP} words in the path space")
-                if len(w[1]) >= self.maxlen:
-                    continue
-                for a in self.quiver.arrows_from.get(self.word_target(w), ()):
-                    arrows = w[1] + (self.quiver.arrow_index[a],)
-                    n = len(arrows)
+        relation and no word contains two distinct kind-two monomials.  A
+        word is enumerated only as a child of its prefix, so the words are
+        prefix-closed."""
+        q = self.quiver
+        # each vertex's out-arrows as (arrow index, target), read once
+        out = {v: [(q.arrow_index[a], a.target) for a in q.arrows_from.get(v, ())]
+               for v in q.vertices}
+        words: list[Word] = [(v, ()) for v in q.vertices]
+        tags: list[Optional[int]] = [None] * len(words)
+        targets: list[str] = list(q.vertices)
+        children: list[dict[int, int]] = [{} for _ in words]
+        n_allowed = len(words)
+        start, length = 0, 0
+        while length < self.maxlen and start < len(words):
+            end, length = len(words), length + 1
+            for k in range(start, end):
+                src, arrows = words[k]
+                tag, kids = tags[k], children[k]
+                for ai, target in out[targets[k]]:
+                    ext = arrows + (ai,)
                     t = tag
-                    for length, monos in monomials.items():
-                        if length <= n:
-                            hit = monos.get(arrows[n - length:])
+                    for n, monos in monomials.items():
+                        if n <= length:
+                            hit = monos.get(ext[length - n:])
                             if hit is not None:
                                 if hit == FORBIDDEN or t not in (None, hit):
                                     break
                                 t = hit
                     else:
-                        nxt.append(((w[0], arrows), t))
-            frontier = nxt
-        return words
+                        kids[ai] = len(words)
+                        words.append((src, ext))
+                        tags.append(t)
+                        targets.append(target)
+                        children.append({})
+                        if t is None:
+                            n_allowed += 1
+                            if n_allowed > WORD_CAP:
+                                raise OracleSizeError(
+                                    f"more than {WORD_CAP} words in the path space")
+            start = end
+        self._children = children
+        self.allowed: list[Word] = [w for w, t in zip(words, tags) if t is None]
+        return words, tags, targets
 
     @staticmethod
     def _column_key(w: Word):
         return (len(w[1]), w[0], w[1])
 
-    def _reduce(self, words: list[tuple[Word, Optional[int]]], two_term: list[Relation]):
-        """Row reduce one sparse row per translate u*r*v of a two-term
-        relation.  The allowed words are numbered from the largest
+    def _reduce(self, words: list[Word], tags: list[Optional[int]], targets: list[str],
+                two_term: list[Relation]):
+        """Row reduce one sparse row per nonzero translate u*r*v of a
+        two-term relation.  The allowed words are numbered from the largest
         ``_column_key`` down, so each reduced row pivots on its longest
         word, and a pivot word is minus the rest of its row; the tagged
         words are numbered after them.
+
+        The column words, allowed and tagged, are prefix-closed
+        (``_enumerate_words``), so when u*m is not a column word for a term
+        m of r, no u*m*v is one, and that term is zero in every translate
+        u*r*v.  Each u keeps its live terms, those with
+        u*m a column word, and is skipped when it has none; v runs over
+        the words from r's target, shortest first, until u*m*v is too long
+        for the shortest live m.  A translate with no entry left is not
+        built.
 
         Without kind-two relation k, the words are the allowed ones and
         those tagged k, and each translate's row keeps its entries there.
@@ -172,39 +210,59 @@ class FiniteDimAlgebra:
         the other rows, and its back-substitution in ``rref`` runs last,
         since it rewrites the shared pivot rows in place."""
         f = self.field
-        by_source: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
-        by_target: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
-        for w, _ in words:
-            by_source[w[0]].append(w)
-            by_target[self.word_target(w)].append(w)
-        order = sorted(self.allowed, key=self._column_key, reverse=True)
-        self._column = column = {w: j for j, w in enumerate(order)}
+        maxlen = self.maxlen
+        # the words into each vertex, and the arrows of the words out of it,
+        # shortest first
+        heads: dict[str, list[Word]] = {v: [] for v in self.quiver.vertices}
+        tails: dict[str, list[tuple[int, ...]]] = {v: [] for v in self.quiver.vertices}
+        for w, target in zip(words, targets):
+            heads[target].append(w)
+            tails[w[0]].append(w[1])
+        # the node of each allowed column, and the column of each node's
+        # word, None at a tagged word
+        order = sorted((k for k, tag in enumerate(tags) if tag is None),
+                       key=lambda k: self._column_key(words[k]), reverse=True)
         n_allowed = len(order)
-        columns = dict(column)
+        self._column = {words[k]: j for j, k in enumerate(order)}
+        self._node_column: list[Optional[int]] = [None] * len(words)
+        for j, k in enumerate(order):
+            self._node_column[k] = j
+        columns = dict(self._column)
         tag_at: list[int] = []  # the tag of column n_allowed + i
-        for w, tag in words:
+        for w, tag in zip(words, tags):
             if tag is not None:
                 columns[w] = n_allowed + len(tag_at)
                 tag_at.append(tag)
         common: list[dict] = []
         tagged: list[dict] = []  # the rows with an entry on a tagged word
         for r in two_term:
-            terms = [(f.from_fraction(c), self._path_key(p)) for c, p in r.terms]
-            min_len = min(len(t[1]) for t in terms)
-            for u in by_target[r.source]:
-                lu = len(u[1])
-                if lu + min_len > self.maxlen:
+            # the terms by path, so that the translates of distinct terms are
+            # distinct words and a row needs no addition
+            coeffs: dict[tuple[int, ...], object] = {}
+            for c, p in r.terms:
+                m = self._path_key(p)
+                coeffs[m] = f.add(coeffs.get(m, f.zero), f.from_fraction(c))
+            terms = [(c, m) for m, c in coeffs.items() if not f.is_zero(c)]
+            if not terms:
+                continue
+            min_len = min(len(m) for _, m in terms)
+            for src, u in heads[r.source]:
+                if len(u) + min_len > maxlen:
                     break
-                for v in by_source[r.target]:
-                    if lu + min_len + len(v[1]) > self.maxlen:
+                live = [(c, u + m) for c, m in terms if (src, u + m) in columns]
+                if not live:
+                    continue
+                room = maxlen - min(len(head) for _, head in live)
+                for v in tails[r.target]:
+                    if len(v) > room:
                         break
-                    row: dict = {}
-                    for coeff, mid in terms:
-                        j = columns.get((u[0], u[1] + mid + v[1]))
+                    row = {}
+                    for c, head in live:
+                        j = columns.get((src, head + v))
                         if j is not None:
-                            row[j] = f.add(row.get(j, f.zero), coeff)
-                    row = {j: x for j, x in row.items() if not f.is_zero(x)}
-                    (tagged if row and max(row) >= n_allowed else common).append(row)
+                            row[j] = c
+                    if row:
+                        (tagged if max(row) >= n_allowed else common).append(row)
 
         def keep(row: dict, tag: Optional[int]) -> dict:
             """The row's entries on the allowed words and those tagged ``tag``."""
@@ -229,11 +287,17 @@ class FiniteDimAlgebra:
             self.redundant[k] = len(span) == size
         red, pivot_cols = linalg.rref([keep(row, None) for row in tagged], f, pivots)
         self._pivot_rows: dict[int, dict] = dict(zip(pivot_cols, red))
-        self.basis: list[Word] = [w for w in reversed(order)
-                                  if column[w] not in self._pivot_rows]
+        # the basis words, shortest first, and each column's basis index
+        # (None at a pivot)
+        self.basis: list[Word] = []
+        self._basis_node: list[int] = []
+        self._basis_at: list[Optional[int]] = [None] * n_allowed
+        for j in reversed(range(n_allowed)):
+            if j not in self._pivot_rows:
+                self._basis_at[j] = len(self.basis)
+                self.basis.append(words[order[j]])
+                self._basis_node.append(order[j])
         self.basis_index: dict[Word, int] = {w: i for i, w in enumerate(self.basis)}
-        # the basis index of each column's word; None at a pivot
-        self._basis_at: list[Optional[int]] = [self.basis_index.get(w) for w in order]
         self.dim = len(self.basis)
         self.basis_by_source: dict[str, list[int]] = {v: [] for v in self.quiver.vertices}
         # the basis of the projective at e, block by block: projective_words[e][v]
@@ -242,9 +306,10 @@ class FiniteDimAlgebra:
             e: {v: [] for v in self.quiver.vertices} for e in self.quiver.vertices
         }
         self.word_position: list[int] = []
-        for i, w in enumerate(self.basis):
-            self.basis_by_source[w[0]].append(i)
-            block = self.projective_words[w[0]][self.word_target(w)]
+        for i, k in enumerate(self._basis_node):
+            src = words[k][0]
+            self.basis_by_source[src].append(i)
+            block = self.projective_words[src][targets[k]]
             self.word_position.append(len(block))
             block.append(i)
 
@@ -258,26 +323,36 @@ class FiniteDimAlgebra:
         rows are fully reduced, so a pivot word is minus the rest of its row
         and every other word is a basis word."""
         j = self._column.get((source, arrows))
-        if j is None:
-            return {}
+        return {} if j is None else self._column_vec(j)
+
+    def _column_vec(self, j: int) -> dict[int, object]:
+        """The normal form of the allowed word of column j."""
         prow = self._pivot_rows.get(j)
         if prow is None:
             return {self._basis_at[j]: self.field.one}
         at, neg = self._basis_at, self.field.neg
         return {at[k]: neg(c) for k, c in prow.items() if k != j}
 
+    def _times_arrow(self, i: int, ai: int) -> dict[int, object]:
+        """Basis word i times arrow ``ai`` in normal forms: the normal form of
+        the child by ``ai`` of the word's node.  It is zero when the node has
+        no such child or the child is a tagged word, as the product is then
+        no allowed word."""
+        child = self._children[self._basis_node[i]].get(ai)
+        j = None if child is None else self._node_column[child]
+        return {} if j is None else self._column_vec(j)
+
     def projective_action(self, e: str) -> dict[str, list[dict]]:
         """The arrow action on the projective at ``e``, computed on first use:
-        per arrow name, one row per word from e to the arrow's source (in
-        ``projective_words`` order), each row the nonzeros (position ->
+        per arrow name, one row per basis word from e to the arrow's source
+        (in ``projective_words`` order), each row the nonzeros (position ->
         coefficient) of that word times the arrow in the block of its
-        target."""
+        target, read off the word's child in the trie (``_times_arrow``)."""
         action = self._projective_action.get(e)
         if action is None:
             words, pos = self.projective_words[e], self.word_position
             action = {
-                a.name: [{pos[j]: c for j, c in
-                          self.word_to_vec(e, self.basis[i][1] + (ai,)).items()}
+                a.name: [{pos[j]: c for j, c in self._times_arrow(i, ai).items()}
                          for i in words[a.source]]
                 for ai, a in enumerate(self.quiver.arrows)
             }

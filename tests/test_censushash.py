@@ -1,0 +1,17 @@
+import importlib.util
+import os
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "censushash.py")
+_spec = importlib.util.spec_from_file_location("censushash", _PATH)
+censushash = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(censushash)
+
+
+def test_census_3_2_hashes(capsys):
+    """The report hash and the algebra digest of census(3,2) over Q at
+    ``max_degree`` 3, as the tool prints them.  A changed digest is a changed
+    basis, pivot row, verdict or projective row of some census algebra."""
+    assert censushash.main(["--k", "3", "--m", "2", "--degree", "3", "--field", "q"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["report 7d3850109d9ae6a5",
+                                                    "algebra d185bb12ba4a8be5"]

@@ -160,5 +160,16 @@ def test_sparse_reduction_edge_cases(name):
     assert linalg.left_kernel(zero_rows, f) == [{0: one}, {1: one}, {2: one}]
     assert linalg.solve_left(zero_rows, [{}, {}], f) == [{}, {}]
     assert linalg.solve_left(zero_rows, [{1: one}], f) is None
-    # a row of pairs reduces like the same row as a dict
-    assert linalg.rank([((1, one), (3, one)), {1: one, 3: one}], f) == 1
+    # the caller's rows are read, never rewritten: they may be shared, as the
+    # block rows of module maps are; these need scaling and subtraction
+    two = f.add(one, one)
+    rows = [{j: x for j, x in row.items() if not f.is_zero(x)}
+            for row in ({0: two, 1: one}, {0: one, 1: one, 2: one}, {1: two, 2: one})]
+    bs = [dict(rows[0]), {2: one}]
+    before = [dict(row) for row in rows + bs]
+    linalg.rref(rows, f)
+    linalg.rref(rows[1:], f, {0: {0: one, 2: one}})
+    linalg.rank(rows, f)
+    linalg.left_kernel(rows, f)
+    linalg.solve_left(rows, bs, f)
+    assert rows + bs == before

@@ -476,6 +476,146 @@ def test_verdict_on_a_translate_with_two_tags(field):
         assert la.redundant[k], k
 
 
+def _exhaustive_normal_forms(la) -> tuple[list, dict]:
+    """The basis, and the normal form of every allowed word, of the row
+    reduction of every translate u*r*v of a two-term relation r with u and
+    v allowed words, none skipped, over the allowed words numbered from the
+    largest ``_column_key`` down."""
+    f, q = la.field, la.quiver
+    order = sorted(la.allowed, key=la._column_key, reverse=True)
+    column = {w: j for j, w in enumerate(order)}
+    rows = []
+    for r in la.relations:
+        if len(r.terms) < 2:
+            continue
+        terms = [(f.from_fraction(c), tuple(q.arrow_index[a] for a in p.arrows))
+                 for c, p in r.terms]
+        for u in la.allowed:
+            if la.word_target(u) != r.source:
+                continue
+            for v in la.allowed:
+                if v[0] != r.target:
+                    continue
+                row = {}
+                for c, m in terms:
+                    j = column.get((u[0], u[1] + m + v[1]))
+                    if j is not None:
+                        row[j] = f.add(row.get(j, f.zero), c)
+                rows.append({j: x for j, x in row.items() if not f.is_zero(x)})
+    red, pivots = linalg.rref(rows, f)
+    pivot_rows = dict(zip(pivots, red))
+    basis = [w for w in reversed(order) if column[w] not in pivot_rows]
+    index = {w: i for i, w in enumerate(basis)}
+    forms = {}
+    for w in la.allowed:
+        j = column[w]
+        if j in pivot_rows:
+            forms[w] = {index[order[k]]: f.neg(x) for k, x in pivot_rows[j].items() if k != j}
+        else:
+            forms[w] = {index[w]: f.one}
+    return basis, forms
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_pruned_translates_match_the_exhaustive_reduction(field):
+    """The algebra skips every translate u*r*v whose terms are all zero and
+    runs v only up to the shortest live term's length bound; that loses no
+    row: its basis and the normal form of every allowed word equal those of
+    the reduction of all translates, over census(3,2) and the desk graphs,
+    these also with any one relation dropped."""
+    cases = [(present(g), None) for g in census(3, 2)]
+    for _, g in desk_graphs():
+        pres = present(g)
+        rels = pres.all_relations
+        cases += [(pres, [r for i, r in enumerate(rels) if i != drop])
+                  for drop in [None, *range(len(rels))]]
+    for pres, relations in cases:
+        la = build_algebra(pres, field, relations)
+        basis, forms = _exhaustive_normal_forms(la)
+        assert la.basis == basis, (pres.graph, relations)
+        for w in la.allowed:
+            assert la.word_to_vec(*w) == forms[w], (pres.graph, relations, w)
+
+
+def _column_words(la) -> dict:
+    """Every path of length at most ``la.maxlen`` that has no forbidden
+    monomial as a subword and the monomials of at most one kind-two relation,
+    mapped to that relation's index, or to None when it has none.  A monomial
+    is forbidden unless it is the monomial of exactly one relation, and that
+    relation is of kind two.  Every subword of each path is checked; only the
+    extensions of kept paths are checked, since a path keeps its subwords in
+    every extension."""
+    q = la.quiver
+    owners: dict = {}
+    for i, r in enumerate(la.relations):
+        if len(r.terms) == 1:
+            key = tuple(q.arrow_index[a] for a in r.terms[0][1].arrows)
+            owners.setdefault(key, []).append(i)
+    tag_of = {m: i[0] if len(i) == 1 and la.relations[i[0]].kind == "two" else None
+              for m, i in owners.items()}
+    words = {}
+    frontier = [(v, ()) for v in q.vertices]
+    while frontier:
+        kept = []
+        for src, arrows in frontier:
+            tags = {tag_of[arrows[i:j]] for i in range(len(arrows))
+                    for j in range(i + 1, len(arrows) + 1) if arrows[i:j] in tag_of}
+            if None not in tags and len(tags) <= 1:
+                words[(src, arrows)] = next(iter(tags), None)
+                kept.append((src, arrows))
+        frontier = [(src, arrows + (q.arrow_index[a],))
+                    for src, arrows in kept if len(arrows) < la.maxlen
+                    for a in q.arrows_from[q.arrows[arrows[-1]].target if arrows else src]]
+    return words
+
+
+def _two_tag_triangle():
+    """The triangle's relations with both monomials of the commutation
+    relation at e1 added as kind-two relations."""
+    g = triangle_graph()
+    pres = present(g)
+    (comm,) = [r for r in pres.all_relations if r.kind == "one" and r.edge == "e1"]
+    return pres, [*pres.all_relations,
+                  *(Relation("two", "e1", comm.vertices, ((Fraction(1), p),))
+                    for _, p in comm.terms)]
+
+
+def test_word_trie_holds_the_prefix_closed_column_words():
+    """The trie's words are the allowed and the tagged words; they are
+    prefix-closed, and a node has a child by arrow a exactly when its word
+    followed by a is one of them: the two facts the translate pruning reads.
+    Over the desk graphs and census(3,2), which have kind-two monomials, and
+    the triangle with two kind-two monomials that meet in one translate."""
+    cases = [(present(g), None) for _, g in desk_graphs()]
+    cases += [(present(g), None) for g in census(3, 2)]
+    cases.append(_two_tag_triangle())
+    tags_seen = Counter()
+    for pres, relations in cases:
+        la = build_algebra(pres, relations=relations)
+        expected = _column_words(la)
+        assert all((src, arrows[:-1]) in expected for src, arrows in expected if arrows)
+        # the vertex words are the first nodes, in quiver order
+        found: dict = {}
+        stack = [((v, ()), k) for k, v in enumerate(la.quiver.vertices)]
+        while stack:
+            (src, arrows), k = stack.pop()
+            assert (src, arrows) not in found
+            found[(src, arrows)] = k
+            for a in range(len(la.quiver.arrows)):
+                child = la._children[k].get(a)
+                assert (child is not None) == ((src, arrows + (a,)) in expected), (src, arrows, a)
+                if child is not None:
+                    stack.append(((src, arrows + (a,)), child))
+        assert found.keys() == expected.keys()
+        assert sorted(found.values()) == list(range(len(la._children)))
+        assert set(la.allowed) == {w for w, t in expected.items() if t is None}
+        for w, k in found.items():
+            assert (la._node_column[k] is None) == (expected[w] is not None), w
+        tags_seen.update(t is not None for t in expected.values())
+        tags_seen["two tags"] += len(set(expected.values()) - {None}) >= 2
+    assert tags_seen[True] > 0 and tags_seen["two tags"] > 0
+
+
 def test_oracle_syzygy_chain(a4):
     la = build_algebra(present(a4))
     walk = ProjResolution.from_oracle(la, "e1", 5)

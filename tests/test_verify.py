@@ -187,18 +187,18 @@ def test_solve_left_calls(monkeypatch, g, max_degree, solves):
 ], ids=["triangle@8", "cycle6@8", "pendant_triangle@6"])
 def test_projective_rows_built_once(monkeypatch, g, max_degree, products):
     """The arrow rows of the projectives are multiplied out once per algebra:
-    one ``word_to_vec`` per (basis word, arrow) pair, however many sums of
+    one ``_times_arrow`` per (basis word, arrow) pair, however many sums of
     projectives the resolutions build."""
     calls = []
     algebras = []
     inside = [0]
-    word_to_vec, projective_action = (FiniteDimAlgebra.word_to_vec,
+    times_arrow, projective_action = (FiniteDimAlgebra._times_arrow,
                                       FiniteDimAlgebra.projective_action)
 
-    def counted_word_to_vec(self, source, arrows):
+    def counted_times_arrow(self, i, ai):
         if inside[0]:
-            calls.append((self, source, arrows))
-        return word_to_vec(self, source, arrows)
+            calls.append((self, i, ai))
+        return times_arrow(self, i, ai)
 
     def marked_projective_action(self, e):
         if self not in algebras:
@@ -209,7 +209,7 @@ def test_projective_rows_built_once(monkeypatch, g, max_degree, products):
         finally:
             inside[0] -= 1
 
-    monkeypatch.setattr(FiniteDimAlgebra, "word_to_vec", counted_word_to_vec)
+    monkeypatch.setattr(FiniteDimAlgebra, "_times_arrow", counted_times_arrow)
     monkeypatch.setattr(FiniteDimAlgebra, "projective_action", marked_projective_action)
     assert verify_graph(g, max_degree=max_degree).ok
     assert len(calls) == len(set(calls)) == products
