@@ -49,13 +49,16 @@ def _emit(doc, fmt: str, text_renderer=None) -> None:
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load(path: str) -> BrauerGraph:
+def _load(path: str, *edges: str) -> BrauerGraph:
+    """The valid graph in ``path``, refused unless it has each of ``edges``."""
     g = graphmod.load_file(path)
     report = validate(g)
     if not report.ok:
         for item in report.violations:
             sys.stderr.write(item + "\n")
         raise SystemExit(EXIT_INVALID)
+    for e in edges:
+        g.ends(e)  # refuses an unknown edge
     return g
 
 
@@ -102,7 +105,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    g = _load(args.input)
+    g = _load(args.input, args.edge)
     resolver = explicit_resolver(g)
     if resolver is None:
         raise HypothesisError(
@@ -119,7 +122,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_syzygy(args) -> int:
-    g = _load(args.input)
+    g = _load(args.input, args.edge)
     trace = iterate_syzygy(g, args.edge, args.max)
     doc = trace.to_json()
     if trace.period is None:
@@ -136,7 +139,7 @@ def cmd_syzygy(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    g = _load(args.input)
+    g = _load(args.input, args.edge)
     walk = g.brauer_walk(args.edge)
 
     def text(d):
@@ -147,10 +150,7 @@ def cmd_walk(args) -> int:
 
 
 def cmd_ext(args) -> int:
-    g = _load(args.input)
-    for e in (args.to, getattr(args, "from")):
-        if e not in g.edge_ids:
-            raise BrauerGraphError(f"unknown edge {e!r}")
+    g = _load(args.input, args.to, getattr(args, "from"))
     # dim Ext^n(S_from, S_to) counts ``to`` in the top of the n-th syzygy
     trace = iterate_syzygy(g, getattr(args, "from"), args.max)
     doc = {

@@ -252,14 +252,6 @@ class BrauerGraph:
             return e
         return self.successor_half(self.half_at(e, v)).edge
 
-    def occurs_in_successor_sequence(self, t: str, s: str, v: str) -> bool:
-        """True when ``t`` appears (other than in position 0) around ``v`` seen from ``s``."""
-        if not self.incident(s, v) or self.is_truncated(s, v):
-            return False
-        if self.is_loop(s) or self.is_loop(t):
-            raise BrauerGraphError("occurrence test requires non-loop edges")
-        return self.incident(t, v) and t != s
-
     def link(self, x: str, y: str) -> str:
         """The unique common endpoint of two distinct edges in a reduced graph."""
         if x == y:
@@ -271,51 +263,35 @@ class BrauerGraph:
             )
         return shared[0]
 
-    def follows(self, s_prev: str, s: str, shared: str) -> tuple[str, str]:
-        """Step of the syzygy recursion.
-
-        Given that ``s_prev`` sits in the successor sequence of ``s`` at
-        ``shared``, returns the successor of ``s`` at its other endpoint,
-        together with that endpoint.
-        """
-        if not self.occurs_in_successor_sequence(s_prev, s, shared):
-            raise BrauerGraphError(
-                f"edge {s_prev!r} does not occur in the successor sequence "
-                f"of {s!r} at {shared!r}"
-            )
-        beta = self.other_end(s, shared)
-        return (self.successor(s, beta), beta)
+    def follow(self, h: HalfEdge) -> HalfEdge:
+        """One step of a follows-walk: the half-edge after ``h`` at its
+        vertex, crossed to the other end of its edge."""
+        return self.successor_half(h).other()
 
     def brauer_walk(self, e: str) -> BrauerWalk:
-        """Follows-iteration from a truncated edge to the next truncated edge."""
+        """Follows-iteration from a truncated edge to the next truncated edge:
+        from the half-edge of ``e`` at its nontruncated end, step with
+        ``follow`` until the reached edge is truncated at the reached vertex.
+        This ends within 2|E| steps: ``follow`` permutes the half-edges and
+        takes the half-edge of ``e`` at its truncated end to the start."""
         if not is_reduced(self):
             raise HypothesisError("brauer_walk requires a reduced graph")
         trunc = self.truncated_ends(e)
         if not trunc:
             raise HypothesisError(f"edge {e!r} is not truncated at either endpoint")
-        alpha = trunc[0]
-        beta = self.other_end(e, alpha)
+        beta = self.other_end(e, trunc[0])
         if self.is_truncated(e, beta):
             raise HypothesisError(
                 "walk undefined on the single-edge graph with trivial multiplicities"
             )
-        edges = [e]
-        via = []
-        prev, cur, shared = e, self.successor(e, beta), beta
-        edges.append(cur)
-        via.append(beta)
-        cap = 4 * len(self.edge_ids) + 4
+        h = self.half_at(e, beta)
+        edges, via = [e], []
         while True:
-            exit_v = self.other_end(cur, shared)
-            if self.is_truncated(cur, exit_v):
-                break
-            nxt, v = self.follows(prev, cur, shared)
-            prev, cur, shared = cur, nxt, v
-            edges.append(cur)
-            via.append(shared)
-            if len(edges) > cap:
-                raise BrauerGraphError("walk failed to terminate; graph is not reduced?")
-        return BrauerWalk(tuple(edges), tuple(via))
+            via.append(self.vertex_of(h))
+            h = self.follow(h)
+            edges.append(h.edge)
+            if self.is_truncated(h.edge, self.vertex_of(h)):
+                return BrauerWalk(tuple(edges), tuple(via))
 
     # ------------------------------------------------------------------
     # global predicates

@@ -276,8 +276,8 @@ def far_successor_truncated(g: BrauerGraph, e: str) -> bool:
     """For an edge truncated at one end: is the successor of ``e`` around
     its other end truncated at its own far end?"""
     beta = g.other_end(e, g.truncated_ends(e)[0])
-    succ_half = g.successor_half(g.half_at(e, beta))
-    return g.is_truncated(succ_half.edge, g.vertex_of(succ_half.other()))
+    h = g.follow(g.half_at(e, beta))
+    return g.is_truncated(h.edge, g.vertex_of(h))
 
 
 def minimal_relations(g: BrauerGraph, q: Quiver, rels: list[Relation]) -> list[Relation]:

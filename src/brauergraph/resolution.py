@@ -3,16 +3,18 @@ path-matrix differentials, canonical cohomology bases, graded generation
 degrees, and the high-degree obstruction element.
 
 The n-th projective has one summand per position -n, -n+2, ..., n; the
-summand edges come from the follows-recursion on both sides of the start
-edge.  Row i of the n-th differential carries the summand of the previous
-projective at position -n+1+2i; its diagonal entry connects toward
-position -n+2i and its superdiagonal entry toward position -n+2i+2.
-Entries pointing away from position zero are single arrows, entries
-pointing toward zero are runs of length (valency x multiplicity) - 1
-around the linking vertex; diagonal entries of even differentials carry a
-minus sign.  With multiplicity one this is the classical resolution of a
-reduced graph without truncated edges; in general it covers every graph
-whose vertices all satisfy valency x multiplicity = d.
+summand edges are read off the follows-walk (``BrauerGraph.follow``) out
+of both ends of the start edge, and consecutive positions are linked by
+the half-edge the walk crosses between them.  Row i of the n-th
+differential carries the summand of the previous projective at position
+-n+1+2i; its diagonal entry connects toward position -n+2i and its
+superdiagonal entry toward position -n+2i+2.  Each entry is read at the
+vertex of the linking half-edge: a single arrow when it points away from
+position zero, the run of length (valency x multiplicity) - 1 after that
+arrow when it points toward zero; diagonal entries of even differentials
+carry a minus sign.  With multiplicity one this is the classical resolution
+of a reduced graph without truncated edges; in general it covers every
+graph whose vertices all satisfy valency x multiplicity = d.
 """
 from __future__ import annotations
 
@@ -21,12 +23,13 @@ from typing import Callable, Optional
 
 from .graph import (
     BrauerGraph,
+    HalfEdge,
     HypothesisError,
     is_length_graded,
     is_reduced,
     uniform_degree,
 )
-from .presentation import Quiver, arrow_run, build_quiver
+from .presentation import Path, Quiver, arrow_run, build_quiver
 from .strings import PLUS, StringDescriptor, iterate_syzygy
 
 
@@ -97,46 +100,37 @@ class GenerationCertificate:
 
 
 class _Chain:
-    """Edges and linking data at positions -N..N around a start edge.
+    """Edges at positions -N..N around a start edge, and the half-edges
+    that link them.
 
-    Plus side exits through end 1 of the start edge, minus side through
-    end 0; this input ordering of the ends is the only orientation choice.
+    ``gap[r]`` for -N <= r < N is the half-edge crossed between positions r
+    and r+1.  It belongs to the edge nearer position zero, and its successor
+    at its vertex to the edge farther out, whose other half-edge
+    (``follow`` of it) is the next gap out.  The plus side leaves through
+    end 1 of the start edge and the minus side through end 0; this input
+    ordering of the ends is the only orientation choice.
     """
 
     def __init__(self, g: BrauerGraph, e: str, n: int):
+        self.g = g
         self.edge: dict[int, str] = {0: e}
-        # per adjacent pair (r, r+1) for r >= 0: (vertex, exit position of edge r)
-        self.plus_link: dict[int, tuple[str, int]] = {}
-        # per adjacent pair (-r-1, -r) for r >= 0: (vertex, exit position of edge -r)
-        self.minus_link: dict[int, tuple[str, int]] = {}
-        self.plus_exit: dict[int, object] = {}   # half-edge of edge r toward r+1
-        self.minus_exit: dict[int, object] = {}  # half-edge of edge -r toward -(r+1)
-        h_plus = g.half_edges_of(e)[1]
-        h_minus = g.half_edges_of(e)[0]
-        cur = h_plus
-        for r in range(n):
-            v, pos = g.position(cur)
-            self.plus_link[r] = (v, pos)
-            self.plus_exit[r] = cur
-            arrival = g.rotation[v][(pos + 1) % g.valency(v)]
-            self.edge[r + 1] = arrival.edge
-            cur = arrival.other()
-        cur = h_minus
-        for r in range(n):
-            v, pos = g.position(cur)
-            self.minus_link[r] = (v, pos)
-            self.minus_exit[r] = cur
-            arrival = g.rotation[v][(pos + 1) % g.valency(v)]
-            self.edge[-(r + 1)] = arrival.edge
-            cur = arrival.other()
+        self.gap: dict[int, HalfEdge] = {}
+        for sign, h in zip((-1, 1), g.half_edges_of(e)):
+            for r in range(0, sign * n, sign):
+                self.gap[min(r, r + sign)] = h
+                h = g.follow(h)
+                self.edge[r + sign] = h.edge
 
-    def link(self, r: int) -> tuple[str, int]:
-        """Vertex and exit position between positions r and r+1."""
-        return self.plus_link[r] if r >= 0 else self.minus_link[-r - 1]
-
-    def exit_half(self, r: int, outward: int):
-        """Half-edge through which the edge at position r continues outward."""
-        return self.plus_exit[r] if outward > 0 else self.minus_exit[-r]
+    def entry(self, q: Quiver, r: int, s: int) -> Path:
+        """The differential entry from the summand at position r to the one
+        at s = r +- 1, read at the vertex of the gap between them: one arrow
+        when it points away from position zero, the run of length (valency x
+        multiplicity) - 1 after it when it points toward zero."""
+        g = self.g
+        v, pos = g.position(self.gap[min(r, s)])
+        if abs(s) > abs(r):
+            return arrow_run(g, q, v, pos, 1)
+        return arrow_run(g, q, v, pos + 1, g.valency(v) * g.multiplicity(v) - 1)
 
 
 def _resolve(g: BrauerGraph, q: Quiver, e: str, n_max: int,
@@ -150,24 +144,8 @@ def _resolve(g: BrauerGraph, q: Quiver, e: str, n_max: int,
         sign_diag = -1 if n % 2 == 0 else 1
         for i in range(n):
             r = -n + 1 + 2 * i  # position of row summand in the previous step
-            # diagonal: toward position r-1
-            if r <= 0:
-                v, pos = chain.link(r - 1)  # exit of edge r toward r-1
-                path = arrow_run(g, q, v, pos, 1)
-            else:
-                v, pos = chain.link(r - 1)  # exit of edge r-1 toward r
-                length = g.valency(v) * g.multiplicity(v) - 1
-                path = arrow_run(g, q, v, pos + 1, length)
-            diff[(i, i)] = (sign_diag, path)
-            # superdiagonal: toward position r+1
-            if r >= 0:
-                v, pos = chain.link(r)
-                path = arrow_run(g, q, v, pos, 1)
-            else:
-                v, pos = chain.link(r)  # exit of edge r+1 toward r
-                length = g.valency(v) * g.multiplicity(v) - 1
-                path = arrow_run(g, q, v, pos + 1, length)
-            diff[(i, i + 1)] = (1, path)
+            diff[(i, i)] = (sign_diag, chain.entry(q, r, r - 1))
+            diff[(i, i + 1)] = (1, chain.entry(q, r, r + 1))
         gen = None
         if graded_d is not None:
             gen = tuple(
@@ -397,7 +375,7 @@ def edge_certificates(g: BrauerGraph, e: str,
                 # the side of mid's own resolution continuing the chain is read
                 # off the half-edge actually used, which disambiguates loops
                 # and multiple edges
-                side = 1 if chain.exit_half(i - step, step).end == 1 else -1
+                side = 1 if chain.gap[min(i - step, i)].end == 1 else -1
                 mid = CanonicalExtElement(chain.edge[i - step], 1, side, chain.edge[i])
                 factors = (certs[n - 1][i - step], GenerationCertificate(mid))
             level[i] = GenerationCertificate(elem, factors)

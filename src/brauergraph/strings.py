@@ -187,8 +187,7 @@ def _left_action(g: BrauerGraph, sigma: StringDescriptor):
     if e1 == PLUS:
         if g.edge_is_truncated(s1):
             return [], False
-        s0, _ = g.follows(s2, s1, alpha)
-        return [(s0, PLUS)], False
+        return [(g.successor(s1, g.other_end(s1, alpha)), PLUS)], False
     t = g.successor(s1, alpha)
     if t == s2:
         return [], True

@@ -9,9 +9,13 @@ _spec.loader.exec_module(censushash)
 
 
 def test_census_3_2_hashes(capsys):
-    """The report hash and the algebra digest of census(3,2) over Q at
-    ``max_degree`` 3, as the tool prints them.  A changed digest is a changed
-    basis, pivot row, verdict or projective row of some census algebra."""
+    """The report hash, the algebra digest and the combinatorics digest of
+    census(3,2) over Q at ``max_degree`` 3, as the tool prints them.  A
+    changed algebra digest is a changed basis, pivot row, verdict or
+    projective row of some census algebra; a changed combinatorics digest is
+    a changed relation, Koszul report, resolution, certificate, walk, syzygy
+    trace or obstruction of some census graph."""
     assert censushash.main(["--k", "3", "--m", "2", "--degree", "3", "--field", "q"]) == 0
     assert capsys.readouterr().out.splitlines() == ["report 7d3850109d9ae6a5",
-                                                    "algebra d185bb12ba4a8be5"]
+                                                    "algebra d185bb12ba4a8be5",
+                                                    "combinatorics 6fd9465d0dfc1250"]

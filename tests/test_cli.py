@@ -101,15 +101,30 @@ def test_ext(graph_files):
     assert doc["dims"] == [walk.syzygies[n].top()["e3"] for n in range(4)]
 
 
-def test_ext_unknown_edge(graph_files):
-    """An unknown --to is an input error, exactly like an unknown --from,
-    also at --max 0, where no syzygy is taken."""
-    for extra in ([], ["--max", "0"]):
-        for flag in ("--from", "--to"):
-            edges = {"--from": "e1", "--to": "e1", flag: "zz"}
-            code, out, err = invoke(["ext", "--from", edges["--from"], "--to", edges["--to"],
-                                     *extra, "--input", graph_files["a4"]])
-            assert (code, out, err) == (1, "", "unknown edge 'zz'\n"), (flag, extra)
+def _unknown_edge_cases():
+    """Each command that names an edge, on a graph inside its regime and on
+    one outside it, with and without ``--max 0`` where it takes ``--max``."""
+    for name, argv, graphs in [
+        ("resolve", ["resolve", "--edge", "zz"], ("triangle", "a4")),
+        ("syzygy", ["syzygy", "--edge", "zz"], ("a4", "triangle_m2")),
+        ("walk", ["walk", "--edge", "zz"], ("a4", "triangle_m2")),
+        ("ext-from", ["ext", "--from", "zz", "--to", "e1"], ("a4", "triangle_m2")),
+        ("ext-to", ["ext", "--from", "e1", "--to", "zz"], ("a4", "triangle_m2")),
+    ]:
+        for graph in graphs:
+            yield pytest.param(argv, graph, id=f"{name}-{graph}")
+            if name != "walk":
+                yield pytest.param(argv + ["--max", "0"], graph, id=f"{name}-{graph}-max0")
+
+
+@pytest.mark.parametrize("argv, graph", _unknown_edge_cases())
+def test_unknown_edge(tmp_path, argv, graph):
+    """An unknown edge is an input error, whether or not the graph is in the
+    command's regime, also at --max 0, where nothing is resolved."""
+    g = {"triangle": triangle_graph(), "a4": path_graph(4), "triangle_m2": triangle_graph(2)}
+    path = tmp_path / f"{graph}.bg.json"
+    path.write_text(json.dumps(to_dict(g[graph])))
+    assert invoke(argv + ["--input", str(path)]) == (1, "", "unknown edge 'zz'\n")
 
 
 def usage_exit(argv):

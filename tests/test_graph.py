@@ -63,12 +63,22 @@ def test_successor(triangle, a4):
         loop_graph().successor("e1", "v1")  # loop needs a half-edge
 
 
-def test_follows(triangle, a4):
-    assert a4.follows("e1", "e2", "v2") == ("e3", "v3")
-    assert triangle.follows("e1", "e2", "beta") == ("e3", "gamma")
-    assert triangle.follows("e2", "e3", "gamma") == ("e1", "alpha")
+def test_follow(triangle, a4):
+    """One follows step: the next half-edge at the vertex, crossed to the
+    other end of its edge."""
+    assert a4.follow(a4.half_at("e2", "v3")) == a4.half_at("e3", "v4")
+    assert triangle.follow(triangle.half_at("e2", "gamma")) == triangle.half_at("e3", "alpha")
+    assert triangle.follow(triangle.half_at("e3", "alpha")) == triangle.half_at("e1", "beta")
+    # a valency-one edge is its own successor: the step crosses back
+    assert a4.follow(a4.half_at("e1", "v1")) == a4.half_at("e1", "v2")
     with pytest.raises(BrauerGraphError):
-        triangle.follows("e1", "e1", "alpha")
+        triangle.follow(HalfEdge("zz", 0))
+
+
+def test_follow_permutes_half_edges(small_census):
+    for g in small_census:
+        halves = [h for e in g.edge_ids for h in g.half_edges_of(e)]
+        assert sorted(map(g.follow, halves)) == sorted(halves)
 
 
 def test_brauer_walk(a4, a2):
@@ -79,6 +89,27 @@ def test_brauer_walk(a4, a2):
         a2.brauer_walk("e1")
     a3 = path_graph(3)
     assert a3.brauer_walk("e1").edges == ("e1", "e2")
+
+
+def test_brauer_walk_ends_at_a_truncated_exit(small_census):
+    """Every walk of a reduced census graph stops on an edge truncated at its
+    exit, within the 2|E| steps of ``follow``'s orbit; its consecutive edges
+    meet at the recorded vertices."""
+    lengths = []
+    for g in small_census:
+        if not is_reduced(g) or len(g.edge_ids) == 1:
+            continue
+        for e in g.edge_ids:
+            if not g.edge_is_truncated(e):
+                continue
+            walk = g.brauer_walk(e)
+            last = walk.edges[-1]
+            assert g.is_truncated(last, g.other_end(last, walk.via[-1]))
+            assert len(walk.edges) <= 2 * len(g.edge_ids) + 1
+            assert all(g.incident(x, v) and g.incident(y, v) for x, y, v
+                       in zip(walk.edges, walk.edges[1:], walk.via))
+            lengths.append(len(walk.edges) / len(g.edge_ids))
+    assert (len(lengths), max(lengths)) == (17, 1.25)
 
 
 def test_brauer_walk_reversal(a4):

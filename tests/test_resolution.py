@@ -1,12 +1,13 @@
 import pytest
 
-from brauergraph.graph import HypothesisError, cycle_graph, is_reduced
+from brauergraph.graph import BrauerGraphError, HypothesisError, cycle_graph, is_reduced
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.oracle.ext import ProjResolution
 from brauergraph.presentation import present
 from brauergraph.resolution import (
     CanonicalExtElement,
     delta,
+    edge_certificates,
     ext_dim,
     generation_certificate,
     generation_degrees,
@@ -16,6 +17,16 @@ from brauergraph.resolution import (
     resolve_simple,
     resolve_simple_2d,
 )
+
+
+def test_unknown_edge_refused(triangle):
+    """The resolvers and the certificates refuse an edge the graph lacks,
+    even where degree zero would need no walk."""
+    for call in (lambda: resolve_simple(triangle, "zz", 0),
+                 lambda: resolve_simple_2d(cycle_graph(3, 2), "zz", 0),
+                 lambda: edge_certificates(triangle, "zz", 0)):
+        with pytest.raises(BrauerGraphError, match="unknown edge 'zz'"):
+            call()
 
 
 def test_resolve_triangle_first_steps(triangle):

@@ -4,15 +4,18 @@ Run from the repository root:
 
     python3 tools/censushash.py --k 4 --m 2 --degree 3 --field q
 
-Prints two lines.  ``report`` is the sha256 prefix (16 hex digits) of the
+Prints three lines.  ``report`` is the sha256 prefix (16 hex digits) of the
 concatenated ``json.dumps(r.to_json(), sort_keys=True)`` of the reports of
 ``verify_graph(g, degree, field)`` over every graph of ``census(k, m)``, in
 census order: the hash performance changes quote to show the same answers.
-It is the same for every census on which all checks pass, so ``algebra``
-digests what those reports do not show: per graph, the algebra of its full
-presentation - its basis words, its pivot rows, its ``redundant`` verdicts
-and the arrow rows of every projective.  Equal digests at two revisions mean
-equal normal forms, not only equal verdicts.
+It is the same for every census on which all checks pass, so the other two
+lines digest what those reports do not show.  ``algebra`` digests, per
+graph, the algebra of its full presentation - its basis words, its pivot
+rows, its ``redundant`` verdicts and the arrow rows of every projective.
+Equal digests at two revisions mean equal normal forms, not only equal
+verdicts.  ``combinatorics`` digests, per graph, what the combinatorial
+layer answers without the oracle (see ``combinatorics_doc``), through
+``degree``; it does not depend on the field.
 """
 from __future__ import annotations
 
@@ -21,15 +24,24 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from brauergraph.census import census  # noqa: E402
+from brauergraph.classify import koszul_report  # noqa: E402
+from brauergraph.graph import BrauerGraphError, HypothesisError, is_reduced  # noqa: E402
 from brauergraph.oracle.algebra import build_algebra  # noqa: E402
 from brauergraph.oracle.fields import field_from_spec  # noqa: E402
 from brauergraph.oracle.verify import verify_graph  # noqa: E402
-from brauergraph.presentation import present  # noqa: E402
+from brauergraph.presentation import present, relation_to_dict  # noqa: E402
+from brauergraph.resolution import (  # noqa: E402
+    edge_certificates,
+    explicit_resolver,
+    obstruction_element,
+)
+from brauergraph.strings import iterate_syzygy  # noqa: E402
 
 
 def _row(row: dict) -> list:
@@ -49,27 +61,77 @@ def algebra_doc(la) -> dict:
     }
 
 
-def census_hashes(k: int, m: int, degree: int, field) -> tuple[str, str]:
-    """The report hash and the algebra digest over ``census(k, m)``."""
-    reports, algebras = hashlib.sha256(), hashlib.sha256()
+def _or_refusal(answer):
+    """``answer()``, or its refusal as the exception's type and message."""
+    try:
+        return answer()
+    except (BrauerGraphError, HypothesisError) as exc:
+        return {"refused": type(exc).__name__, "message": str(exc)}
+
+
+def _certificate(cert) -> list:
+    el = cert.element
+    return [el.source, el.degree, el.position, el.target,
+            [_certificate(f) for f in cert.factors]]
+
+
+def combinatorics_doc(g, degree: int) -> dict:
+    """What the combinatorial layer answers for ``g`` through ``degree``:
+    all and minimal relations, the Koszul report with its explanations and
+    witnesses, the explicit resolution of every simple where ``g`` has one,
+    the certificate trees where no edge is truncated, and on a reduced graph
+    the walk and syzygy trace of every edge and the obstruction element."""
+    pres = present(g)
+    report = koszul_report(g, pres)
+    doc = {
+        "relations": [relation_to_dict(r) for r in pres.all_relations],
+        "minimal": [relation_to_dict(r) for r in pres.minimal_relations],
+        "koszul": [report.to_json(), report.explanations, report.witnesses],
+    }
+    resolver = explicit_resolver(g)
+    if resolver is not None:
+        doc["resolutions"] = {e: [s.to_json() for s in resolver(g, e, degree)]
+                              for e in g.edge_ids}
+    if not g.has_truncated_edge():
+        doc["certificates"] = {
+            e: [sorted((i, _certificate(c)) for i, c in level.items())
+                for level in edge_certificates(g, e, degree)]
+            for e in g.edge_ids}
+    if is_reduced(g):
+        doc["walks"] = {e: _or_refusal(lambda: asdict(g.brauer_walk(e)))
+                        for e in g.edge_ids}
+        doc["syzygies"] = {e: _or_refusal(lambda: iterate_syzygy(g, e, degree).to_json())
+                           for e in g.edge_ids}
+        doc["obstruction"] = _or_refusal(lambda: obstruction_element(g))
+    return doc
+
+
+def census_hashes(k: int, m: int, degree: int, field) -> tuple[str, str, str]:
+    """The report hash, the algebra digest and the combinatorics digest over
+    ``census(k, m)``."""
+    digests = [hashlib.sha256() for _ in range(3)]
     for g in census(k, m):
-        reports.update(json.dumps(verify_graph(g, degree, field).to_json(),
-                                  sort_keys=True).encode())
-        algebras.update(json.dumps(algebra_doc(build_algebra(present(g), field)),
-                                   sort_keys=True).encode())
-    return reports.hexdigest()[:16], algebras.hexdigest()[:16]
+        docs = (verify_graph(g, degree, field).to_json(),
+                algebra_doc(build_algebra(present(g), field)),
+                combinatorics_doc(g, degree))
+        for digest, doc in zip(digests, docs):
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    return tuple(d.hexdigest()[:16] for d in digests)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--k", type=int, default=4, help="edges at most (default 4)")
     ap.add_argument("--m", type=int, default=2, help="multiplicity at most (default 2)")
-    ap.add_argument("--degree", type=int, default=3, help="verify_graph max_degree (default 3)")
+    ap.add_argument("--degree", type=int, default=3, help="verify_graph max_degree, and the degree the combinatorics are "
+                         "read through (default 3)")
     ap.add_argument("--field", default="q", help="q or fp:<prime> (default q)")
     args = ap.parse_args(argv)
-    report, algebra = census_hashes(args.k, args.m, args.degree, field_from_spec(args.field))
+    report, algebra, combinatorics = census_hashes(args.k, args.m, args.degree,
+                                                   field_from_spec(args.field))
     print(f"report {report}")
     print(f"algebra {algebra}")
+    print(f"combinatorics {combinatorics}")
     return 0
 
 
