@@ -6,8 +6,9 @@ The package computes, without any floating point:
   with minimal generating sets and homogeneity profiles;
 * string-module syzygies, Brauer walks, and periods of simple modules;
 * minimal projective resolutions of simple modules with explicit
-  path-matrix differentials, graded generation degrees, canonical
-  cohomology bases and their degree-one/two factorizations;
+  path-matrix differentials, the generator degrees of the length-graded
+  ones, canonical cohomology bases and their degree-one/two
+  factorizations;
 * Koszul, d-Koszul, degree-0/1/2 generation, and 2-d-Koszul verdicts;
 * a brute-force oracle that rebuilds everything by exact linear algebra
   and diffs it against the combinatorial predictions.
@@ -64,18 +65,15 @@ from .resolution import (
     ext_dim,
     generation_certificate,
     generation_degrees,
-    is_weakly_delta_bounded,
     obstruction_element,
     resolve_simple,
     resolve_simple_2d,
 )
 from .classify import (
     KoszulReport,
-    a_n_2d_corollary,
     d_homog_star_check,
     koszul_report,
     quadratic_family_check,
-    star_2d_corollary,
     two_d_conditions,
 )
 

@@ -116,16 +116,6 @@ def quadratic_family_check(g: BrauerGraph) -> bool:
     return False
 
 
-def _star_shape(g: BrauerGraph) -> Optional[tuple[str, list[str]]]:
-    """A center and the rotation-ordered outer vertices, when star-shaped."""
-    centers = star_centers(g)
-    if not centers:
-        return None
-    c = centers[0]
-    outers = [g.other_end(h.edge, c) for h in g.rotation[c]]
-    return c, outers
-
-
 def d_homog_star_check(g: BrauerGraph, d: int) -> bool:
     """Star with n edges, n dividing d-1, center multiplicity (d-1)/n,
     trivial outer multiplicities."""
@@ -162,44 +152,6 @@ def two_d_conditions(g: BrauerGraph, d: int) -> str:
     ):
         return "Cond2"
     return "Neither"
-
-
-def star_2d_corollary(g: BrauerGraph, d: int) -> bool:
-    """Star shape arithmetic for a 2-d-homogeneous algebra: n divides d,
-    center multiplicity d/n, outer multiplicities in {1, d} with cyclically
-    adjacent products in {d, d^2}."""
-    shape = _star_shape(g)
-    if shape is None:
-        raise HypothesisError("not a star")
-    c, outers = shape
-    n = len(outers)
-    if d % n != 0 or g.multiplicity(c) != d // n:
-        return False
-    ms = [g.multiplicity(t) for t in outers]
-    if any(m not in (1, d) for m in ms):
-        return False
-    for i in range(n):
-        if ms[i] * ms[(i + 1) % n] not in (d, d * d):
-            return False
-    return True
-
-
-def a_n_2d_corollary(g: BrauerGraph, d: int) -> bool:
-    """Path shape arithmetic for a 2-d-homogeneous algebra: at least three
-    vertices, d even, end multiplicities in {1, d} (one of them d when the
-    path has exactly three vertices), interior multiplicities d/2."""
-    ms = _path_multiplicities(g)
-    if ms is None:
-        raise HypothesisError("not a path graph")
-    n = len(ms)
-    if n < 3 or d % 2 != 0:
-        return False
-    first, last = ms[0], ms[-1]
-    if first not in (1, d) or last not in (1, d):
-        return False
-    if n == 3 and d not in (first, last):
-        return False
-    return all(m == d // 2 for m in ms[1:-1])
 
 
 def koszul_report(g: BrauerGraph, pres: Optional[Presentation] = None) -> KoszulReport:

@@ -32,7 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..classify import koszul_report, quadratic_family_check, two_d_conditions
+from ..classify import (
+    d_homog_star_check,
+    koszul_report,
+    quadratic_family_check,
+    two_d_conditions,
+)
 from ..graph import (
     BrauerGraph,
     HypothesisError,
@@ -189,6 +194,9 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
     if h.kind == "TwoDHomogeneous" and two_d_conditions(g, h.d) == "Neither":
         report.add("classification",
                    f"{h} but neither two-degree shape condition holds")
+    if h.kind == "DHomogeneous" and not d_homog_star_check(g, h.d):
+        report.add("classification",
+                   f"{h} but the graph is not a star of that degree")
 
     graded = is_length_graded(g) and la.graded
     # oracle walks start empty; each check grows them to the depth it reads
@@ -318,7 +326,12 @@ def _check_certificates(report: DiffReport, g, la, cert_cap: int, resolutions):
         certs = edge_certificates(g, e, cert_cap)
         for n in range(1, cert_cap + 1):
             for i, cert in certs[n].items():
-                value = _evaluate(cert, resolutions, products)
+                try:
+                    value = _evaluate(cert, resolutions, products)
+                except ValueError as exc:  # the factors do not compose
+                    report.add("certificate",
+                               f"degree {n} position {i} of {e}: {exc}")
+                    continue
                 target = canonical_element(resolutions[e], n, i)
                 if not _scalar_multiple(value, target, f):
                     report.add(

@@ -1,6 +1,8 @@
 """Minimal projective resolutions of simple modules, with explicit
-path-matrix differentials, canonical cohomology bases, graded generation
-degrees, and the high-degree obstruction element.
+path-matrix differentials, canonical cohomology bases, the generator
+degrees of the length-graded resolutions, and the high-degree obstruction
+element.  Ext dimensions are read off the string syzygies
+(``strings.iterate_syzygy``).
 
 The n-th projective has one summand per position -n, -n+2, ..., n; the
 summand edges are read off the follows-walk (``BrauerGraph.follow``) out
@@ -30,7 +32,7 @@ from .graph import (
     uniform_degree,
 )
 from .presentation import Path, Quiver, arrow_run, build_quiver
-from .strings import PLUS, StringDescriptor, iterate_syzygy
+from .strings import iterate_syzygy
 
 
 @dataclass(frozen=True)
@@ -230,98 +232,6 @@ def generation_degrees(g: BrauerGraph, e: str, n: int) -> list[int]:
     if d is None:
         raise HypothesisError("no uniform degree")
     return sorted({n + j * (d - 2) for j in range(n // 2 + 1)})
-
-
-def is_weakly_delta_bounded(g: BrauerGraph, n_max: int) -> bool:
-    """Every projective in the graded resolution of every simple is
-    generated in degrees at most delta(n)."""
-    if not is_length_graded(g):
-        raise HypothesisError("the degree bound needs a length-graded algebra")
-    if not g.has_truncated_edge():
-        d = uniform_degree(g)
-        if d is None:
-            raise HypothesisError("no uniform degree")
-        return True  # degrees n + j(d-2) with j <= n/2 peak exactly at delta(n)
-    if not is_reduced(g):
-        raise HypothesisError(
-            "degree tracking with truncated edges is implemented for reduced graphs"
-        )
-    from .presentation import homogeneity
-
-    h = homogeneity(g)
-    if h.d is None:
-        raise HypothesisError("no relation degree to bound against")
-    d = h.d
-    for e in g.edge_ids:
-        degs = graded_generation_degrees(g, e, n_max)
-        for n, dset in enumerate(degs):
-            if dset and max(dset) > delta(n, d):
-                return False
-    return True
-
-
-def graded_generation_degrees(g: BrauerGraph, e: str, n_max: int) -> list[set[int]]:
-    """Generator degrees of each projective in the resolution of a simple,
-    tracked through the string syzygies of a reduced graph.
-
-    Plus entries carry the degrees of the cover generators; through the
-    provenance of ``strings.rewrite_ends`` a new plus entry sits one step
-    deeper than the end entry it replaces, and surviving entries keep
-    their degrees.
-    """
-    if not is_reduced(g):
-        raise HypothesisError("degree tracking requires a reduced graph")
-    from .strings import _dist, links, rewrite_ends, syzygy_of_simple
-
-    def degree_map(sigma: StringDescriptor, plus_degrees: list[int]) -> list[int]:
-        """Degrees of every entry, minus entries interpolated from a plus neighbor."""
-        out = []
-        it = iter(plus_degrees)
-        alphas = links(g, sigma)
-        for i, (edge, sign) in enumerate(sigma.entries):
-            if sign == PLUS:
-                out.append(next(it))
-            elif i > 0:
-                out.append(out[i - 1] + _dist(g, sigma.entries[i - 1][0], edge,
-                                              alphas[i - 1]))
-            else:
-                out.append(None)  # patched after the loop
-        if out[0] is None:
-            out[0] = out[1] + _dist(g, sigma.entries[1][0], sigma.entries[0][0],
-                                    alphas[0])
-        return out
-
-    def socle_depth(edge: str) -> int:
-        for v in set(g.ends(edge)):
-            if not g.is_truncated(edge, v):
-                return g.valency(v) * g.multiplicity(v)
-        raise HypothesisError("edge truncated at both ends has no string syzygies")
-
-    sigma = StringDescriptor.simple(e)
-    plus_deg = [0]
-    result = [set(plus_deg)]
-    for n in range(1, n_max + 1):
-        if sigma.is_simple:
-            tau = syzygy_of_simple(g, sigma.entries[0][0])
-            base = plus_deg[0]
-            new_plus = [base + 1] * sum(1 for _, s in tau.entries if s == PLUS)
-            sigma, plus_deg = tau, new_plus
-        else:
-            entry_degrees = degree_map(sigma, plus_deg)
-            # provenance -1 and len(sigma) are the entries new at either end
-            padded = [entry_degrees[0] + 1, *entry_degrees, entry_degrees[-1] + 1]
-            rewritten = rewrite_ends(g, sigma)
-            entries = [pair for pair, _ in rewritten]
-            degs = [padded[i + 1] for _, i in rewritten]
-            if len(entries) == 1:
-                # the survivor is the socle of its own cover summand
-                sigma = StringDescriptor.simple(entries[0][0])
-                plus_deg = [degs[0] + socle_depth(entries[0][0])]
-            else:
-                sigma = StringDescriptor(tuple(entries))
-                plus_deg = [d0 for (edge, s), d0 in zip(entries, degs) if s == PLUS]
-        result.append(set(plus_deg))
-    return result
 
 
 # ----------------------------------------------------------------------

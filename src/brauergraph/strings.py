@@ -194,32 +194,26 @@ def _left_action(g: BrauerGraph, sigma: StringDescriptor):
     return [(t, PLUS)], True
 
 
-def rewrite_ends(g: BrauerGraph, sigma: StringDescriptor) -> list[tuple[tuple[str, int], int]]:
-    """Entries of the syzygy of a non-simple string, before a collapse to a
-    simple, each with its provenance: -1 when new at the left end,
-    ``len(sigma)`` when new at the right end, otherwise the index of the
-    entry of ``sigma`` it survives from with its sign flipped.
-
-    The left end rewrites by the one-sided rule and the right end by the
-    same rule applied through reversal.
-    """
-    left_ext, left_drop = _left_action(g, sigma)
-    right_ext, right_drop = _left_action(g, sigma.reverse())
-    last = len(sigma) - 1
-    core = [((e, -s), i) for i, (e, s) in enumerate(sigma.entries)
-            if not (i == 0 and left_drop or i == last and right_drop)]
-    return ([(pair, -1) for pair in left_ext] + core
-            + [(pair, len(sigma)) for pair in reversed(right_ext)])
-
-
 def syzygy(g: BrauerGraph, sigma: StringDescriptor) -> StringDescriptor:
-    """First syzygy of the string module: the end rewrite of
-    ``rewrite_ends``; a result that collapses to one entry is the simple
-    module at that edge."""
+    """First syzygy of the string module.
+
+    A simple module goes to the radical of its cover.  A longer string
+    keeps every entry with its sign flipped, except that each end is
+    rewritten: the left end by the one-sided rule, the right end by the
+    same rule applied through reversal, each adding at most one new entry
+    beyond its end and dropping at most its end entry.  A result that collapses to
+    one entry is the simple module at that edge.
+    """
     _require_reduced(g)
     if sigma.is_simple:
         return syzygy_of_simple(g, sigma.entries[0][0])
-    entries = [pair for pair, _ in rewrite_ends(g, sigma)]
+    left_ext, left_drop = _left_action(g, sigma)
+    right_ext, right_drop = _left_action(g, sigma.reverse())
+    last = len(sigma) - 1
+    entries = (left_ext
+               + [(e, -s) for i, (e, s) in enumerate(sigma.entries)
+                  if not (i == 0 and left_drop or i == last and right_drop)]
+               + right_ext)
     if len(entries) == 1:
         return StringDescriptor.simple(entries[0][0])
     return StringDescriptor(tuple(entries))

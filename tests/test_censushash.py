@@ -14,8 +14,8 @@ def test_census_3_2_hashes(capsys):
     changed algebra digest is a changed basis, pivot row, verdict or
     projective row of some census algebra; a changed combinatorics digest is
     a changed relation, Koszul report, resolution, certificate, walk, syzygy
-    trace or obstruction of some census graph."""
+    trace, period or obstruction of some census graph."""
     assert censushash.main(["--k", "3", "--m", "2", "--degree", "3", "--field", "q"]) == 0
     assert capsys.readouterr().out.splitlines() == ["report 7d3850109d9ae6a5",
                                                     "algebra d185bb12ba4a8be5",
-                                                    "combinatorics 6fd9465d0dfc1250"]
+                                                    "combinatorics e4e590d924feacd1"]

@@ -10,14 +10,12 @@ from brauergraph.graph import (
     triangle_graph,
 )
 from brauergraph.classify import (
-    a_n_2d_corollary,
     d_homog_star_check,
     koszul_report,
     quadratic_family_check,
-    star_2d_corollary,
     two_d_conditions,
 )
-from brauergraph.presentation import homogeneity
+from brauergraph.presentation import Homogeneity, homogeneity
 from brauergraph.resolution import obstruction_element
 from conftest import desk_graphs, pendant_triangle
 
@@ -91,24 +89,20 @@ def test_two_d_conditions(triangle_m2):
     assert two_d_conditions(path_graph(3, [1, 2, 1]), 4) == "Neither"
     with pytest.raises(HypothesisError):
         two_d_conditions(triangle_m2, 2)
-
-
-def test_star_2d_corollary():
-    g = star_graph(2, 2, [1, 4])
-    assert star_2d_corollary(g, 4)
-    assert not star_2d_corollary(star_graph(2, 2, [1, 1]), 4)
-    with pytest.raises(HypothesisError):
-        star_2d_corollary(triangle_graph(), 4)
-
-
-def test_a_n_2d_corollary():
-    assert a_n_2d_corollary(path_graph(3, [4, 2, 1]), 4)
-    assert not a_n_2d_corollary(path_graph(3, [1, 2, 1]), 4)
-    assert a_n_2d_corollary(path_graph(5, [1, 2, 2, 2, 4]), 4)
-    assert not a_n_2d_corollary(path_graph(5, [1, 2, 3, 2, 4]), 4)
-    assert not a_n_2d_corollary(path_graph(4), 3)  # d odd
-    with pytest.raises(HypothesisError):
-        a_n_2d_corollary(star_graph(3), 4)
+    # stars and paths: a shape condition holds exactly when the graph is
+    # 2-d-homogeneous of degree d
+    for g, d, condition in [
+        (star_graph(2, 2, [1, 4]), 4, "Cond2"),
+        (star_graph(2, 2, [1, 1]), 4, "Neither"),
+        (path_graph(3, [4, 2, 1]), 4, "Cond2"),
+        (path_graph(3, [1, 2, 1]), 4, "Neither"),
+        (path_graph(5, [1, 2, 2, 2, 4]), 4, "Cond2"),
+        (path_graph(5, [1, 2, 3, 2, 4]), 4, "Neither"),
+        (path_graph(4), 3, "Neither"),
+    ]:
+        assert two_d_conditions(g, d) == condition, g.edge_ends
+        assert (homogeneity(g) == Homogeneity("TwoDHomogeneous", d)) == (
+            condition != "Neither"), g.edge_ends
 
 
 def test_report_consistency_on_desk():
@@ -145,9 +139,13 @@ def test_conditional_flag():
 
 
 def test_census_consistency(small_census):
+    """The shape theorems in both directions over census(4,2): the graph is
+    a star of degree d exactly when its algebra is d-homogeneous, and a
+    two-degree shape condition holds exactly when it is 2-d-homogeneous."""
     for g in small_census:
         h = homogeneity(g)
-        if h.kind == "TwoDHomogeneous":
-            assert two_d_conditions(g, h.d) != "Neither"
-        if h.kind == "DHomogeneous" and h.d >= 3:
-            assert d_homog_star_check(g, h.d)
+        for d in range(3, 13):
+            assert d_homog_star_check(g, d) == (h == Homogeneity("DHomogeneous", d)), (
+                g.edge_ends, d)
+            assert (two_d_conditions(g, d) != "Neither") == (
+                h == Homogeneity("TwoDHomogeneous", d)), (g.edge_ends, d)

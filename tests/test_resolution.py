@@ -1,6 +1,6 @@
 import pytest
 
-from brauergraph.graph import BrauerGraphError, HypothesisError, cycle_graph, is_reduced
+from brauergraph.graph import BrauerGraphError, HypothesisError, cycle_graph
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.oracle.ext import ProjResolution
 from brauergraph.presentation import present
@@ -11,8 +11,6 @@ from brauergraph.resolution import (
     ext_dim,
     generation_certificate,
     generation_degrees,
-    graded_generation_degrees,
-    is_weakly_delta_bounded,
     obstruction_element,
     resolve_simple,
     resolve_simple_2d,
@@ -92,37 +90,6 @@ def test_generation_degrees(triangle, triangle_m2):
     assert generation_degrees(triangle_m2, "e1", 3) == [3, 5]
     assert generation_degrees(triangle_m2, "e1", 4) == [4, 6, 8]
     assert max(generation_degrees(triangle_m2, "e1", 4)) == delta(4, 4)
-
-
-def test_weak_delta_bound(triangle, triangle_m2, a4, a3):
-    assert is_weakly_delta_bounded(triangle, 5)
-    assert is_weakly_delta_bounded(triangle_m2, 5)
-    assert is_weakly_delta_bounded(a3, 6)  # homogeneous star, degree three
-    assert not is_weakly_delta_bounded(a4, 4)  # quadratic but not Koszul
-
-
-def test_graded_degrees_match_oracle(small_census):
-    """String-tracked generator degrees against the oracle's graded
-    resolution, through degree 6, on every reduced census graph with at
-    least two edges and a graded algebra."""
-    from brauergraph.oracle.modules import min_resolution
-
-    checked = 0
-    for g in small_census:
-        if not (is_reduced(g) and len(g.edge_ids) >= 2):
-            continue
-        la = build_algebra(present(g))
-        if not la.graded:
-            continue
-        checked += 1
-        for e in g.edge_ids:
-            predicted = graded_generation_degrees(g, e, 6)
-            oracle = min_resolution(la, e, 6)
-            for n in range(7):
-                assert predicted[n] == set(oracle[n]["generation_degrees"]), (
-                    g.edge_ends, e, n
-                )
-    assert checked == 7
 
 
 def test_certificates(triangle):

@@ -1,12 +1,22 @@
+import contextlib
 import gc
+import io
+import json
 import sys
 from collections import Counter
 
 import pytest
 
-from brauergraph import presentation, resolution
+from brauergraph import cli, presentation, resolution
 from brauergraph.census import census
-from brauergraph.graph import BrauerGraph, HalfEdge, cycle_graph, triangle_graph
+from brauergraph.graph import (
+    BrauerGraph,
+    HalfEdge,
+    cycle_graph,
+    star_graph,
+    to_dict,
+    triangle_graph,
+)
 from brauergraph.oracle import ext, linalg, modules, verify
 from brauergraph.oracle.algebra import FiniteDimAlgebra
 from brauergraph.oracle.fields import QQ, PrimeField
@@ -266,6 +276,41 @@ def test_one_chain_per_edge_for_certificates(monkeypatch, g):
     monkeypatch.setattr(verify, "_check_certificates", marked_check)
     assert verify_graph(g, max_degree=4).ok
     assert sorted(chains) == sorted(g.edge_ids)
+
+
+def test_uncomposable_certificate_is_a_diff(monkeypatch, tmp_path):
+    """A certificate whose factors do not compose is reported as a
+    ``certificate`` diff, and ``verify`` exits with a mismatch, not a
+    traceback."""
+    edge_certificates = verify.edge_certificates
+
+    def swapped(cert):
+        if cert.is_leaf:
+            return cert
+        return resolution.GenerationCertificate(
+            cert.element, tuple(swapped(f) for f in reversed(cert.factors)))
+
+    def swapped_certificates(g, e, n_max):
+        return [{i: swapped(c) for i, c in level.items()}
+                for level in edge_certificates(g, e, n_max)]
+
+    monkeypatch.setattr(verify, "edge_certificates", swapped_certificates)
+    g = cycle_graph(4)
+    rep = verify_graph(g, max_degree=3)
+    assert rep.entries and {e["check"] for e in rep.entries} == {"certificate"}
+    path = tmp_path / "square.bg.json"
+    path.write_text(json.dumps(to_dict(g)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["verify", "--max", "3", "--input", str(path)]) == cli.EXIT_MISMATCH
+
+
+def test_d_homogeneous_graph_must_be_a_star(monkeypatch):
+    """The classification check holds a d-homogeneous algebra to the star
+    shape of ``d_homog_star_check``."""
+    assert verify_graph(star_graph(3, 2), 3).ok
+    monkeypatch.setattr(verify, "d_homog_star_check", lambda g, d: False)
+    rep = verify_graph(star_graph(3, 2), 3)
+    assert [e["check"] for e in rep.entries] == ["classification"]
 
 
 def test_truncation_read_from_a_table(monkeypatch):

@@ -15,7 +15,8 @@ rows, its ``redundant`` verdicts and the arrow rows of every projective.
 Equal digests at two revisions mean equal normal forms, not only equal
 verdicts.  ``combinatorics`` digests, per graph, what the combinatorial
 layer answers without the oracle (see ``combinatorics_doc``), through
-``degree``; it does not depend on the field.
+``degree`` and, for the periods of a reduced graph, through the whole
+syzygy orbit; it does not depend on the field.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from brauergraph.resolution import (  # noqa: E402
     explicit_resolver,
     obstruction_element,
 )
-from brauergraph.strings import iterate_syzygy  # noqa: E402
+from brauergraph.strings import iterate_syzygy, period  # noqa: E402
 
 
 def _row(row: dict) -> list:
@@ -80,7 +81,9 @@ def combinatorics_doc(g, degree: int) -> dict:
     all and minimal relations, the Koszul report with its explanations and
     witnesses, the explicit resolution of every simple where ``g`` has one,
     the certificate trees where no edge is truncated, and on a reduced graph
-    the walk and syzygy trace of every edge and the obstruction element."""
+    the walk, syzygy trace and period of every edge and the obstruction
+    element.  The period walks the syzygies until the first return to the
+    simple, so every syzygy step the ``syzygy`` command can reach is read."""
     pres = present(g)
     report = koszul_report(g, pres)
     doc = {
@@ -102,6 +105,7 @@ def combinatorics_doc(g, degree: int) -> dict:
                         for e in g.edge_ids}
         doc["syzygies"] = {e: _or_refusal(lambda: iterate_syzygy(g, e, degree).to_json())
                            for e in g.edge_ids}
+        doc["periods"] = {e: _or_refusal(lambda: period(g, e)) for e in g.edge_ids}
         doc["obstruction"] = _or_refusal(lambda: obstruction_element(g))
     return doc
 
