@@ -28,7 +28,12 @@ out-arrows as (index, target) pairs.  The reduction drops a term m of a
 relation r from every translate u*r*v as soon as u*m is no word, since no
 u*m*v is one then, and builds no translate whose terms are all dropped.
 The arrow rows of each projective are the normal forms of the children of
-the basis words, with no word built or looked up.
+the basis words, with no word built or looked up.  Two tables, built on
+first use, are shared by every sum of projectives over the algebra:
+``shifted_rows``, keyed by (edge, arrow, offset), and
+``projective_degrees``, keyed by (edge, generation degree).  A relation
+path is read as arrow indices through ``Quiver.index_at``, with no
+``Arrow`` hashed.
 
 A kind-two relation is a monomial whose omission the paper's minimal
 generating set decides, so ``build_algebra`` answers for each one whether
@@ -98,6 +103,9 @@ class FiniteDimAlgebra:
                      [r for r in self.relations if len(r.terms) > 1])
         self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
         self._projective_action: dict[str, dict[str, list[dict]]] = {}
+        self._shifted_rows: dict[tuple[str, str, int], list[dict]] = {}
+        self._projective_degrees: dict[tuple[str, Optional[int]],
+                                       dict[str, list[Optional[int]]]] = {}
 
     def _check_quantizer(self):
         """A quantizer value that is zero or has no inverse over the field
@@ -113,8 +121,8 @@ class FiniteDimAlgebra:
                                       f"or undefined over {f.name}")
 
     def _path_key(self, p: Path) -> tuple[int, ...]:
-        idx = self.quiver.arrow_index
-        return tuple(idx[a] for a in p.arrows)
+        idx = self.quiver.index_at
+        return tuple(idx[a.vertex, a.pos] for a in p.arrows)
 
     def word_target(self, w: Word) -> str:
         src, arrows = w
@@ -135,9 +143,11 @@ class FiniteDimAlgebra:
         word is enumerated only as a child of its prefix, so the words are
         prefix-closed."""
         q = self.quiver
-        # each vertex's out-arrows as (arrow index, target), read once
-        out = {v: [(q.arrow_index[a], a.target) for a in q.arrows_from.get(v, ())]
-               for v in q.vertices}
+        # each vertex's out-arrows as (arrow index, target), in
+        # ``arrows_from`` order
+        out: dict[str, list[tuple[int, str]]] = {v: [] for v in q.vertices}
+        for ai, a in enumerate(q.arrows):
+            out[a.source].append((ai, a.target))
         words: list[Word] = [(v, ()) for v in q.vertices]
         tags: list[Optional[int]] = [None] * len(words)
         targets: list[str] = list(q.vertices)
@@ -358,6 +368,35 @@ class FiniteDimAlgebra:
             }
             self._projective_action[e] = action
         return action
+
+    def shifted_rows(self, e: str, a: str, offset: int) -> list[dict]:
+        """The rows of arrow ``a`` in the projective at ``e``
+        (``projective_action``), every column shifted by ``offset``: those
+        of a summand at e that starts at ``offset`` in the block of a's
+        target.  Never rewritten; at offset 0 they are the
+        ``projective_action`` rows themselves."""
+        key = (e, a, offset)
+        rows = self._shifted_rows.get(key)
+        if rows is None:
+            rows = self.projective_action(e)[a]
+            if offset:
+                rows = [{offset + j: x for j, x in row.items()} for row in rows]
+            self._shifted_rows[key] = rows
+        return rows
+
+    def projective_degrees(self, e: str, d: Optional[int]) -> dict[str, list[Optional[int]]]:
+        """Per vertex, the degree of each basis word of the projective at
+        ``e`` generated in degree ``d`` (``projective_words`` order): d plus
+        the word's length, or None everywhere when the algebra is not
+        graded."""
+        key = (e, d)
+        degrees = self._projective_degrees.get(key)
+        if degrees is None:
+            degrees = {v: [((d or 0) + self.degree(i)) if self.graded else None
+                           for i in words]
+                       for v, words in self.projective_words[e].items()}
+            self._projective_degrees[key] = degrees
+        return degrees
 
     def path_to_vec(self, p: Path) -> dict[int, object]:
         return self.word_to_vec(p.source, self._path_key(p))

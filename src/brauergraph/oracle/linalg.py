@@ -9,13 +9,17 @@ the row space.
 
 Every elimination of the oracle runs one forward step, ``_forward``: it
 reduces each row by the pivot rows found so far until its least column is
-no pivot, and makes it the pivot row of that column.  ``rref`` is the
-forward step followed by one back-substitution, giving the reduced row
-echelon form, which is unique.  Ranks, tops, socles, the pivots of a
-projective cover and the algebra's normal forms read its pivot columns;
-``left_kernel`` and ``solve_left`` read the rows of the reduced transpose.
-``SparseReducer`` asks the forward step whether a row enlarges a span, for
-the Ext closure.
+no pivot, and makes it the pivot row of that column.  Its pivot columns
+are those of the reduced row echelon form, since back-substitution changes
+no pivot column.  So the readers that need only the pivot columns run the
+forward step alone: ``rank`` (the socles of modules and the ranks of a
+map's blocks), ``Module.top_positions`` (tops and the pivots of a
+projective cover) and ``SparseReducer``, which asks whether a row enlarges
+a span, for the Ext closure.  ``rref`` is the forward step followed by one
+back-substitution, giving the reduced row echelon form, which is unique;
+it serves the readers of the reduced rows: ``left_kernel`` and
+``solve_left``, which read the rows of the reduced transpose, and the
+algebra's normal forms, which read its pivot rows.
 """
 from __future__ import annotations
 
@@ -39,8 +43,11 @@ def _forward(pivots: dict, rows: Iterable, f) -> None:
     """Insert each row into ``pivots`` (pivot column -> pivot row): reduce it
     by the pivot rows until its least column is no pivot, and make it the
     pivot row of that column, scaled to 1 there; a row that reduces to zero
-    is dropped.  No pivot row changes."""
+    is dropped, and an empty row is skipped uncopied.  No pivot row
+    changes, and no row of ``rows``."""
     for row in rows:
+        if not row:
+            continue
         r = dict(row)
         while r:
             c = min(r)
@@ -76,7 +83,10 @@ def rref(rows: Iterable, field, pivots: Optional[dict] = None) -> tuple[list[dic
 
 
 def rank(rows: Iterable, field) -> int:
-    return len(rref(rows, field)[1])
+    """The number of pivot columns, read off the forward step."""
+    pivots: dict = {}
+    _forward(pivots, rows, field)
+    return len(pivots)
 
 
 def _columns(rows: list[dict]) -> dict:

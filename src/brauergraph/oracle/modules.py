@@ -15,10 +15,12 @@ written out dense:
 Everything needed downstream - tops, socles, projective covers, kernels,
 minimal resolutions - reduces to row reductions of these sparse rows, and
 all of them happen in ``oracle/linalg.py``: the top and the pivots of a
-cover are the pivot columns of the arrow rows into each vertex
-(``Module.top_positions``), the socle is n minus the rank of the arrow rows
-out of a vertex side by side, the exactness ranks are those of the blocks,
-and a kernel is the left kernel of each degree slot of a block.
+cover are the pivot columns of the arrow rows into each vertex, read once
+per module off one forward step (``Module.top_positions``), the socle is n
+minus the rank of the arrow rows out of a vertex side by side, the
+exactness ranks are those of the blocks, and a kernel is the left kernel
+of each degree slot of a block.  Ranks and tops need only pivot columns,
+so they run the forward step alone; kernels read the reduced rows.
 
 When the algebra is length graded, basis vectors carry degrees, arrows
 raise degree by one, and kernels are computed degreewise so that graded
@@ -27,8 +29,13 @@ generation degrees come out exactly.
 A sum of indecomposable projectives is a ``ProjectiveSum``, which records
 per summand only its edge, its offsets and its generator; the word layout
 of each projective is ``FiniteDimAlgebra.projective_words``.  Its arrow
-rows are those of ``FiniteDimAlgebra.projective_action``, computed once per
-algebra and edge, with each summand's columns shifted by its offset.  A
+rows and degree lists are the algebra's shared ones: each summand's arrow
+rows are ``FiniteDimAlgebra.shifted_rows`` of its edge at its offset, and
+its degrees ``FiniteDimAlgebra.projective_degrees`` of its edge and
+generation degree, each built once per algebra, so a sum only extends its
+lists with them.  A module is not changed after it is built: its rows may
+be shared with other modules and with the algebra, and every reader,
+``oracle/linalg.py`` included, copies a row before it rewrites it.  A
 module map out of such a sum is fixed by where each generator goes, and
 ``map_from_generators`` is the one constructor that turns generator images
 into such a map: projective covers here, and the path-matrix differentials
@@ -62,6 +69,9 @@ from .algebra import FiniteDimAlgebra
 
 
 class Module:
+    """A right module given by its basis degrees and arrow rows; it is not
+    changed after it is built, so its top is computed once."""
+
     def __init__(self, la: FiniteDimAlgebra,
                  degrees: dict[str, list[Optional[int]]],
                  action: dict[str, list[dict]]):
@@ -83,21 +93,22 @@ class Module:
 
     # -- structure ------------------------------------------------------
 
+    @cached_property
     def top_positions(self) -> dict[str, list[int]]:
         """Per vertex, the basis positions that are no pivot column of
         M * rad there, which the arrow rows into the vertex span: their
-        classes are a basis of the top."""
-        radical: dict[str, list[dict]] = {}
+        classes are a basis of the top.  The arrow rows into each vertex go
+        through one forward step, whose pivot columns are those of the
+        reduced form; computed once per module."""
+        f = self.la.field
+        pivots: dict[str, dict] = {v: {} for v in self.degrees}
         for a in self.la.quiver.arrows:
-            rows = [row for row in self.action[a.name] if row]
-            if rows:
-                radical.setdefault(a.target, []).extend(rows)
-        pivots = {v: set(linalg.rref(rows, self.la.field)[1]) for v, rows in radical.items()}
-        return {v: [i for i in range(self.dim(v)) if i not in pivots.get(v, ())]
+            linalg._forward(pivots[a.target], self.action[a.name], f)
+        return {v: [i for i in range(self.dim(v)) if i not in pivots[v]]
                 for v in self.degrees}
 
     def top(self) -> Counter:
-        return Counter({v: len(p) for v, p in self.top_positions().items() if p})
+        return Counter({v: len(p) for v, p in self.top_positions.items() if p})
 
     def socle(self) -> Counter:
         """Per vertex, n minus the rank of the arrow rows out of it, the
@@ -209,6 +220,7 @@ class ProjectiveSum(Module):
 
     def __init__(self, la: FiniteDimAlgebra, summands: list[tuple[str, Optional[int]]]):
         degrees: dict[str, list[Optional[int]]] = {v: [] for v in la.quiver.vertices}
+        action: dict[str, list[dict]] = {a.name: [] for a in la.quiver.arrows}
         self.offsets: list[dict[str, int]] = []
         self.generators: list[tuple[str, int]] = []
         for e, d in summands:
@@ -216,18 +228,10 @@ class ProjectiveSum(Module):
             self.offsets.append(offsets)
             self.generators.append(
                 (e, offsets[e] + la.word_position[la.basis_index[(e, ())]]))
-            for v, words in la.projective_words[e].items():
-                degrees[v].extend(((d or 0) + la.degree(i)) if la.graded else None
-                                  for i in words)
-        action: dict[str, list[dict]] = {a.name: [] for a in la.quiver.arrows}
-        for (e, _), offsets in zip(self.generators, self.offsets):
-            rows_at = la.projective_action(e)
             for a in la.quiver.arrows:
-                rows = rows_at[a.name]
-                col0 = offsets[a.target]
-                action[a.name].extend(
-                    rows if col0 == 0 else
-                    [{col0 + j: x for j, x in row.items()} for row in rows])
+                action[a.name].extend(la.shifted_rows(e, a.name, offsets[a.target]))
+            for v, degs in la.projective_degrees(e, d).items():
+                degrees[v].extend(degs)
         super().__init__(la, degrees, action)
 
 
@@ -257,12 +261,20 @@ def _push(mod: Module, pushed: dict[tuple, dict], arrows: tuple[int, ...]) -> di
 
 def _times(vec: dict, rows: list[dict], f) -> dict:
     """The sparse row ``vec`` times the sparse rows ``rows``, over the
-    nonzeros of both."""
+    nonzeros of both.  A product of two nonzeros is nonzero, so only an
+    entry that is summed can vanish, and it is dropped there."""
     out: dict = {}
     for i, x in vec.items():
         for j, y in rows[i].items():
-            out[j] = f.add(out[j], f.mul(x, y)) if j in out else f.mul(x, y)
-    return {j: x for j, x in out.items() if not f.is_zero(x)}
+            if j in out:
+                z = f.add(out[j], f.mul(x, y))
+                if f.is_zero(z):
+                    del out[j]
+                else:
+                    out[j] = z
+            else:
+                out[j] = f.mul(x, y)
+    return out
 
 
 def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]]:
@@ -270,7 +282,7 @@ def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]
     with one (vertex, generation degree) per summand."""
     la = mod.la
     f = la.field
-    tops = mod.top_positions()
+    tops = mod.top_positions
     summands: list[tuple[str, Optional[int]]] = []
     images: list[dict] = []
     for v in la.quiver.vertices:
@@ -283,23 +295,24 @@ def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]
 
 def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
     """Kernel with its inclusion, computed degreewise; an ungraded module
-    has the single degree None."""
-    P, M = phi.source, phi.target
+    has the single degree None.  ``phi`` is a cover of a graded module, so
+    it is homogeneous: the block row of a basis word in degree d lies in
+    the target's degree d, and each degree slot is the left kernel of its
+    block rows as they are."""
+    P = phi.source
     la = P.la
     f = la.field
     basis: dict[str, list[dict]] = {}  # per vertex, the kernel basis rows
     degrees: dict[str, list[Optional[int]]] = {}
     for v in la.quiver.vertices:
-        block, target_degrees = phi.blocks[v], M.degrees[v]
+        block = phi.blocks[v]
         basis[v], degrees[v] = [], []
         slots: dict[Optional[int], list[int]] = {}
         for i, d in enumerate(P.degrees[v]):
             slots.setdefault(d, []).append(i)
         for d in sorted(slots, key=lambda x: (x is None, x)):
             rows = slots[d]
-            kern = linalg.left_kernel(
-                [{j: x for j, x in block[i].items() if target_degrees[j] == d}
-                 for i in rows], f)
+            kern = linalg.left_kernel([block[i] for i in rows], f)
             basis[v].extend({rows[k]: x for k, x in kv.items()} for kv in kern)
             degrees[v].extend([d] * len(kern))
     # a kernel basis row has a 1 at its free position, its largest index, and

@@ -25,7 +25,9 @@ The certificate check reads every certificate of an edge off one
 follows-chain (``resolution.edge_certificates``), evaluates each element
 once, and its Yoneda products, like the closure of the obstruction check,
 read the lifts that the resolutions keep: each level of each basis
-class's lift is solved once per call.
+class's lift is solved once per call.  A certificate whose factors do not
+compose, or whose lift fails through a complex that is not exact, is a
+``certificate`` diff for its class, and the check goes on.
 """
 from __future__ import annotations
 
@@ -328,7 +330,9 @@ def _check_certificates(report: DiffReport, g, la, cert_cap: int, resolutions):
             for i, cert in certs[n].items():
                 try:
                     value = _evaluate(cert, resolutions, products)
-                except ValueError as exc:  # the factors do not compose
+                # the factors do not compose, or a lift fails through a
+                # complex that is not exact
+                except (ValueError, RuntimeError) as exc:
                     report.add("certificate",
                                f"degree {n} position {i} of {e}: {exc}")
                     continue

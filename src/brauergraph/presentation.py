@@ -82,6 +82,10 @@ class Quiver:
             self.arrows_from[a.source].append(a)
             self.arrows_into[a.target].append(a)
         self.arrow_index = {a: i for i, a in enumerate(self.arrows)}
+        # the same index by (vertex, pos), read without hashing an Arrow
+        self.index_at: dict[tuple[str, int], int] = {
+            (a.vertex, a.pos): i for i, a in enumerate(self.arrows)
+        }
         self._val: dict[str, int] = {}
         for a in self.arrows:
             self._val[a.vertex] = max(self._val.get(a.vertex, 0), a.pos + 1)

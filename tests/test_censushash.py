@@ -19,3 +19,14 @@ def test_census_3_2_hashes(capsys):
     assert capsys.readouterr().out.splitlines() == ["report 7d3850109d9ae6a5",
                                                     "algebra d185bb12ba4a8be5",
                                                     "combinatorics e4e590d924feacd1"]
+
+
+def test_census_3_2_hashes_over_f2(capsys):
+    """The same digests over F2, where summed entries cancel as 1 + 1 = 0 in
+    the sparse products and the forward step: the report and the
+    combinatorics do not depend on the field, and the algebra digest is
+    that of F2."""
+    assert censushash.main(["--k", "3", "--m", "2", "--degree", "3", "--field", "fp:2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["report 7d3850109d9ae6a5",
+                                                    "algebra 5abbda6126019a26",
+                                                    "combinatorics e4e590d924feacd1"]

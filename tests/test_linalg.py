@@ -1,6 +1,7 @@
 """The sparse row reduction and the span membership built on its forward
-step, against a dense Gauss-Jordan elimination written out here, over Q
-(with fractional entries), F2 and F3."""
+step, against a dense Gauss-Jordan elimination written out here, and the
+sparse product of ``oracle/modules.py`` against a dense one, over Q (with
+fractional entries), F2 and F3."""
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from brauergraph.oracle import linalg
 from brauergraph.oracle.fields import QQ, PrimeField
+from brauergraph.oracle.modules import _times
 
 FIELDS = {"Q": QQ, "F2": PrimeField(2), "F3": PrimeField(3)}
 
@@ -173,3 +175,73 @@ def test_sparse_reduction_edge_cases(name):
     linalg.left_kernel(rows, f)
     linalg.solve_left(rows, bs, f)
     assert rows + bs == before
+
+
+def _nonzero(f):
+    if f is QQ:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+            bool).map(QQ.from_fraction)
+    return st.integers(1, f.p - 1)
+
+
+def _sparse_rows(f, max_rows=6):
+    """Sparse rows over at most 6 columns: with so few columns, rows repeat
+    and cancel often, in F2 as 1 + 1 = 0."""
+    row = st.dictionaries(st.integers(0, 5), _nonzero(f), max_size=4)
+    return st.lists(row, max_size=max_rows)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+@given(data=st.data())
+def test_forward_step_reads_the_pivot_columns_of_rref(name, data):
+    """The pivot columns of the forward step alone are those of the reduced
+    form, and ``rank`` is its number of rows; the rows given are not
+    rewritten, and an empty row is skipped."""
+    f = FIELDS[name]
+    rows = data.draw(_sparse_rows(f))
+    before = [dict(row) for row in rows]
+    pivots: dict = {}
+    linalg._forward(pivots, rows, f)
+    red, cols = linalg.rref(rows, f)
+    assert sorted(pivots) == cols
+    assert linalg.rank(rows, f) == len(red)
+    assert all(not f.is_zero(x) for p in pivots.values() for x in p.values())
+    assert all(p[c] == f.one for c, p in pivots.items())
+    assert rows == before
+
+
+def _dense_times(vec: dict, rows: list, ncols: int, f) -> dict:
+    """``vec`` times ``rows`` column by column, summed densely, zeros
+    dropped at the end."""
+    out = [f.zero] * ncols
+    for i, x in vec.items():
+        for j in range(ncols):
+            out[j] = f.add(out[j], f.mul(x, rows[i].get(j, f.zero)))
+    return {j: x for j, x in enumerate(out) if not f.is_zero(x)}
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+@given(data=st.data())
+def test_times_matches_a_dense_product(name, data):
+    """The sparse product of ``modules._times`` equals the dense one and
+    holds no zero coefficient, also where summed entries cancel."""
+    f = FIELDS[name]
+    rows = data.draw(_sparse_rows(f, max_rows=5).filter(bool))
+    vec = data.draw(st.dictionaries(st.integers(0, len(rows) - 1), _nonzero(f)))
+    got = _times(vec, rows, f)
+    assert got == _dense_times(vec, rows, 6, f)
+    assert all(not f.is_zero(x) for x in got.values())
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_times_drops_cancelled_entries(name):
+    """Summed entries that cancel are dropped: in F2, 1 + 1 = 0; an entry
+    that cancels and is summed again comes back."""
+    f = FIELDS[name]
+    one, minus = f.one, f.neg(f.one)
+    rows = [{0: one, 1: one}, {0: minus, 2: one}, {0: one}]
+    assert _times({0: one, 1: one}, rows, f) == {1: one, 2: one}
+    assert _times({0: one, 1: one, 2: one}, rows, f) == {0: one, 1: one, 2: one}
+    two = f.add(one, one)
+    want = {} if f.is_zero(two) else {0: two}
+    assert _times({0: one, 1: one}, [{0: one}, {0: one}], f) == want

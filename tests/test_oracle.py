@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -43,8 +44,8 @@ from brauergraph.oracle.modules import (
     projective_cover,
     projective_module,
 )
-from brauergraph.oracle.verify import _flip
-from brauergraph.presentation import Presentation, Relation, present
+from brauergraph.oracle.verify import DiffReport, _check_certificates, _flip
+from brauergraph.presentation import Arrow, Presentation, Relation, present
 from brauergraph.resolution import explicit_resolver, resolve_simple
 from brauergraph.strings import iterate_syzygy, realize
 from conftest import desk_graphs, pendant_triangle, reduced_desk_graphs
@@ -1113,3 +1114,96 @@ def test_lift_and_product_refuse_mismatched_simples(triangle):
     y = ExtElement(walks["e1"], 1, {0: la.field.one})
     with pytest.raises(ValueError, match="factors not composable"):
         yoneda_multiply(y, x)
+
+
+def test_algebra_build_hashes_no_arrow(monkeypatch):
+    """Building the census(3,2) algebras reads every arrow index through
+    ``Quiver.index_at``, with no ``Arrow`` hashed."""
+    presentations = [present(g) for g in census(3, 2)]
+    hashes = [0]
+    arrow_hash = Arrow.__hash__
+
+    def counted_hash(self):
+        hashes[0] += 1
+        return arrow_hash(self)
+
+    monkeypatch.setattr(Arrow, "__hash__", counted_hash)
+    for pres in presentations:
+        build_algebra(pres)
+    assert hashes == [0]
+    assert hash(presentations[0].quiver.arrows[0]) and hashes == [1]
+
+
+def _census_walks(field):
+    """Per census(3,2) graph: its algebra, and the oracle walk of every simple
+    through degree 4 with every syzygy taken."""
+    for g in census(3, 2):
+        la = build_algebra(present(g), field)
+        walks = {e: ProjResolution.from_oracle(la, e, 4) for e in g.edge_ids}
+        for walk in walks.values():
+            walk.syzygies
+        yield g, la, walks
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+def test_module_layer_never_rewrites_the_shared_rows(field):
+    """Every ``ProjectiveSum`` reads the algebra's ``projective_action`` and
+    ``shifted_rows`` tables without copying them, so nothing downstream may
+    rewrite them: after the walks, the tops and socles of the projectives
+    and syzygies, the path-matrix complexes, their composition, exactness
+    and certificate checks, and a second walk, every table holds what it
+    held before, and every shifted list is its projective row list
+    shifted."""
+    for g, la, walks in _census_walks(field):
+        before = copy.deepcopy((la._projective_action, la._shifted_rows,
+                                la._projective_degrees))
+        for e in g.edge_ids:
+            projective_module(la, e).descriptor()
+            for M in walks[e].modules + walks[e].syzygies:
+                M.descriptor()
+        resolver = explicit_resolver(g)
+        if resolver is not None:
+            complexes = {e: ProjResolution.from_steps(la, e, resolver(g, e, 5))
+                         for e in g.edge_ids}
+            report = DiffReport()
+            for res in complexes.values():
+                assert res.complex_is_zero() == []
+                assert res.exactness_defects(4) == []
+            _check_certificates(report, g, la, 4, complexes)
+            assert report.ok, report.entries
+        for e in g.edge_ids:
+            ProjResolution.from_oracle(la, e, 4).syzygies
+        actions, shifted, degrees = before
+        assert la._projective_action == actions
+        assert {k: la._shifted_rows[k] for k in shifted} == shifted
+        assert {k: la._projective_degrees[k] for k in degrees} == degrees
+        for (e, a, offset), rows in la._shifted_rows.items():
+            assert rows == [{offset + j: x for j, x in row.items()}
+                            for row in actions[e][a]]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+def test_covers_share_rows_and_are_homogeneous(field):
+    """Two sums with a summand at the same edge and column offset hold the
+    same row objects there, and every block row of every cover of a syzygy
+    lies in its own degree, so each degree slot of a kernel needs no
+    filter."""
+    for g, la, walks in _census_walks(field):
+        rows_at: dict = {}
+        for walk in walks.values():
+            for M in walk.syzygies:
+                P, phi, _ = projective_cover(M)
+                for v, block in phi.blocks.items():
+                    for i, row in enumerate(block):
+                        assert all(M.degrees[v][j] == P.degrees[v][i] for j in row)
+            for P in walk.modules:
+                for (e, _), offsets in zip(P.generators, P.offsets):
+                    for a in la.quiver.arrows:
+                        start = offsets[a.source]
+                        n = len(la.projective_words[e][a.source])
+                        rows = P.action[a.name][start:start + n]
+                        key = (e, a.name, offsets[a.target])
+                        first = rows_at.setdefault(key, rows)
+                        assert all(x is y for x, y in zip(first, rows)), key
+        for (e, a, offset), rows in rows_at.items():
+            assert all(x is y for x, y in zip(rows, la.shifted_rows(e, a, offset)))

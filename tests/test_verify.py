@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -345,3 +346,32 @@ def test_verify_leaves_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_lift_through_an_inexact_complex_is_a_diff(monkeypatch, tmp_path):
+    """A complex that is not exact, here with one entry of every degree-1
+    differential dropped, makes a certificate's lift fail: that class is
+    reported as a ``certificate`` diff next to the ``exactness`` one, and
+    ``verify`` exits with a mismatch, not a traceback."""
+    explicit_resolver = verify.explicit_resolver
+
+    def dropped(g):
+        resolver = explicit_resolver(g)
+
+        def drop_one(s):
+            diff = dict(s.differential)
+            del diff[min(diff)]
+            return dataclasses.replace(s, differential=diff)
+
+        def resolve(g, e, n):
+            return [drop_one(s) if s.degree == 1 else s for s in resolver(g, e, n)]
+        return None if resolver is None else resolve
+
+    monkeypatch.setattr(verify, "explicit_resolver", dropped)
+    for g in (cycle_graph(4), triangle_graph(), cycle_graph(3)):
+        checks = {e["check"] for e in verify_graph(g, max_degree=3).entries}
+        assert {"exactness", "certificate"} <= checks, checks
+    path = tmp_path / "square.bg.json"
+    path.write_text(json.dumps(to_dict(cycle_graph(4))))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["verify", "--max", "3", "--input", str(path)]) == cli.EXIT_MISMATCH

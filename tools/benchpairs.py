@@ -5,10 +5,10 @@ Run from the repository root:
     python3 tools/benchpairs.py --base HEAD~1 --workload deep-cli --seeds 1 7919 \
         --out BENCH_<n>.json
 
-The base revision is checked out into a temporary ``git worktree``, removed
-at the end.  Both sides run their own, unchanged ``perfbench/run.py`` with
-``--trace 0``, one run at a time, each run as long as ``run_seconds`` in
-``BENCHMARK.json``.  Every workload and seed gets ``PAIRS`` pairs; pair p
+The base revision is extracted with ``git archive`` into a temporary
+directory, removed at the end, so no worktree is registered.  Both sides
+run their own, unchanged ``perfbench/run.py`` with ``--trace 0``, one run
+at a time, each run as long as ``run_seconds`` in ``BENCHMARK.json``.  Every workload and seed gets ``PAIRS`` pairs; pair p
 runs the base first when p is even and the working tree first when p is
 odd, so a drift of the host's speed does not favour one side.  The output
 file is rewritten after every pair; it holds every run's end-to-end metrics
@@ -29,12 +29,15 @@ every base run, else "no".
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -136,7 +139,10 @@ def main(argv=None) -> int:
            "workloads": {}}
     tmp = tempfile.mkdtemp(prefix="benchpairs-")
     base_dir = os.path.join(tmp, "base")
-    _git("worktree", "add", "--detach", base_dir, doc["base"])
+    archive = subprocess.run(["git", "archive", doc["base"]], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(base_dir)
     try:
         for workload in args.workload:
             for seed in args.seeds:
@@ -155,8 +161,7 @@ def main(argv=None) -> int:
                         f"{pair['change']['metrics'][m['name']]:.4g}" for m in metrics),
                         flush=True)
     finally:
-        _git("worktree", "remove", "--force", base_dir)
-        os.rmdir(tmp)
+        shutil.rmtree(tmp)
     return 0
 
 
