@@ -53,32 +53,23 @@ class KoszulReport:
 
 
 def _path_multiplicities(g: BrauerGraph) -> Optional[list[int]]:
-    """Multiplicities along a path graph from one end to the other."""
-    if any(g.is_loop(e) for e in g.edge_ids):
-        return None
-    if len({frozenset(g.ends(e)) for e in g.edge_ids}) < len(g.edge_ids):
-        return None
-    if len(g.edge_ids) != len(g.vertex_ids) - 1:
-        return None
-    if not g.is_connected():
+    """Multiplicities along a path graph from one end to the other.
+
+    A connected graph with |E| = |V| - 1 is a tree, so it has no loop and
+    no multiple edge.  The walk steps with ``follow`` from the first end."""
+    if len(g.edge_ids) != len(g.vertex_ids) - 1 or not g.is_connected():
         return None
     valencies = {v: g.valency(v) for v in g.vertex_ids}
     if any(k > 2 for k in valencies.values()):
         return None
     ends = [v for v, k in valencies.items() if k == 1]
-    if len(g.vertex_ids) == 1 or len(ends) != 2:
+    if len(ends) != 2:
         return None
     order = [ends[0]]
-    prev = None
-    while len(order) < len(g.vertex_ids):
-        cur = order[-1]
-        for e in g.edge_ids:
-            if cur in g.ends(e):
-                w = g.other_end(e, cur)
-                if w != prev:
-                    prev = cur
-                    order.append(w)
-                    break
+    h = g.rotation[ends[0]][0].other()  # the first edge's half at its far end
+    for _ in g.edge_ids:
+        order.append(g.vertex_of(h))
+        h = g.follow(h)
     return [g.multiplicity(v) for v in order]
 
 

@@ -28,6 +28,7 @@ from .oracle.algebra import OracleSizeError
 from .oracle.fields import field_from_spec
 from .oracle.verify import Fault, verify_graph
 from .presentation import (
+    build_quiver,
     present,
     quiver_to_dict,
     quiver_to_dot,
@@ -64,7 +65,7 @@ def _load(path: str, *edges: str) -> BrauerGraph:
 
 def cmd_quiver(args) -> int:
     g = _load(args.input)
-    q = present(g).quiver
+    q = build_quiver(g)
     if args.format == "dot":
         sys.stdout.write(quiver_to_dot(q) + "\n")
     else:

@@ -232,25 +232,12 @@ class BrauerGraph:
         return not all(self._truncation.values())
 
     def successor_half(self, h: HalfEdge) -> HalfEdge:
+        """The half-edge after ``h`` in the cyclic order at its vertex (``h``
+        itself when alone there).  With ``follow``, the graph's one step
+        around a vertex: every walk, the string calculus's too, uses these."""
         v, i = self.position(h)
         halves = self.rotation[v]
         return halves[(i + 1) % len(halves)]
-
-    def successor(self, e: str, v: str) -> str:
-        """The edge directly after ``e`` in the cyclic order at ``v``.
-
-        A valency-one edge is its own successor.  For a loop at ``v`` the
-        answer depends on the half-edge, so this overload refuses.
-        """
-        if not self.incident(e, v):
-            raise BrauerGraphError(f"edge {e!r} is not incident with vertex {v!r}")
-        if self.is_loop(e) and self.ends(e)[0] == v:
-            raise BrauerGraphError(
-                f"edge {e!r} is a loop at {v!r}; use successor_half on a half-edge"
-            )
-        if self.valency(v) == 1:
-            return e
-        return self.successor_half(self.half_at(e, v)).edge
 
     def link(self, x: str, y: str) -> str:
         """The unique common endpoint of two distinct edges in a reduced graph."""

@@ -527,7 +527,7 @@ def build_algebra_naive(pres: Presentation, field=QQ, path_cap: int = 4000) -> d
                 continue
             tgt = w[0] if not w[1] else quiver.arrows[w[1][-1]].target
             for a in quiver.arrows_from.get(tgt, ()):
-                nw = (w[0], w[1] + (quiver.arrow_index[a],))
+                nw = (w[0], w[1] + (quiver.index_at[a.vertex, a.pos],))
                 nxt.append(nw)
         paths.extend(nxt)
         frontier = nxt
@@ -546,7 +546,7 @@ def build_algebra_naive(pres: Presentation, field=QQ, path_cap: int = 4000) -> d
     # splits across blocks
     rows: dict[str, list[dict]] = {v: [] for v in quiver.vertices}
     for r in pres.all_relations:
-        terms = [(f.from_fraction(c), tuple(quiver.arrow_index[a] for a in p.arrows))
+        terms = [(f.from_fraction(c), tuple(quiver.index_at[a.vertex, a.pos] for a in p.arrows))
                  for c, p in r.terms]
         for u in by_target.get(r.source, ()):
             for v in by_source.get(r.target, ()):

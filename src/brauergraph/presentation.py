@@ -69,6 +69,11 @@ def identity_path(edge: str) -> Path:
 
 
 class Quiver:
+    """Vertices and arrows.  ``arrow_at`` and ``index_at`` take an arrow's
+    ``(vertex, pos)``, its place in the rotation at its vertex, to the
+    arrow and to its index in ``arrows``; ``arrows_from`` lists the arrows
+    leaving each quiver vertex."""
+
     def __init__(self, vertices: list[str], arrows: list[Arrow], a2_case: bool = False):
         self.vertices = list(vertices)
         self.arrows = list(arrows)
@@ -77,25 +82,11 @@ class Quiver:
             (a.vertex, a.pos): a for a in self.arrows
         }
         self.arrows_from: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
-        self.arrows_into: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
             self.arrows_from[a.source].append(a)
-            self.arrows_into[a.target].append(a)
-        self.arrow_index = {a: i for i, a in enumerate(self.arrows)}
-        # the same index by (vertex, pos), read without hashing an Arrow
         self.index_at: dict[tuple[str, int], int] = {
             (a.vertex, a.pos): i for i, a in enumerate(self.arrows)
         }
-        self._val: dict[str, int] = {}
-        for a in self.arrows:
-            self._val[a.vertex] = max(self._val.get(a.vertex, 0), a.pos + 1)
-
-    def rotation_size(self, vertex: str) -> int:
-        return self._val[vertex]
-
-    def next_arrow(self, a: Arrow) -> Arrow:
-        """The unique composable continuation that is not a relation."""
-        return self.arrow_at[(a.vertex, (a.pos + 1) % self.rotation_size(a.vertex))]
 
 
 @dataclass(frozen=True)
@@ -197,23 +188,6 @@ def cycle_half(g: BrauerGraph, q: Quiver, h: HalfEdge) -> Path:
     return arrow_run(g, q, v, pos, g.valency(v))
 
 
-def special_path(g: BrauerGraph, q: Quiver, s_i: str, s_j: str, v: str) -> Path:
-    """The connecting subpath from ``s_i`` to ``s_j`` inside the cycle at ``v``."""
-    if g.is_loop(s_i) or g.is_loop(s_j):
-        raise BrauerGraphError("connecting paths of loops need half-edges")
-    if not (g.incident(s_i, v) and g.incident(s_j, v)):
-        raise BrauerGraphError(f"edges must both be incident with {v!r}")
-    if g.is_truncated(s_i, v):
-        raise BrauerGraphError(f"edge {s_i!r} is truncated at {v!r}")
-    if s_i == s_j:
-        return identity_path(s_i)
-    val = g.valency(v)
-    _, pi = g.position(g.half_at(s_i, v))
-    _, pj = g.position(g.half_at(s_j, v))
-    steps = (pj - pi) % val
-    return arrow_run(g, q, v, pi, steps)
-
-
 # ----------------------------------------------------------------------
 # relations
 
@@ -255,7 +229,8 @@ def relations_all(g: BrauerGraph, q: Optional[Quiver] = None) -> list[Relation]:
         rels.append(Relation("two", e, (alpha, beta), ((Fraction(1), word),)))
 
     for a in q.arrows:
-        cont = q.next_arrow(a)
+        # a's rotational continuation; every other composable pair is a relation
+        cont = q.arrow_at[(a.vertex, (a.pos + 1) % g.valency(a.vertex))]
         for b in q.arrows_from.get(a.target, ()):
             if b is not cont:
                 rels.append(
@@ -269,11 +244,9 @@ def relations_all(g: BrauerGraph, q: Optional[Quiver] = None) -> list[Relation]:
     return rels
 
 
-def _power(p: Path, k: int) -> Path:
-    out = identity_path(p.source)
-    for _ in range(k):
-        out = out * p
-    return out
+def _power(c: Path, k: int) -> Path:
+    """The k-th power of the cycle ``c``, its arrows repeated in one tuple."""
+    return Path(c.source, c.target, c.arrows * k)
 
 
 def far_successor_truncated(g: BrauerGraph, e: str) -> bool:

@@ -7,6 +7,12 @@ them.  Syzygies act on these descriptors by rewriting both ends and
 flipping every interior sign; iterating from a simple module reproduces
 the minimal resolution degree by degree.
 
+Every step around a vertex reads half-edge positions with
+``BrauerGraph.successor_half``.  The segment between adjacent entries with
+shared vertex v runs from the plus entry's position p at v through
+(q - p) mod valency(v) successor steps to the minus entry's position q,
+one quiver arrow ``(v, p + k)`` per step.
+
 Reduced graph means multiplicity one everywhere, no loops, no multiple
 edges.  The single-edge graph is reduced but carries no strings beyond the
 simple one, and its syzygy operations refuse.
@@ -109,20 +115,12 @@ def _require_reduced(g: BrauerGraph):
         raise HypothesisError("string calculus requires the trivial quantizer")
 
 
-def links(g: BrauerGraph, sigma: StringDescriptor) -> tuple[str, ...]:
-    """Connecting vertices, one per adjacent entry pair."""
-    out = []
-    edges = sigma.edges()
-    for x, y in zip(edges, edges[1:]):
-        out.append(g.link(x, y))
-    return tuple(out)
-
-
 def validate_acceptable(g: BrauerGraph, sigma: StringDescriptor) -> bool:
     _require_reduced(g)
     entries = sigma.entries
     if len(entries) == 1:
         return entries[0][0] in g.edge_ends
+    alphas = []
     for (x, sx), (y, sy) in zip(entries, entries[1:]):
         if sx == sy:
             return False
@@ -131,33 +129,30 @@ def validate_acceptable(g: BrauerGraph, sigma: StringDescriptor) -> bool:
         shared = [v for v in set(g.ends(x)) if v in set(g.ends(y))]
         if len(shared) != 1:
             return False
-    alphas = links(g, sigma)
+        alphas.append(shared[0])
     for a, b in zip(alphas, alphas[1:]):
         if a == b:
             return False
     return True
 
 
-def _dist(g: BrauerGraph, top_edge: str, socle_edge: str, v: str) -> int:
-    """Successor steps from the top edge to the socle edge around ``v``."""
-    val = g.valency(v)
-    _, pi = g.position(g.half_at(top_edge, v))
-    _, pj = g.position(g.half_at(socle_edge, v))
-    return (pj - pi) % val
+def _segments(g: BrauerGraph, sigma: StringDescriptor) -> Iterator[tuple]:
+    """Per adjacent entry pair, its uniserial segment: the indices of the
+    top (plus) and socle (minus) entries, their shared vertex v, the top
+    entry's position at v and the successor steps from it to the socle."""
+    entries = sigma.entries
+    for i in range(len(entries) - 1):
+        top, soc = (i, i + 1) if entries[i][1] == PLUS else (i + 1, i)
+        v = g.link(entries[i][0], entries[i + 1][0])
+        _, pos = g.position(g.half_at(entries[top][0], v))
+        _, end = g.position(g.half_at(entries[soc][0], v))
+        yield top, soc, v, pos, (end - pos) % g.valency(v)
 
 
 def dimension(g: BrauerGraph, sigma: StringDescriptor) -> int:
-    """Total number of composition factors of the string module."""
+    """Total number of composition factors: 1 plus the segments' steps."""
     _require_reduced(g)
-    if sigma.is_simple:
-        return 1
-    total = 0
-    alphas = links(g, sigma)
-    for i, v in enumerate(alphas):
-        (x, sx), (y, _) = sigma.entries[i], sigma.entries[i + 1]
-        top_e, soc_e = (x, y) if sx == PLUS else (y, x)
-        total += _dist(g, top_e, soc_e, v) + 1
-    return total - (len(sigma) - 2)
+    return 1 + sum(steps for *_, steps in _segments(g, sigma))
 
 
 # ----------------------------------------------------------------------
@@ -170,25 +165,21 @@ def syzygy_of_simple(g: BrauerGraph, e: str) -> StringDescriptor:
     trunc = g.truncated_ends(e)
     if len(trunc) == 2:
         raise HypothesisError("syzygies on the single-edge graph are not strings")
-    if trunc:
-        beta = g.other_end(e, trunc[0])
-        s1 = g.successor(e, beta)
-        return StringDescriptor.of((s1, PLUS), (e, MINUS))
-    a, b = g.ends(e)
-    s_minus = g.successor(e, a)
-    s_plus = g.successor(e, b)
-    return StringDescriptor.of((s_minus, PLUS), (e, MINUS), (s_plus, PLUS))
+    # one arm per untruncated end: the successor of e's half-edge there
+    arms = [(g.successor_half(h).edge, PLUS) for h in g.half_edges_of(e)
+            if g.vertex_of(h) not in trunc]
+    return StringDescriptor((arms[0], (e, MINUS), *arms[1:]))
 
 
 def _left_action(g: BrauerGraph, sigma: StringDescriptor):
     """Decide how the left end rewrites: (edges to prepend, drop first entry?)."""
     (s1, e1), (s2, _) = sigma.entries[0], sigma.entries[1]
-    alpha = g.link(s1, s2)
+    h = g.half_at(s1, g.link(s1, s2))  # s1's half-edge at the shared vertex
     if e1 == PLUS:
         if g.edge_is_truncated(s1):
             return [], False
-        return [(g.successor(s1, g.other_end(s1, alpha)), PLUS)], False
-    t = g.successor(s1, alpha)
+        return [(g.successor_half(h.other()).edge, PLUS)], False
+    t = g.successor_half(h).edge
     if t == s2:
         return [], True
     return [(t, PLUS)], True
@@ -265,7 +256,7 @@ def realize(g: BrauerGraph, sigma: StringDescriptor, la):
     the arrows along the connecting path shift the chain one step down.
     """
     from .oracle.modules import Module
-    from .presentation import special_path
+    from .presentation import arrow_run
 
     _require_reduced(g)
     if not validate_acceptable(g, sigma):
@@ -274,24 +265,15 @@ def realize(g: BrauerGraph, sigma: StringDescriptor, la):
     f = la.field
 
     nodes: list[str] = [e for e, _ in sigma.entries]  # vertex (= edge of g) per node
-    entry_node = list(range(len(sigma)))
-    chains: list[tuple[list[int], list]] = []  # (node ids top->socle, path arrows)
-    alphas = links(g, sigma) if len(sigma) > 1 else ()
-    for i, v in enumerate(alphas):
-        (x, sx), (y, _) = sigma.entries[i], sigma.entries[i + 1]
-        if sx == PLUS:
-            top_e, soc_e = x, y
-            top_n, soc_n = entry_node[i], entry_node[i + 1]
-        else:
-            top_e, soc_e = y, x
-            top_n, soc_n = entry_node[i + 1], entry_node[i]
-        path = special_path(g, quiver, top_e, soc_e, v)
-        chain = [top_n]
-        for a in path.arrows[:-1]:
+    chains: list[tuple[list[int], tuple]] = []  # (node ids top->socle, path arrows)
+    for top, soc, v, start, steps in _segments(g, sigma):
+        arrows = arrow_run(g, quiver, v, start, steps).arrows
+        chain = [top]
+        for a in arrows[:-1]:
             nodes.append(a.target)
             chain.append(len(nodes) - 1)
-        chain.append(soc_n)
-        chains.append((chain, list(path.arrows)))
+        chain.append(soc)
+        chains.append((chain, arrows))
 
     by_vertex: dict[str, list[int]] = {v: [] for v in quiver.vertices}
     for n_id, v in enumerate(nodes):

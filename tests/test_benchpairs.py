@@ -1,6 +1,10 @@
 import importlib.util
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -126,3 +130,39 @@ def test_run_once_keeps_the_measured_source_digest(tmp_path):
     run = benchpairs.run_once(str(tmp_path), "deep-cli", 1, 0.1)
     assert run == {"src": "0123456789ab", "correct": True, "attempted": 12, "failed": 0,
                    "metrics": {"graphs_per_s": 24.5}}
+
+
+_STOPPED_CHILD = """
+import importlib.util, sys, time
+spec = importlib.util.spec_from_file_location("benchpairs", sys.argv[1])
+benchpairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(benchpairs)
+
+def run_once(checkout, workload, seed, seconds):
+    open(sys.argv[2], "w").close()
+    time.sleep(60)
+
+benchpairs.run_once = run_once
+benchpairs.main(["--base", "HEAD", "--workload", "deep-cli", "--out", sys.argv[3]])
+"""
+
+
+def test_sigterm_removes_the_base_checkout(tmp_path):
+    """A run stopped by SIGTERM while a pair runs leaves no temporary
+    checkout behind."""
+    started = tmp_path / "started"
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    child = subprocess.Popen([sys.executable, "-c", _STOPPED_CHILD, _PATH, str(started),
+                              str(tmp_path / "out.json")], env=env)
+    try:
+        deadline = time.monotonic() + 30
+        while not started.exists():
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        assert [p.name for p in tmp_path.glob("benchpairs-*/base")] == ["base"]
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=30) != 0
+    finally:
+        child.kill()
+        child.wait()
+    assert not list(tmp_path.glob("benchpairs-*"))

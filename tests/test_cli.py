@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import brauergraph
-from brauergraph import cli
+from brauergraph import cli, presentation
 from brauergraph.cli import run
 from brauergraph.graph import path_graph, star_graph, to_dict, triangle_graph
 from brauergraph.oracle import algebra
@@ -62,6 +62,19 @@ def test_walk(graph_files):
 def test_walk_hypothesis_failure(graph_files):
     code, _, err = invoke(["walk", "--edge", "e1", "--input", graph_files["triangle"]])
     assert code == 2 and err
+
+
+def test_quiver_does_not_depend_on_the_multiplicity(tmp_path, graph_files, monkeypatch):
+    """``quiver`` builds no relation: the triangle with multiplicity 200,000
+    at alpha prints the quiver of the triangle."""
+    monkeypatch.setattr(presentation, "relations_all", None)  # any call raises
+    doc = to_dict(triangle_graph())
+    doc["vertices"][0]["multiplicity"] = 200_000
+    path = tmp_path / "heavy.bg.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("json", "dot"):
+        assert (invoke(["quiver", "--format", fmt, "--input", str(path)])
+                == invoke(["quiver", "--format", fmt, "--input", graph_files["triangle"]]))
 
 
 def test_quiver_dot(graph_files):

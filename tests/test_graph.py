@@ -53,16 +53,6 @@ def test_is_truncated(a2, a4, triangle):
     assert a4.is_truncated("e1", "v1") and not a4.is_truncated("e1", "v2")
 
 
-def test_successor(triangle, a4):
-    assert triangle.successor("e1", "alpha") == "e3"
-    assert a4.successor("e1", "v1") == "e1"  # valency one: its own successor
-    assert triangle.successor("e1", "beta") == "e2"  # valency two: the other edge
-    with pytest.raises(BrauerGraphError):
-        triangle.successor("e1", "gamma")
-    with pytest.raises(BrauerGraphError):
-        loop_graph().successor("e1", "v1")  # loop needs a half-edge
-
-
 def test_follow(triangle, a4):
     """One follows step: the next half-edge at the vertex, crossed to the
     other end of its edge."""
@@ -142,8 +132,6 @@ def test_rotation_shift_invariance(triangle):
     shifted = from_dict(doc)
     assert validate(shifted).ok
     for e in triangle.edge_ids:
-        for v in triangle.ends(e):
-            assert shifted.successor(e, v) == triangle.successor(e, v)
         for h in triangle.half_edges_of(e):
             assert shifted.successor_half(h) == triangle.successor_half(h)
 

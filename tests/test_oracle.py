@@ -376,12 +376,12 @@ def _allowed_words(pres, relations) -> list:
     first, kept when no subword is a monomial relation."""
     q = pres.quiver
     maxlen = pres.graph.nilpotency_bound() + 1
-    monomials = {tuple(q.arrow_index[a] for a in r.terms[0][1].arrows)
+    monomials = {tuple(q.index_at[a.vertex, a.pos] for a in r.terms[0][1].arrows)
                  for r in relations if len(r.terms) == 1}
     paths = [(v, ()) for v in q.vertices]
     frontier = list(paths)
     for _ in range(maxlen):
-        frontier = [(src, arrows + (q.arrow_index[a],))
+        frontier = [(src, arrows + (q.index_at[a.vertex, a.pos],))
                     for src, arrows in frontier
                     for a in q.arrows_from[q.arrows[arrows[-1]].target if arrows else src]]
         paths += frontier
@@ -489,7 +489,7 @@ def _exhaustive_normal_forms(la) -> tuple[list, dict]:
     for r in la.relations:
         if len(r.terms) < 2:
             continue
-        terms = [(f.from_fraction(c), tuple(q.arrow_index[a] for a in p.arrows))
+        terms = [(f.from_fraction(c), tuple(q.index_at[a.vertex, a.pos] for a in p.arrows))
                  for c, p in r.terms]
         for u in la.allowed:
             if la.word_target(u) != r.source:
@@ -550,7 +550,7 @@ def _column_words(la) -> dict:
     owners: dict = {}
     for i, r in enumerate(la.relations):
         if len(r.terms) == 1:
-            key = tuple(q.arrow_index[a] for a in r.terms[0][1].arrows)
+            key = tuple(q.index_at[a.vertex, a.pos] for a in r.terms[0][1].arrows)
             owners.setdefault(key, []).append(i)
     tag_of = {m: i[0] if len(i) == 1 and la.relations[i[0]].kind == "two" else None
               for m, i in owners.items()}
@@ -564,7 +564,7 @@ def _column_words(la) -> dict:
             if None not in tags and len(tags) <= 1:
                 words[(src, arrows)] = next(iter(tags), None)
                 kept.append((src, arrows))
-        frontier = [(src, arrows + (q.arrow_index[a],))
+        frontier = [(src, arrows + (q.index_at[a.vertex, a.pos],))
                     for src, arrows in kept if len(arrows) < la.maxlen
                     for a in q.arrows_from[q.arrows[arrows[-1]].target if arrows else src]]
     return words
@@ -955,7 +955,7 @@ def _reference_action(P, a):
     word at a time with ``word_to_vec`` into a dense matrix."""
     la = P.la
     m = _zeros(P.dim(a.source), P.dim(a.target), la.field)
-    ai = la.quiver.arrow_index[a]
+    ai = la.quiver.index_at[a.vertex, a.pos]
     for (e, _), offsets in zip(P.generators, P.offsets):
         for r, i in enumerate(la.projective_words[e][a.source]):
             for j, c in la.word_to_vec(e, la.basis[i][1] + (ai,)).items():

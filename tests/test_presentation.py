@@ -1,20 +1,26 @@
+import time
 from fractions import Fraction
 
 from brauergraph.graph import (
+    from_dict,
     loop_graph,
     path_graph,
     star_graph,
+    to_dict,
     triangle_graph,
 )
 from brauergraph.presentation import (
+    Path,
+    _power,
+    arrow_run,
     build_quiver,
     cycle_half,
     homogeneity,
+    identity_path,
     present,
     quiver_to_dot,
     relation_to_dict,
     relations_all,
-    special_path,
 )
 
 
@@ -36,17 +42,18 @@ def test_quiver_a4(a4):
     assert not any(a.source == "e1" and a.vertex == "v1" for a in q.arrows)
 
 
-def test_cycle_and_special_path(triangle):
+def test_cycle_and_arrow_run(triangle):
     q = build_quiver(triangle)
     c = cycle_half(triangle, q, triangle.half_at("e1", "alpha"))
     assert c.length == 2 and c.source == c.target == "e1"
     assert [a.name for a in c.arrows] == ["a(e1,e3)", "a(e3,e1)"]
     st = star_graph(3)
     qs = build_quiver(st)
-    p = special_path(st, qs, "e1", "e3", "c")
-    assert p.length == 2
+    _, pos = st.position(st.half_at("e1", "c"))
+    p = arrow_run(st, qs, "c", pos, 2)
+    assert p.source == "e1" and p.target == "e3"
     assert [a.name for a in p.arrows] == ["a(e1,e2)", "a(e2,e3)"]
-    assert special_path(st, qs, "e1", "e1", "c").length == 0
+    assert arrow_run(st, qs, "c", pos, 0) == Path("e1", "e1", ())
 
 
 def test_relations_a3(a3):
@@ -125,3 +132,31 @@ def test_dot_and_json(triangle):
     assert doc["kind"] == "one"
     assert doc["coefficients"] == ["1", "-1"]
     assert all(isinstance(p, list) for p in doc["paths"])
+
+
+def test_power_is_the_k_fold_product(triangle):
+    q = build_quiver(triangle)
+    c = cycle_half(triangle, q, triangle.half_at("e1", "alpha"))
+    product = identity_path(c.source)
+    for k in range(5):
+        assert _power(c, k) == product
+        product = product * c
+
+
+def triangle_with_alpha_multiplicity(m: int):
+    doc = to_dict(triangle_graph())
+    for v in doc["vertices"]:
+        if v["id"] == "alpha":
+            v["multiplicity"] = m
+    return from_dict(doc)
+
+
+def test_present_is_linear_in_the_multiplicity():
+    """At multiplicity 200,000 the cycle power around alpha has 400,000
+    arrows; it is built as one tuple, not one product per factor."""
+    g = triangle_with_alpha_multiplicity(200_000)
+    start = time.perf_counter()
+    pres = present(g)
+    assert time.perf_counter() - start < 5.0
+    ones = {r.edge: r.lengths() for r in pres.all_relations if r.kind == "one"}
+    assert ones == {"e1": (400_000, 2), "e2": (2, 2), "e3": (2, 400_000)}

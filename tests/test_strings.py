@@ -3,14 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauergraph import strings
-from brauergraph.graph import HypothesisError, path_graph, star_graph
+from brauergraph.census import census
+from brauergraph.graph import HypothesisError, is_reduced, path_graph, star_graph
 from brauergraph.oracle.algebra import build_algebra
+from brauergraph.oracle.ext import ProjResolution
+from brauergraph.oracle.fields import QQ, PrimeField
 from brauergraph.presentation import present
 from brauergraph.strings import (
     StringDescriptor,
     dimension,
     iterate_syzygy,
-    links,
     period,
     realize,
     syzygy,
@@ -27,11 +29,6 @@ def test_validate_acceptable(triangle, a4):
     assert not validate_acceptable(triangle, bad_signs)
     bad_links = StringDescriptor.of(("e1", "+"), ("e2", "-"), ("e1", "+"))
     assert not validate_acceptable(a4, bad_links)
-
-
-def test_links(triangle):
-    sigma = StringDescriptor.of(("e3", "+"), ("e1", "-"), ("e2", "+"))
-    assert links(triangle, sigma) == ("alpha", "beta")
 
 
 def test_reverse_and_star_flip(triangle):
@@ -193,3 +190,48 @@ def test_syzygy_outputs_acceptable(data):
 def test_non_reduced_graph_rejected(star3_m2):
     with pytest.raises(HypothesisError):
         syzygy_of_simple(star3_m2, "e1")
+
+
+
+def _reduced(k: int) -> list:
+    """The reduced graphs of census(k, 2) but the single edge."""
+    return [g for g in census(k, 2) if is_reduced(g) and not g.is_a2_trivial()]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+def test_period_agrees_with_the_oracle(field):
+    """On every edge of the reduced graphs of census(3,2) and census(4,2),
+    period(g, e) = p exactly when the oracle's first syzygy isomorphic to
+    the simple at e is its p-th, and None when none is within the bound
+    that ``period`` reads."""
+    checked = 0
+    for g in _reduced(3) + _reduced(4):
+        la = build_algebra(present(g), field)
+        bound = 2 * len(g.edge_ids) * g.nilpotency_bound()
+        for e in g.edge_ids:
+            p = period(g, e)
+            depth = bound if p is None else p
+            syzygies = ProjResolution.from_oracle(la, e, depth - 1).syzygies
+            returns = [k for k in range(1, depth + 1)
+                       if syzygies[k].total_dim == 1 and dict(syzygies[k].top()) == {e: 1}]
+            assert returns == ([] if p is None else [p]), (g.edge_ends, e, p)
+            checked += 1
+    assert checked == 42
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+def test_realize_and_dimension_agree_with_the_oracle_through_degree_6(field):
+    """On every reduced census(4,2) graph but the single edge, every
+    descriptor of every simple's trace through degree 6 is realized as the
+    oracle's syzygy of that degree, with ``dimension`` its total dimension."""
+    checked = 0
+    for g in _reduced(4):
+        la = build_algebra(present(g), field)
+        for e in g.edge_ids:
+            syzygies = ProjResolution.from_oracle(la, e, 5).syzygies
+            for n, sigma in enumerate(iterate_syzygy(g, e, 6).descriptors):
+                m = realize(g, sigma, la)
+                assert m.descriptor() == syzygies[n].descriptor(), (g.edge_ends, e, n)
+                assert m.total_dim == dimension(g, sigma)
+                checked += 1
+    assert checked == 217

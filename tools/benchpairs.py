@@ -6,7 +6,8 @@ Run from the repository root:
         --out BENCH_<n>.json
 
 The base revision is extracted with ``git archive`` into a temporary
-directory, removed at the end, so no worktree is registered.  Both sides
+directory, removed at the end, also when the run fails or is stopped by
+SIGTERM, so no worktree is registered.  Both sides
 run their own, unchanged ``perfbench/run.py`` with ``--trace 0``, one run
 at a time, each run as long as ``run_seconds`` in ``BENCHMARK.json``.  Every workload and seed gets ``PAIRS`` pairs; pair p
 runs the base first when p is even and the working tree first when p is
@@ -34,6 +35,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -118,6 +120,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", default="HEAD~1", help="base revision (default HEAD~1)")
@@ -137,13 +143,16 @@ def main(argv=None) -> int:
            "python": platform.python_version(), "nproc": os.cpu_count(),
            "seconds": seconds, "order": "base first in even pairs",
            "workloads": {}}
+    # SIGTERM exits through the ``finally`` below, which removes the
+    # temporary checkout; ``subprocess.run`` kills the running child on the way
+    signal.signal(signal.SIGTERM, _terminate)
     tmp = tempfile.mkdtemp(prefix="benchpairs-")
-    base_dir = os.path.join(tmp, "base")
-    archive = subprocess.run(["git", "archive", doc["base"]], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(base_dir)
     try:
+        base_dir = os.path.join(tmp, "base")
+        archive = subprocess.run(["git", "archive", doc["base"]], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base_dir)
         for workload in args.workload:
             for seed in args.seeds:
                 pairs: list[dict] = []
