@@ -425,14 +425,29 @@ class FiniteDimAlgebra:
 
     def check_associativity(self, cap: int = 40) -> bool:
         """(b_i b_j) b_k == b_i (b_j b_k) over every composable triple of
-        basis words; a triple that is not composable is zero on both sides.
-        An algebra above ``cap`` dimensions is not checked.
+        basis words whose third factor b_k is in K; a triple that is not
+        composable is zero on both sides.  An algebra above ``cap``
+        dimensions is not checked.
 
         Each composable product is first read through ``mult`` into a table:
         the index t when it is one basis word b_t with coefficient one, -1
         when it is zero, and None otherwise.  A triple whose four products
         are all in the table compares the two sides by index; every other
-        triple is multiplied out in the field."""
+        triple is multiplied out in the field.
+
+        K holds the idempotents, the arrows and every basis word that the
+        table does not reach.  The reached words are found shortest first:
+        an idempotent is reached, and a word c = c'x, x an arrow, is reached
+        when its prefix c' is a reached basis word, the arrow word x is a
+        basis word and the table says b_c' b_x = b_c.  That suffices, by
+        induction on the length of c: for every a, b, (ab)c' = a(bc') holds
+        as c' is shorter, and every triple with third factor x is checked,
+        so by bilinearity
+
+            (ab)c = (ab)(c'x) = ((ab)c')x = (a(bc'))x = a((bc')x) = a(b(c'x)) = a(bc).
+
+        A corrupted table leaves words unreached, and those are checked in
+        full, so the verdict is that of the full triple loop."""
         if self.dim > cap:
             return True
         ZERO = -1  # a table entry: the product is zero
@@ -448,11 +463,13 @@ class FiniteDimAlgebra:
                     (t, c), = p.items()
                     if c == f.one:
                         row[j] = t
+        third = self._third_factors(unit)
+        third_after = [third[self.word_target(w)] for w in self.basis]
         for i in range(self.dim):
             row_i = unit[i]
             for j in after[i]:
                 ij, row_j = row_i[j], unit[j]
-                for k in after[j]:
+                for k in third_after[j]:
                     jk = row_j[k]
                     if ij is not None and jk is not None:
                         left = ij if ij == ZERO else unit[ij][k]
@@ -464,6 +481,25 @@ class FiniteDimAlgebra:
                     if not self._triple_associative(i, j, k):
                         return False
         return True
+
+    def _third_factors(self, unit: list[list]) -> dict[str, list[int]]:
+        """The third factors K of ``check_associativity``, per source vertex:
+        the idempotents, the arrows and every basis word that the table
+        ``unit`` does not reach, read shortest first."""
+        index, arrows = self.basis_index, self.quiver.arrows
+        reached = [False] * self.dim
+        third: dict[str, list[int]] = {v: [] for v in self.quiver.vertices}
+        for c, (src, word) in enumerate(self.basis):
+            if not word:
+                reached[c] = True
+            else:
+                prefix = index.get((src, word[:-1]))
+                x = index.get((arrows[word[-1]].source, word[-1:]))
+                reached[c] = (prefix is not None and reached[prefix]
+                              and x is not None and unit[prefix][x] == c)
+            if len(word) <= 1 or not reached[c]:
+                third[src].append(c)
+        return third
 
     def _triple_associative(self, i: int, j: int, k: int) -> bool:
         f = self.field

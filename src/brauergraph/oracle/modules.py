@@ -18,12 +18,15 @@ all of them happen in ``oracle/linalg.py``: the top and the pivots of a
 cover are the pivot columns of the arrow rows into each vertex, read once
 per module off one forward step (``Module.top_positions``), the socle is n
 minus the rank of the arrow rows out of a vertex side by side, the
-exactness ranks are those of the blocks, and a kernel is the left kernel
-of each degree slot of a block.  Ranks and tops need only pivot columns,
-so they run the forward step alone; kernels read the reduced rows.
+exactness ranks are those of the blocks, and a kernel is one left kernel
+per vertex, of the cover's whole block there.  Ranks and tops need only
+pivot columns, so they run the forward step alone; kernels read the
+reduced rows.
 
-When the algebra is length graded, basis vectors carry degrees, arrows
-raise degree by one, and kernels are computed degreewise so that graded
+When the algebra is length graded, basis vectors carry degrees and arrows
+raise degree by one.  A cover is then homogeneous, so the reduced kernel
+of a block splits by degree: each kernel row lies in the degree of its
+free position, and the rows are listed in degree order, so that graded
 generation degrees come out exactly.
 
 A sum of indecomposable projectives is a ``ProjectiveSum``, which records
@@ -228,16 +231,14 @@ class ProjectiveSum(Module):
             self.offsets.append(offsets)
             self.generators.append(
                 (e, offsets[e] + la.word_position[la.basis_index[(e, ())]]))
-            for a in la.quiver.arrows:
-                action[a.name].extend(la.shifted_rows(e, a.name, offsets[a.target]))
+            # an arrow out of a vertex the projective does not occupy has no rows
+            for v, words in la.projective_words[e].items():
+                if words:
+                    for a in la.quiver.arrows_from[v]:
+                        action[a.name].extend(la.shifted_rows(e, a.name, offsets[a.target]))
             for v, degs in la.projective_degrees(e, d).items():
                 degrees[v].extend(degs)
         super().__init__(la, degrees, action)
-
-
-def projective_module(la: FiniteDimAlgebra, e: str) -> ProjectiveSum:
-    """The right ideal at the vertex of ``e``: basis are normal words from e."""
-    return ProjectiveSum(la, [(e, 0)])
 
 
 def map_from_generators(source: ProjectiveSum, target: Module,
@@ -294,27 +295,25 @@ def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]
 
 
 def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
-    """Kernel with its inclusion, computed degreewise; an ungraded module
-    has the single degree None.  ``phi`` is a cover of a graded module, so
-    it is homogeneous: the block row of a basis word in degree d lies in
-    the target's degree d, and each degree slot is the left kernel of its
-    block rows as they are."""
+    """Kernel with its inclusion: one left kernel per vertex, its rows in
+    degree order.  ``phi`` is a cover, so it is homogeneous: the block row
+    of a basis word in degree d lies in the target's degree d.  So the
+    reduced kernel of a vertex's block splits by degree, and each kernel
+    row lies in the degree of its free position, its largest index.  The
+    rows are listed by (degree, free position); an ungraded module has the
+    single degree None."""
     P = phi.source
     la = P.la
     f = la.field
     basis: dict[str, list[dict]] = {}  # per vertex, the kernel basis rows
     degrees: dict[str, list[Optional[int]]] = {}
     for v in la.quiver.vertices:
-        block = phi.blocks[v]
-        basis[v], degrees[v] = [], []
-        slots: dict[Optional[int], list[int]] = {}
-        for i, d in enumerate(P.degrees[v]):
-            slots.setdefault(d, []).append(i)
-        for d in sorted(slots, key=lambda x: (x is None, x)):
-            rows = slots[d]
-            kern = linalg.left_kernel([block[i] for i in rows], f)
-            basis[v].extend({rows[k]: x for k, x in kv.items()} for kv in kern)
-            degrees[v].extend([d] * len(kern))
+        degs = P.degrees[v]
+        # left_kernel lists its rows by free position; a stable sort by the
+        # degree there gives the order (degree, free position)
+        basis[v] = sorted(linalg.left_kernel(phi.blocks[v], f),
+                          key=lambda row: (degs[max(row)] is None, degs[max(row)]))
+        degrees[v] = [degs[max(row)] for row in basis[v]]
     # a kernel basis row has a 1 at its free position, its largest index, and
     # every other row of its vertex no entry there: the coordinates of a
     # vector in their span are its entries at the free positions

@@ -67,7 +67,7 @@ from .ext import (
     yoneda_multiply,
 )
 from .fields import QQ
-from .modules import projective_module
+from .modules import Module
 
 
 @dataclass
@@ -161,9 +161,10 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
     if not la.check_associativity():
         report.add("associativity", "multiplication table is not associative")
 
-    # weak symmetry: every projective has simple socle isomorphic to its top
+    # weak symmetry: every projective has simple socle isomorphic to its top;
+    # each is read straight off the algebra's shared projective tables
     for e in g.edge_ids:
-        P = projective_module(la, e)
+        P = Module(la, la.projective_degrees(e, 0), la.projective_action(e))
         top, soc = P.top(), P.socle()
         if dict(top) != {e: 1} or dict(soc) != {e: 1}:
             report.add("selfinjectivity",
@@ -251,10 +252,11 @@ def _check_strings(report: DiffReport, g, la, n_max: int, traces, walks):
                     f"{want}, oracle kernel computes {got}",
                 )
         # reversal compatibility along the trace; literal for genuine strings,
-        # up to the reversal identification for the palindromic simples
+        # up to the reversal identification for the palindromic simples.  The
+        # trace's next descriptor is the syzygy of this one.
         for n in range(n_max):
             sig = trace.descriptors[n]
-            lhs, rhs = syzygy(g, sig.reverse()), syzygy(g, sig).reverse()
+            lhs, rhs = syzygy(g, sig.reverse()), trace.descriptors[n + 1].reverse()
             agree = (lhs.entries == rhs.entries if len(sig) > 1
                      else lhs.canonical() == rhs.canonical())
             if not agree:

@@ -227,6 +227,27 @@ def test_verify_ok_and_exit_codes(graph_files):
     assert code == 3
 
 
+def test_parser_is_built_once_per_process(graph_files, monkeypatch):
+    """A faulted verify and then a plain verify of the same file, in one
+    process: the second call parses into a fresh namespace, so the fault
+    does not carry over, and the parser is built once over both calls."""
+    built = [0]
+    build = cli.build_parser
+
+    def counted_build():
+        built[0] += 1
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    monkeypatch.setattr(cli, "_parser", None)
+    code, out, _ = invoke(["verify", "--max", "2", "--inject-drop", "0",
+                           "--input", graph_files["triangle"]])
+    assert code == 3 and json.loads(out)["ok"] is False
+    code, out, _ = invoke(["verify", "--max", "2", "--input", graph_files["triangle"]])
+    assert code == 0 and json.loads(out) == {"ok": True, "diffs": []}
+    assert built == [1]
+
+
 def test_validation_exit(tmp_path):
     doc = to_dict(triangle_graph())
     doc["rotation"]["alpha"] = doc["rotation"]["alpha"][:1]

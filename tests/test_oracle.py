@@ -42,7 +42,6 @@ from brauergraph.oracle.modules import (
     map_from_generators,
     min_resolution,
     projective_cover,
-    projective_module,
 )
 from brauergraph.oracle.verify import DiffReport, _check_certificates, _flip
 from brauergraph.presentation import Arrow, Presentation, Relation, present
@@ -258,7 +257,7 @@ def test_associativity_and_selfinjectivity(triangle):
     la = build_algebra(present(triangle))
     assert la.check_associativity()
     for e in triangle.edge_ids:
-        P = projective_module(la, e)
+        P = ProjectiveSum(la, [(e, 0)])
         assert dict(P.top()) == {e: 1}
         assert dict(P.socle()) == {e: 1}
 
@@ -973,7 +972,7 @@ def test_projective_rows_match_word_products(name, g, field):
     as top and as socle (the algebra is symmetric)."""
     la = build_algebra(present(g), field)
     edges = list(g.edge_ids)
-    sums = [projective_module(la, e) for e in edges]
+    sums = [ProjectiveSum(la, [(e, 0)]) for e in edges]
     sums.append(ProjectiveSum(la, [(e, 0) for e in edges] + [(edges[0], 1), (edges[-1], 2)]))
     for res in [*(ProjResolution.from_oracle(la, e, 3) for e in edges),
                 *_explicit_complexes(g, la, 3).values()]:
@@ -995,7 +994,7 @@ def test_kernel_not_closed_is_refused(g, field):
     the projective at e, and its 'kernel' is not closed under the action."""
     la = build_algebra(present(g), field)
     for e in g.edge_ids:
-        P = projective_module(la, e)
+        P = ProjectiveSum(la, [(e, 0)])
         blocks = {v: [{i: field.one} if v == e else {} for i in range(P.dim(v))]
                   for v in la.quiver.vertices}
         with pytest.raises(RuntimeError, match="kernel is not closed under the action"):
@@ -1158,7 +1157,7 @@ def test_module_layer_never_rewrites_the_shared_rows(field):
         before = copy.deepcopy((la._projective_action, la._shifted_rows,
                                 la._projective_degrees))
         for e in g.edge_ids:
-            projective_module(la, e).descriptor()
+            ProjectiveSum(la, [(e, 0)]).descriptor()
             for M in walks[e].modules + walks[e].syzygies:
                 M.descriptor()
         resolver = explicit_resolver(g)
@@ -1186,8 +1185,8 @@ def test_module_layer_never_rewrites_the_shared_rows(field):
 def test_covers_share_rows_and_are_homogeneous(field):
     """Two sums with a summand at the same edge and column offset hold the
     same row objects there, and every block row of every cover of a syzygy
-    lies in its own degree, so each degree slot of a kernel needs no
-    filter."""
+    lies in its own degree, so the kernel of a whole block splits by
+    degree."""
     for g, la, walks in _census_walks(field):
         rows_at: dict = {}
         for walk in walks.values():
@@ -1207,3 +1206,113 @@ def test_covers_share_rows_and_are_homogeneous(field):
                         assert all(x is y for x, y in zip(first, rows)), key
         for (e, a, offset), rows in rows_at.items():
             assert all(x is y for x, y in zip(rows, la.shifted_rows(e, a, offset)))
+
+
+def _slot_kernel(phi) -> tuple[dict, dict, dict]:
+    """The kernel of a cover one (vertex, degree) slot at a time, the slots
+    in degree order, with its action solved against the basis: the
+    reference for ``kernel_module``'s one left kernel per vertex.  Returns
+    the basis rows, degrees and action per vertex and per arrow."""
+    P = phi.source
+    la = P.la
+    f = la.field
+    basis: dict = {}
+    degrees: dict = {}
+    for v in la.quiver.vertices:
+        block = phi.blocks[v]
+        basis[v], degrees[v] = [], []
+        slots: dict = {}
+        for i, d in enumerate(P.degrees[v]):
+            slots.setdefault(d, []).append(i)
+        for d in sorted(slots, key=lambda x: (x is None, x)):
+            rows = slots[d]
+            kern = linalg.left_kernel([block[i] for i in rows], f)
+            basis[v].extend({rows[k]: x for k, x in kv.items()} for kv in kern)
+            degrees[v].extend([d] * len(kern))
+    action = {}
+    for a in la.quiver.arrows:
+        images = []
+        for b in basis[a.source]:
+            image: dict = {}
+            for i, x in b.items():
+                for j, y in P.action[a.name][i].items():
+                    image[j] = f.add(image.get(j, f.zero), f.mul(x, y))
+            images.append({j: x for j, x in image.items() if not f.is_zero(x)})
+        action[a.name] = linalg.solve_left(basis[a.target], images, f)
+    return basis, degrees, action
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+def test_kernel_per_vertex_matches_the_slot_reference(field):
+    """Over every cover of every oracle walk through degree 4, of census(3,2)
+    and of four larger graphs, the one left kernel per vertex gives the
+    basis rows, degrees and action of the per-(vertex, degree) slots, in
+    the same order; an ungraded algebra, all of whose degrees are None, is
+    among them."""
+    ungraded = 0
+    deep = [triangle_graph(), cycle_graph(8, 2), pendant_triangle(), cycle_graph(6)]
+    for g in [*census(3, 2), *deep]:
+        la = build_algebra(present(g), field)
+        ungraded += not la.graded
+        for e in g.edge_ids:
+            walk = ProjResolution.from_oracle(la, e, 4)
+            for M in walk.syzygies[:-1]:
+                _, phi, _ = projective_cover(M)
+                K, incl = kernel_module(phi)
+                assert (incl.blocks, K.degrees, K.action) == _slot_kernel(phi)
+    assert ungraded
+
+
+def _recorded_third_factors(monkeypatch) -> list[set]:
+    """The third factors of each ``check_associativity`` call from now on,
+    as a set of basis indices per call."""
+    third = algebra.FiniteDimAlgebra._third_factors
+    seen = []
+
+    def recorded(la, unit):
+        out = third(la, unit)
+        seen.append({k for ks in out.values() for k in ks})
+        return out
+
+    monkeypatch.setattr(algebra.FiniteDimAlgebra, "_third_factors", recorded)
+    return seen
+
+
+def test_associativity_third_factors_are_the_generators(monkeypatch):
+    """On every census(4,2) algebra of at most 40 dimensions the table
+    reaches every basis word, so the third factors of
+    ``check_associativity`` are exactly the idempotents and the arrows."""
+    seen = _recorded_third_factors(monkeypatch)
+    checked = 0
+    for g in census(4, 2):
+        la = build_algebra(present(g))
+        if la.dim > 40:
+            continue
+        seen.clear()
+        assert la.check_associativity()
+        assert seen == [{i for i, (_, word) in enumerate(la.basis) if len(word) <= 1}]
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name, g", desk_graphs(), ids=[name for name, _ in desk_graphs()])
+def test_associativity_table_that_does_not_reach_a_word(monkeypatch, name, g):
+    """A word c = c'x whose product b_c' b_x the table no longer gives as b_c
+    is not reached: it joins the third factors, and the verdict still equals
+    the full triple loop."""
+    seen = _recorded_third_factors(monkeypatch)
+    la = build_algebra(present(g))
+    index = la.basis_index
+    for c, (src, word) in enumerate(la.basis):
+        if len(word) < 2:
+            continue
+        prefix = index[src, word[:-1]]
+        x = index[la.quiver.arrows[word[-1]].source, word[-1:]]
+        kept = la.mult(prefix, x)
+        assert kept == {c: la.field.one}
+        for corrupt in ({}, {c: 2}):
+            la._mult_cache[prefix, x] = corrupt
+            seen.clear()
+            assert la.check_associativity() == _associative_brute_force(la)
+            assert c in seen[0]
+        la._mult_cache[prefix, x] = kept

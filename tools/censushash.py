@@ -4,19 +4,22 @@ Run from the repository root:
 
     python3 tools/censushash.py --k 4 --m 2 --degree 3 --field q
 
-Prints three lines.  ``report`` is the sha256 prefix (16 hex digits) of the
+Prints four lines.  ``report`` is the sha256 prefix (16 hex digits) of the
 concatenated ``json.dumps(r.to_json(), sort_keys=True)`` of the reports of
 ``verify_graph(g, degree, field)`` over every graph of ``census(k, m)``, in
 census order: the hash performance changes quote to show the same answers.
-It is the same for every census on which all checks pass, so the other two
-lines digest what those reports do not show.  ``algebra`` digests, per
-graph, the algebra of its full presentation - its basis words, its pivot
-rows, its ``redundant`` verdicts and the arrow rows of every projective.
-Equal digests at two revisions mean equal normal forms, not only equal
-verdicts.  ``combinatorics`` digests, per graph, what the combinatorial
-layer answers without the oracle (see ``combinatorics_doc``), through
-``degree`` and, for the periods of a reduced graph, through the whole
-syzygy orbit; it does not depend on the field.
+It is the same for every census on which all checks pass, so the other
+three lines digest what those reports do not show.  ``algebra`` digests,
+per graph, the algebra of its full presentation - its basis words, its
+pivot rows, its ``redundant`` verdicts and the arrow rows of every
+projective.  Equal digests at two revisions mean equal normal forms, not
+only equal verdicts.  ``combinatorics`` digests, per graph, what the
+combinatorial layer answers without the oracle (see ``combinatorics_doc``),
+through ``degree`` and, for the periods of a reduced graph, through the
+whole syzygy orbit; it does not depend on the field.  ``oracle`` digests,
+per graph and edge, the oracle walk of the edge's simple over that algebra,
+grown through ``degree`` (see ``oracle_doc``): equal digests mean the same
+module layer, row for row, not only the same dimensions.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from brauergraph.census import census  # noqa: E402
 from brauergraph.classify import koszul_report  # noqa: E402
 from brauergraph.graph import BrauerGraphError, HypothesisError, is_reduced  # noqa: E402
 from brauergraph.oracle.algebra import build_algebra  # noqa: E402
+from brauergraph.oracle.ext import ProjResolution  # noqa: E402
 from brauergraph.oracle.fields import field_from_spec  # noqa: E402
 from brauergraph.oracle.verify import verify_graph  # noqa: E402
 from brauergraph.presentation import present, relation_to_dict  # noqa: E402
@@ -60,6 +64,23 @@ def algebra_doc(la) -> dict:
                             for a, rows in la.projective_action(e).items()}
                         for e in la.quiver.vertices},
     }
+
+
+def oracle_doc(la, degree: int) -> dict:
+    """Per edge, the oracle walk of its simple grown through ``degree``: the
+    summands of every projective, the degrees and arrow rows of every
+    syzygy, and the generator images of every differential."""
+    doc = {}
+    for e in la.quiver.vertices:
+        walk = ProjResolution.from_oracle(la, e, degree)
+        doc[e] = {
+            "summands": walk.summands,
+            "syzygies": [[m.degrees, {a: [_row(r) for r in rows]
+                                      for a, rows in m.action.items()}]
+                         for m in walk.syzygies],
+            "differentials": [[_row(r) for r in phi.images] for phi in walk.maps[1:]],
+        }
+    return doc
 
 
 def _or_refusal(answer):
@@ -110,14 +131,16 @@ def combinatorics_doc(g, degree: int) -> dict:
     return doc
 
 
-def census_hashes(k: int, m: int, degree: int, field) -> tuple[str, str, str]:
-    """The report hash, the algebra digest and the combinatorics digest over
-    ``census(k, m)``."""
-    digests = [hashlib.sha256() for _ in range(3)]
+def census_hashes(k: int, m: int, degree: int, field) -> tuple[str, str, str, str]:
+    """The report hash and the algebra, combinatorics and oracle digests
+    over ``census(k, m)``."""
+    digests = [hashlib.sha256() for _ in range(4)]
     for g in census(k, m):
+        la = build_algebra(present(g), field)
         docs = (verify_graph(g, degree, field).to_json(),
-                algebra_doc(build_algebra(present(g), field)),
-                combinatorics_doc(g, degree))
+                algebra_doc(la),
+                combinatorics_doc(g, degree),
+                oracle_doc(la, degree))
         for digest, doc in zip(digests, docs):
             digest.update(json.dumps(doc, sort_keys=True).encode())
     return tuple(d.hexdigest()[:16] for d in digests)
@@ -131,11 +154,12 @@ def main(argv=None) -> int:
                          "read through (default 3)")
     ap.add_argument("--field", default="q", help="q or fp:<prime> (default q)")
     args = ap.parse_args(argv)
-    report, algebra, combinatorics = census_hashes(args.k, args.m, args.degree,
-                                                   field_from_spec(args.field))
+    report, algebra, combinatorics, oracle = census_hashes(
+        args.k, args.m, args.degree, field_from_spec(args.field))
     print(f"report {report}")
     print(f"algebra {algebra}")
     print(f"combinatorics {combinatorics}")
+    print(f"oracle {oracle}")
     return 0
 
 
