@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graph import BrauerGraph, HypothesisError, is_length_graded, star_centers
+from .graph import BrauerGraph, HypothesisError, star_centers
 from .presentation import Homogeneity, Presentation, far_successor_truncated, homogeneity
 
 
@@ -132,11 +132,12 @@ def two_d_conditions(g: BrauerGraph, d: int) -> str:
     ``Neither``."""
     if d < 3:
         raise HypothesisError("the two-degree conditions assume d > 2")
-    if all(g.valency(v) * g.multiplicity(v) == d for v in g.vertex_ids):
+    r = g.regimes
+    if r.degree == d:
         return "Cond1"
     if (
-        g.has_truncated_edge()
-        and not g.is_a2_trivial()
+        r.truncated
+        and not r.single_edge
         and not any(far_successor_truncated(g, e)
                     for e in g.edge_ids if g.edge_is_truncated(e))
         and all(g.valency(v) * g.multiplicity(v) in (1, d) for v in g.vertex_ids)
@@ -150,14 +151,12 @@ def koszul_report(g: BrauerGraph, pres: Optional[Presentation] = None) -> Koszul
     presentation, already built by the caller."""
     h = homogeneity(g, pres)
     quadratic = h.kind == "Quadratic"
-    has_trunc = g.has_truncated_edge()
-    has_nontrunc = g.has_nontruncated_edge()
-    graded = is_length_graded(g)
+    r = g.regimes
 
     explanations: dict[str, str] = {}
     witnesses: dict[str, object] = {}
 
-    koszul = quadratic and (g.is_a2_trivial() or not has_trunc)
+    koszul = quadratic and (r.single_edge or not r.truncated)
     if quadratic:
         if koszul:
             explanations["koszul"] = (
@@ -180,7 +179,7 @@ def koszul_report(g: BrauerGraph, pres: Optional[Presentation] = None) -> Koszul
         else "not homogeneous of a single degree at least three"
     )
 
-    gen012 = not (has_trunc and has_nontrunc)
+    gen012 = not r.mixed
     if gen012:
         explanations["ext_generated_in_degrees_012"] = (
             "truncated and nontruncated edges do not coexist"
@@ -194,15 +193,15 @@ def koszul_report(g: BrauerGraph, pres: Optional[Presentation] = None) -> Koszul
         )
         witnesses["ext_generated_in_degrees_012"] = {"truncated": t, "nontruncated": u}
 
-    is_k2: Optional[bool] = gen012 if graded else None
+    is_k2: Optional[bool] = gen012 if r.length_graded else None
     explanations["k2"] = (
         "length graded, so degree-0/1/2 generation is the graded property"
-        if graded
+        if r.length_graded
         else "not length graded; the graded label does not apply"
     )
 
     two_d = h.d if h.kind == "TwoDHomogeneous" else None
-    two_d_det = bool(two_d) and not has_trunc
+    two_d_det = bool(two_d) and not r.truncated
     two_d_kos = two_d_det
     if two_d:
         explanations["two_d"] = (
@@ -217,7 +216,7 @@ def koszul_report(g: BrauerGraph, pres: Optional[Presentation] = None) -> Koszul
             )
 
     conditional = False
-    if not g.quantizer_trivial():
+    if not r.trivial_quantizer:
         if max(g.valency(v) for v in g.vertex_ids) > 2:
             conditional = True
             explanations["conditional"] = (

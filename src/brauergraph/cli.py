@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 invalid or unreadable input (report on standard
 error), 2 a bad option value, a hypothesis failure (an operation outside
 its regime, or an injected fault that corrupts nothing) or an algebra too
-large for the oracle (more than ``oracle.algebra.WORD_CAP`` words), 3
-verification mismatch.  ``verify --input-dir`` gives each file its own
-entry with one of these codes and exits with the largest.  Output is
-deterministic: identical input and flags produce byte-identical output.
+large for the oracle (its words times their length bound above
+``oracle.algebra.SIZE_CAP``), 3 verification mismatch.  ``verify
+--input-dir`` gives each file its own entry with one of these codes and
+exits with the largest.  Output is deterministic: identical input and
+flags produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -109,10 +110,8 @@ def cmd_resolve(args) -> int:
     g = _load(args.input, args.edge)
     resolver = explicit_resolver(g)
     if resolver is None:
-        raise HypothesisError(
-            "explicit resolutions need the trivial quantizer, no truncated "
-            "edges and either a reduced graph or a uniform degree of at least three"
-        )
+        raise HypothesisError("the graph is in the domain of neither explicit resolver "
+                              "(resolve_simple, resolve_simple_2d)")
     steps = resolver(g, args.edge, args.max)
     doc = [s.to_json() for s in steps]
     if not args.graded:

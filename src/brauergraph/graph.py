@@ -49,6 +49,28 @@ class BrauerWalk:
     via: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class Regimes:
+    """The regimes in which the paper states its answers, read off a graph
+    once (``BrauerGraph.regimes``).  Every guard of the combinatorial layer
+    and every precondition of ``verify_graph`` reads this record, so a
+    regime is widened here alone.  The first fields are facts of the graph,
+    the others the domains of operations, each resolver's its own."""
+
+    reduced: bool            # multiplicity one, no loops, no multiple edges
+    trivial_quantizer: bool
+    single_edge: bool        # the single edge with trivial multiplicities
+    truncated: bool          # some edge is truncated
+    mixed: bool              # truncated and nontruncated edges coexist
+    degree: Optional[int]    # the common valency x multiplicity, or None
+    length_graded: bool
+    strings: bool            # the string calculus: reduced, trivial quantizer
+    syzygies: bool           # strings, but the single edge: the simples' syzygies are strings
+    resolve_simple: bool     # reduced, trivial quantizer, no truncated edge
+    resolve_simple_2d: bool  # trivial quantizer, no truncated edge, degree >= 3
+    graded_positions: bool   # generation_degrees: no truncated edge, a uniform degree
+
+
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
@@ -225,11 +247,22 @@ class BrauerGraph:
     def edge_is_truncated(self, e: str) -> bool:
         return bool(self.truncated_ends(e))
 
-    def has_truncated_edge(self) -> bool:
-        return any(self._truncation.values())
-
-    def has_nontruncated_edge(self) -> bool:
-        return not all(self._truncation.values())
+    @cached_property
+    def regimes(self) -> Regimes:
+        """The graph's ``Regimes``, built once on first use.  A uniform
+        degree makes the graph length graded, so ``graded_positions`` asks
+        only for one and for no truncated edge."""
+        reduced, single = is_reduced(self), self.is_a2_trivial()
+        plain = all(q == 1 for q in self.quantizer.values())
+        truncated, d = any(self._truncation.values()), uniform_degree(self)
+        return Regimes(
+            reduced=reduced, trivial_quantizer=plain, single_edge=single, truncated=truncated,
+            mixed=truncated and not all(self._truncation.values()), degree=d,
+            length_graded=is_length_graded(self), strings=reduced and plain,
+            syzygies=reduced and plain and not single,
+            resolve_simple=reduced and plain and not truncated,
+            resolve_simple_2d=plain and not truncated and d is not None and d >= 3,
+            graded_positions=not truncated and d is not None)
 
     def successor_half(self, h: HalfEdge) -> HalfEdge:
         """The half-edge after ``h`` in the cyclic order at its vertex (``h``
@@ -261,7 +294,7 @@ class BrauerGraph:
         ``follow`` until the reached edge is truncated at the reached vertex.
         This ends within 2|E| steps: ``follow`` permutes the half-edges and
         takes the half-edge of ``e`` at its truncated end to the start."""
-        if not is_reduced(self):
+        if not self.regimes.reduced:
             raise HypothesisError("brauer_walk requires a reduced graph")
         trunc = self.truncated_ends(e)
         if not trunc:
@@ -316,9 +349,6 @@ class BrauerGraph:
 
     def quantizer_value(self, e: str, v: str) -> Fraction:
         return self.quantizer.get((e, v), Fraction(1))
-
-    def quantizer_trivial(self) -> bool:
-        return all(q == 1 for q in self.quantizer.values())
 
 
 # ----------------------------------------------------------------------

@@ -61,12 +61,19 @@ from .fields import QQ
 
 
 class OracleSizeError(RuntimeError):
-    """The truncated path space has more than ``WORD_CAP`` words."""
+    """The truncated path space is too large: its words times their
+    length bound exceed ``SIZE_CAP``."""
 
 
 Word = tuple[str, tuple[int, ...]]  # (source edge, arrow indices)
 
-WORD_CAP = 200_000  # read at each word enumeration; counts allowed words only
+# The reduction's work grows with the allowed words times the length bound
+# (nilpotency bound + 1), not with the words alone, so that product is
+# capped; it is read at each word enumeration.  The triangle with
+# multiplicity m at one vertex reaches 243,009 at m = 100 (build 0.4 s) and
+# 966,009 at m = 200 (2.5 s; 2 cores, Python 3.11.7); census(4,2), the desk
+# graphs and the benchmark's deep set stay at or below 2,380.
+SIZE_CAP = 250_000
 
 FORBIDDEN = -1  # the tag of a monomial that no word may contain
 
@@ -101,7 +108,6 @@ class FiniteDimAlgebra:
                 monos[m] = i if r.kind == "two" and m not in monos else FORBIDDEN
         self._reduce(*self._enumerate_words(monomials),
                      [r for r in self.relations if len(r.terms) > 1])
-        self._mult_cache: dict[tuple[int, int], dict[int, object]] = {}
         self._projective_action: dict[str, dict[str, list[dict]]] = {}
         self._shifted_rows: dict[tuple[str, str, int], list[dict]] = {}
         self._projective_degrees: dict[tuple[str, Optional[int]],
@@ -152,7 +158,7 @@ class FiniteDimAlgebra:
         tags: list[Optional[int]] = [None] * len(words)
         targets: list[str] = list(q.vertices)
         children: list[dict[int, int]] = [{} for _ in words]
-        n_allowed = len(words)
+        n_allowed, word_cap = len(words), SIZE_CAP // self.maxlen
         start, length = 0, 0
         while length < self.maxlen and start < len(words):
             end, length = len(words), length + 1
@@ -177,9 +183,11 @@ class FiniteDimAlgebra:
                         children.append({})
                         if t is None:
                             n_allowed += 1
-                            if n_allowed > WORD_CAP:
+                            if n_allowed > word_cap:
                                 raise OracleSizeError(
-                                    f"more than {WORD_CAP} words in the path space")
+                                    f"more than {word_cap} words of length at most "
+                                    f"{self.maxlen} in the path space: words x length "
+                                    f"above the oracle's cap of {SIZE_CAP}")
             start = end
         self._children = children
         self.allowed: list[Word] = [w for w, t in zip(words, tags) if t is None]
@@ -412,16 +420,10 @@ class FiniteDimAlgebra:
 
     def mult(self, i: int, j: int) -> dict[int, object]:
         """Product of basis elements i and j, as a sparse vector."""
-        key = (i, j)
-        if key in self._mult_cache:
-            return self._mult_cache[key]
         wi, wj = self.basis[i], self.basis[j]
         if self.word_target(wi) != wj[0]:
-            out: dict[int, object] = {}
-        else:
-            out = self.word_to_vec(wi[0], wi[1] + wj[1])
-        self._mult_cache[key] = out
-        return out
+            return {}
+        return self.word_to_vec(wi[0], wi[1] + wj[1])
 
     def check_associativity(self, cap: int = 40) -> bool:
         """(b_i b_j) b_k == b_i (b_j b_k) over every composable triple of

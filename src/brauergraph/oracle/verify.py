@@ -1,10 +1,10 @@
 """Cross-checks between the combinatorial layer and the brute-force oracle.
 
-``verify_graph`` runs every check applicable to the input's regime and
-returns a structured diff; an empty diff means full agreement.  Faults can
-be injected - flipping one differential sign, dropping one relation from
-the oracle's algebra - to confirm that the harness actually detects
-corruption.
+``verify_graph`` runs every check applicable to the input's regimes, read
+off ``BrauerGraph.regimes``, and returns a structured diff; an empty diff
+means full agreement.  Faults can be injected - flipping one differential
+sign, dropping one relation from the oracle's algebra - to confirm that
+the harness actually detects corruption.
 
 The graph is presented once per ``verify_graph`` call, and the oracle's
 algebra is built once from that presentation; the minimal-generator check
@@ -40,14 +40,7 @@ from ..classify import (
     quadratic_family_check,
     two_d_conditions,
 )
-from ..graph import (
-    BrauerGraph,
-    HypothesisError,
-    is_length_graded,
-    is_reduced,
-    uniform_degree,
-    validate,
-)
+from ..graph import BrauerGraph, HypothesisError, validate
 from ..presentation import present
 from ..resolution import (
     delta,
@@ -90,10 +83,8 @@ class DiffReport:
     def ok(self) -> bool:
         return not self.entries
 
-    def add(self, check: str, detail: str, **extra):
-        entry = {"check": check, "detail": detail}
-        entry.update(extra)
-        self.entries.append(entry)
+    def add(self, check: str, detail: str):
+        self.entries.append({"check": check, "detail": detail})
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "diffs": self.entries}
@@ -122,7 +113,7 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
             report.add("validation", v)
         return report
 
-    reduced = is_reduced(g) and not g.is_a2_trivial() and g.quantizer_trivial()
+    regimes = g.regimes
     resolver = explicit_resolver(g)
     flip = fault.flip_sign if fault is not None else None
     if flip is not None:
@@ -201,12 +192,12 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
         report.add("classification",
                    f"{h} but the graph is not a star of that degree")
 
-    graded = is_length_graded(g) and la.graded
+    graded = regimes.length_graded and la.graded
     # oracle walks start empty; each check grows them to the depth it reads
     walks = {e: ProjResolution.from_oracle(la, e, -1) for e in g.edge_ids}
     traces = None
 
-    if reduced:
+    if regimes.syzygies:
         traces = {e: iterate_syzygy(g, e, max_degree) for e in g.edge_ids}
         _check_strings(report, g, la, max_degree, traces, walks)
 
@@ -220,14 +211,12 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
             examined[flip[0]] = ProjResolution.from_steps(la, flip[0],
                                                           _flip(steps[flip[0]], flip))
         _check_resolution(report, g, la, max_degree, examined, walks, traces)
-        if reduced and obstruction_element(g) is not None:
-            report.add("obstruction", "no truncated edges yet a walk witness appeared")
         _check_certificates(report, g, la, min(4, max_degree), complexes)
 
-    if reduced and g.has_truncated_edge() and g.has_nontruncated_edge():
+    if regimes.syzygies and regimes.mixed:
         _check_obstruction(report, g, la, walks)
 
-    if graded and g.has_truncated_edge() and h.kind == "DHomogeneous":
+    if graded and regimes.truncated and h.kind == "DHomogeneous":
         _check_nakayama_degrees(report, g, max_degree, h.d, walks)
 
     if kr.is_koszul and graded:
@@ -275,7 +264,6 @@ def _check_strings(report: DiffReport, g, la, n_max: int, traces, walks):
 
 def _check_resolution(report: DiffReport, g, la, n_max: int, complexes, walks, traces):
     """The complexes against the oracle walks."""
-    d_val = uniform_degree(g)
     for e in g.edge_ids:
         res = complexes[e]
         oracle = walks[e].grow(n_max)
@@ -311,7 +299,7 @@ def _check_resolution(report: DiffReport, g, la, n_max: int, complexes, walks, t
                     report.add("generation-degrees",
                                f"degree {n} of {e}: summands say {want}, "
                                f"formula says {formula}")
-                if want and max(want) > delta(n, d_val):
+                if want and max(want) > delta(n, g.regimes.degree):
                     report.add("delta-bound",
                                f"degree {n} of {e} exceeds the degree bound")
         if traces is not None:

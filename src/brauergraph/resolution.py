@@ -23,14 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import (
-    BrauerGraph,
-    HalfEdge,
-    HypothesisError,
-    is_length_graded,
-    is_reduced,
-    uniform_degree,
-)
+from .graph import BrauerGraph, HalfEdge, HypothesisError
 from .presentation import Path, Quiver, arrow_run, build_quiver
 from .strings import iterate_syzygy
 
@@ -160,36 +153,24 @@ def _resolve(g: BrauerGraph, q: Quiver, e: str, n_max: int,
 
 def resolve_simple(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep]:
     """Minimal resolution of the simple at ``e`` on a reduced graph with no
-    truncated edges."""
-    if not is_reduced(g):
-        raise HypothesisError("resolve_simple requires a reduced graph")
-    if g.has_truncated_edge():
-        raise HypothesisError("resolve_simple requires a graph with no truncated edges")
-    if not g.quantizer_trivial():
-        raise HypothesisError("resolve_simple requires the trivial quantizer")
-    q = build_quiver(g)
-    d = uniform_degree(g)
-    return _resolve(g, q, e, n_max, d)
+    truncated edges and the trivial quantizer."""
+    if not g.regimes.resolve_simple:
+        raise HypothesisError("resolve_simple requires a reduced graph with no "
+                              "truncated edges and the trivial quantizer")
+    return _resolve(g, build_quiver(g), e, n_max, g.regimes.degree)
 
 
 def resolve_simple_2d(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep]:
     """Minimal resolution when every vertex has valency x multiplicity = d >= 3.
 
-    Loops and multiple edges are fine: the chain walks half-edges.
+    Loops and multiple edges are fine: the chain walks half-edges.  It also
+    needs the trivial quantizer and no truncated edges.
     """
-    if not g.quantizer_trivial():
-        raise HypothesisError("resolve_simple_2d requires the trivial quantizer")
-    d = uniform_degree(g)
-    if d is None:
-        raise HypothesisError(
-            "resolve_simple_2d needs valency x multiplicity constant over vertices"
-        )
-    if d < 3:
-        raise HypothesisError("degree is quadratic; use resolve_simple")
-    if g.has_truncated_edge():
-        raise HypothesisError("resolve_simple_2d requires no truncated edges")
-    q = build_quiver(g)
-    return _resolve(g, q, e, n_max, d)
+    if not g.regimes.resolve_simple_2d:
+        raise HypothesisError("resolve_simple_2d requires the trivial quantizer, no "
+                              "truncated edges and valency x multiplicity = d >= 3 "
+                              "at every vertex")
+    return _resolve(g, build_quiver(g), e, n_max, g.regimes.degree)
 
 
 def explicit_resolver(g: BrauerGraph) -> Optional[Callable]:
@@ -197,13 +178,10 @@ def explicit_resolver(g: BrauerGraph) -> Optional[Callable]:
     None when the graph has none.  Both resolvers need the trivial
     quantizer and no truncated edge; ``resolve_simple`` takes a reduced
     graph, and ``resolve_simple_2d`` one whose vertices all have valency x
-    multiplicity = d >= 3."""
-    if g.has_truncated_edge() or not g.quantizer_trivial():
-        return None
-    if is_reduced(g):
+    multiplicity = d >= 3.  Each domain is read off ``g.regimes``."""
+    if g.regimes.resolve_simple:
         return resolve_simple
-    d = uniform_degree(g)
-    return resolve_simple_2d if d is not None and d >= 3 else None
+    return resolve_simple_2d if g.regimes.resolve_simple_2d else None
 
 
 # ----------------------------------------------------------------------
@@ -224,14 +202,10 @@ def delta(n: int, d: int) -> int:
 
 def generation_degrees(g: BrauerGraph, e: str, n: int) -> list[int]:
     """Degrees of the graded generators of the n-th projective."""
-    if not is_length_graded(g):
-        raise HypothesisError("generation degrees need a length-graded algebra")
-    if g.has_truncated_edge():
-        raise HypothesisError("generation degrees via positions need no truncated edges")
-    d = uniform_degree(g)
-    if d is None:
-        raise HypothesisError("no uniform degree")
-    return sorted({n + j * (d - 2) for j in range(n // 2 + 1)})
+    if not g.regimes.graded_positions:
+        raise HypothesisError("generation degrees via positions need no truncated "
+                              "edges and a uniform degree")
+    return sorted({n + j * (g.regimes.degree - 2) for j in range(n // 2 + 1)})
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +240,7 @@ def edge_certificates(g: BrauerGraph, e: str,
     factor of each certificate is the lower-degree certificate already
     built, not a copy of it.
     """
-    if g.has_truncated_edge():
+    if g.regimes.truncated:
         raise HypothesisError("certificates require a graph with no truncated edges")
     chain = _Chain(g, e, n_max)
     certs: list[dict[int, GenerationCertificate]] = []
@@ -300,9 +274,9 @@ def edge_certificates(g: BrauerGraph, e: str,
 def obstruction_element(g: BrauerGraph) -> Optional[dict]:
     """A walk between truncated edges through nontruncated ones, with the
     high-degree cohomology class it witnesses; None when no such walk exists."""
-    if not is_reduced(g):
+    if not g.regimes.reduced:
         raise HypothesisError("the obstruction search requires a reduced graph")
-    if not (g.has_truncated_edge() and g.has_nontruncated_edge()):
+    if not g.regimes.mixed:
         return None
     for e in g.edge_ids:
         if not g.edge_is_truncated(e):

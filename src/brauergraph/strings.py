@@ -14,8 +14,9 @@ shared vertex v runs from the plus entry's position p at v through
 one quiver arrow ``(v, p + k)`` per step.
 
 Reduced graph means multiplicity one everywhere, no loops, no multiple
-edges.  The single-edge graph is reduced but carries no strings beyond the
-simple one, and its syzygy operations refuse.
+edges; with the trivial quantizer that is the calculus's domain,
+``Regimes.strings``.  The single-edge graph is reduced but carries no
+strings beyond the simple one, and its syzygy operations refuse.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-from .graph import BrauerGraph, BrauerGraphError, HypothesisError, is_reduced
+from .graph import BrauerGraph, BrauerGraphError, HypothesisError
 
 PLUS = 1
 MINUS = -1
@@ -64,9 +65,6 @@ class StringDescriptor:
     @property
     def is_simple(self) -> bool:
         return len(self.entries) == 1
-
-    def edges(self) -> tuple[str, ...]:
-        return tuple(e for e, _ in self.entries)
 
     def reverse(self) -> "StringDescriptor":
         """Same module: a string read backwards is isomorphic to itself."""
@@ -108,15 +106,14 @@ class SyzygyTrace:
         }
 
 
-def _require_reduced(g: BrauerGraph):
-    if not is_reduced(g):
-        raise HypothesisError("string calculus requires a reduced graph")
-    if not g.quantizer_trivial():
-        raise HypothesisError("string calculus requires the trivial quantizer")
+def _require_strings(g: BrauerGraph):
+    if not g.regimes.strings:
+        raise HypothesisError("string calculus requires a reduced graph and the "
+                              "trivial quantizer")
 
 
 def validate_acceptable(g: BrauerGraph, sigma: StringDescriptor) -> bool:
-    _require_reduced(g)
+    _require_strings(g)
     entries = sigma.entries
     if len(entries) == 1:
         return entries[0][0] in g.edge_ends
@@ -151,7 +148,7 @@ def _segments(g: BrauerGraph, sigma: StringDescriptor) -> Iterator[tuple]:
 
 def dimension(g: BrauerGraph, sigma: StringDescriptor) -> int:
     """Total number of composition factors: 1 plus the segments' steps."""
-    _require_reduced(g)
+    _require_strings(g)
     return 1 + sum(steps for *_, steps in _segments(g, sigma))
 
 
@@ -161,7 +158,7 @@ def dimension(g: BrauerGraph, sigma: StringDescriptor) -> int:
 
 def syzygy_of_simple(g: BrauerGraph, e: str) -> StringDescriptor:
     """Radical of the projective cover, as a string."""
-    _require_reduced(g)
+    _require_strings(g)
     trunc = g.truncated_ends(e)
     if len(trunc) == 2:
         raise HypothesisError("syzygies on the single-edge graph are not strings")
@@ -195,7 +192,7 @@ def syzygy(g: BrauerGraph, sigma: StringDescriptor) -> StringDescriptor:
     beyond its end and dropping at most its end entry.  A result that collapses to
     one entry is the simple module at that edge.
     """
-    _require_reduced(g)
+    _require_strings(g)
     if sigma.is_simple:
         return syzygy_of_simple(g, sigma.entries[0][0])
     left_ext, left_drop = _left_action(g, sigma)
@@ -228,7 +225,7 @@ def _first_return(start: StringDescriptor,
 
 def iterate_syzygy(g: BrauerGraph, e: str, n: int) -> SyzygyTrace:
     """Descriptors of the syzygies of the simple module at ``e`` up to degree n."""
-    _require_reduced(g)
+    _require_strings(g)
     start = StringDescriptor.simple(e)
     out = [start, *islice(_syzygies(g, e), n)]
     return SyzygyTrace(e, out, period=_first_return(start, out[1:]))
@@ -238,7 +235,7 @@ def period(g: BrauerGraph, e: str) -> Optional[int]:
     """Least p with the p-th syzygy isomorphic to the simple module, or None
     within 2 x (number of edges) x (nilpotency bound) steps.  The walk stops
     at the first return to the simple."""
-    _require_reduced(g)
+    _require_strings(g)
     bound = 2 * len(g.edge_ids) * g.nilpotency_bound()
     return _first_return(StringDescriptor.simple(e), islice(_syzygies(g, e), bound))
 
@@ -258,7 +255,7 @@ def realize(g: BrauerGraph, sigma: StringDescriptor, la):
     from .oracle.modules import Module
     from .presentation import arrow_run
 
-    _require_reduced(g)
+    _require_strings(g)
     if not validate_acceptable(g, sigma):
         raise HypothesisError(f"{sigma} is not acceptable on this graph")
     quiver = la.quiver

@@ -142,18 +142,32 @@ def run_once(checkout, workload, seed, seconds):
     open(sys.argv[2], "w").close()
     time.sleep(60)
 
+benchpairs.ROOT = sys.argv[4]
 benchpairs.run_once = run_once
 benchpairs.main(["--base", "HEAD", "--workload", "deep-cli", "--out", sys.argv[3]])
 """
+
+
+def _throwaway_repository(path) -> str:
+    """A git repository of one commit holding a ``BENCHMARK.json``, so that
+    a test runs ``main`` whether or not this checkout is a git work tree."""
+    path.mkdir()
+    (path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": METRICS}))
+    for args in (["init", "-q"], ["add", "BENCHMARK.json"],
+                 ["-c", "user.name=bench", "-c", "user.email=bench@example.invalid",
+                  "-c", "commit.gpgsign=false", "commit", "-q", "-m", "bench"]):
+        subprocess.run(["git", *args], cwd=path, check=True, capture_output=True)
+    return str(path)
 
 
 def test_sigterm_removes_the_base_checkout(tmp_path):
     """A run stopped by SIGTERM while a pair runs leaves no temporary
     checkout behind."""
     started = tmp_path / "started"
+    root = _throwaway_repository(tmp_path / "repo")
     env = dict(os.environ, TMPDIR=str(tmp_path))
     child = subprocess.Popen([sys.executable, "-c", _STOPPED_CHILD, _PATH, str(started),
-                              str(tmp_path / "out.json")], env=env)
+                              str(tmp_path / "out.json"), root], env=env)
     try:
         deadline = time.monotonic() + 30
         while not started.exists():
@@ -166,3 +180,18 @@ def test_sigterm_removes_the_base_checkout(tmp_path):
         child.kill()
         child.wait()
     assert not list(tmp_path.glob("benchpairs-*"))
+
+
+def test_root_outside_a_git_work_tree_is_refused(tmp_path, monkeypatch, capsys):
+    """A root that is no git work tree has no base revision: ``main`` says
+    so in one stderr line and exits 2, with no traceback and no checkout."""
+    root = tmp_path / "plain"
+    root.mkdir()
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(benchpairs, "ROOT", str(root))
+    out = tmp_path / "out.json"
+    assert benchpairs.main(["--workload", "deep-cli", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{root} is not a git work tree, so it has no base revision\n"
+    assert not out.exists() and not list(tmp_path.glob("benchpairs-*"))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -411,17 +412,35 @@ def test_batch_verify_reports_refused_fault(tmp_path):
 
 
 def test_oversized_algebra_exits_without_traceback(monkeypatch, graph_files):
-    """An algebra above the oracle's word cap is refused with exit 2 and one
-    stderr line, alone and as a batch entry."""
-    monkeypatch.setattr(algebra, "WORD_CAP", 3)
+    """An algebra above the oracle's size cap is refused with exit 2 and one
+    stderr line, alone and as a batch entry.  The triangle's words have
+    length at most 3, so a cap of 3 admits one word."""
+    monkeypatch.setattr(algebra, "SIZE_CAP", 3)
     code, out, err = invoke(["verify", "--input", graph_files["triangle"], "--max", "2"])
     assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and "more than 3 words" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and "more than 1 words" in err and "Traceback" not in err
     entry = cli._verify_entry(graph_files["triangle"], 2, QQ, None)
     assert entry["exit"] == 2
     assert entry["report"]["ok"] is False
     (message,) = entry["report"]["diffs"]
-    assert "more than 3 words" in message
+    assert "more than 1 words" in message
+
+
+@pytest.mark.parametrize("m", [800, 200_000])
+def test_high_multiplicity_refused_quickly(tmp_path, m):
+    """The triangle with multiplicity m at alpha: the reduction's work grows
+    with its words times their length bound, far above the oracle's cap,
+    so ``verify`` refuses it before building the algebra: exit 2, one stderr
+    line, within seconds."""
+    doc = to_dict(triangle_graph())
+    doc["vertices"][0]["multiplicity"] = m
+    path = tmp_path / "triangle.bg.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = invoke(["verify", "--input", str(path)])
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"cap of {algebra.SIZE_CAP}" in err
 
 
 @pytest.mark.parametrize("value", ["5", "1/5"], ids=["zero", "no inverse"])

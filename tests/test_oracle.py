@@ -1,4 +1,5 @@
 import copy
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -262,6 +263,17 @@ def test_associativity_and_selfinjectivity(triangle):
         assert dict(P.socle()) == {e: 1}
 
 
+def _override_products(la) -> dict:
+    """A table of products b_i b_j, keyed by (i, j), that ``la.mult``
+    returns in place of its own: the instance attribute shadows the method,
+    so every reader of ``mult`` sees the table.  The algebra's own products
+    are kept, as the brute-force loop reads each of them many times."""
+    table: dict = {}
+    mult = functools.cache(la.mult)
+    la.mult = lambda i, j: table[i, j] if (i, j) in table else mult(i, j)
+    return table
+
+
 def _associative_brute_force(la) -> bool:
     """(b_i b_j) b_k == b_i (b_j b_k) over every triple of basis words."""
     f = la.field
@@ -287,17 +299,18 @@ def test_associativity_over_composable_triples(name, g):
     la = build_algebra(present(g))
     assert la.dim <= 40
     assert la.check_associativity() and _associative_brute_force(la)
+    products = _override_products(la)
     caught = 0
     for i in range(la.dim):
         for j in range(la.dim):
             kept = la.mult(i, j)
             if not kept:
                 continue
-            la._mult_cache[(i, j)] = {u: 2 * c for u, c in kept.items()}
+            products[i, j] = {u: 2 * c for u, c in kept.items()}
             verdict = la.check_associativity()
             assert verdict == _associative_brute_force(la), (i, j)
             caught += not verdict
-            la._mult_cache[(i, j)] = kept
+            del products[i, j]
     assert caught
 
 
@@ -309,6 +322,7 @@ def test_associativity_under_unit_product_corruption(name, g, field):
     takes it off the path so that triples mix a tabulated side with one
     multiplied out.  The verdict equals the full triple loop every time."""
     la = build_algebra(present(g), field)
+    products = _override_products(la)
     ends = [(w[0], la.word_target(w)) for w in la.basis]
     verdicts = Counter()
     for i in range(la.dim):
@@ -321,11 +335,11 @@ def test_associativity_under_unit_product_corruption(name, g, field):
                      if u != t and ends[u] == ends[t]]
             kinds += [("zero", {}), ("sign", {t: field.neg(field.one)})]
             for kind, corrupt in kinds:
-                la._mult_cache[(i, j)] = corrupt
+                products[i, j] = corrupt
                 verdict = la.check_associativity()
                 assert verdict == _associative_brute_force(la), (i, j, corrupt)
                 verdicts[kind, verdict] += 1
-            la._mult_cache[(i, j)] = kept
+            del products[i, j]
     assert verdicts["zero", False]  # some zero product is caught
     assert verdicts["swap", False] or not verdicts["swap", True]  # so is a swap, if any was tried
     assert verdicts["sign", False]  # and a sign flip
@@ -345,15 +359,16 @@ def test_associativity_when_only_nonzero_words_differ(field):
     table = {(i, j): {} for i in range(la.dim) for j in range(la.dim)}
     for w in range(la.dim):
         table[e, w] = table[w, e] = {w: field.one}
-    la._mult_cache.update(table)
+    products = _override_products(la)
+    products.update(table)
     assert la.check_associativity() and _associative_brute_force(la)
     for u in radical:
         for v in radical:
             if u < v:
-                la._mult_cache[e, u], la._mult_cache[e, v] = table[e, v], table[e, u]
+                products[e, u], products[e, v] = table[e, v], table[e, u]
                 assert not _associative_brute_force(la)
                 assert not la.check_associativity(), (u, v)
-                la._mult_cache.update(table)
+                products.update(table)
 
 
 def test_graded_normal_forms(triangle, star3_m2):
@@ -365,8 +380,13 @@ def test_graded_normal_forms(triangle, star3_m2):
 
 
 def test_size_guard(triangle, monkeypatch):
-    monkeypatch.setattr(algebra, "WORD_CAP", 3)
-    with pytest.raises(OracleSizeError):
+    """The cap bounds the words times their length bound, 3 on the
+    triangle: a cap of 3 admits one word, and 9 admits the vertex words."""
+    monkeypatch.setattr(algebra, "SIZE_CAP", 3)
+    with pytest.raises(OracleSizeError, match="more than 1 words of length at most 3"):
+        build_algebra(present(triangle))
+    monkeypatch.setattr(algebra, "SIZE_CAP", 9)
+    with pytest.raises(OracleSizeError, match="more than 3 words"):
         build_algebra(present(triangle))
 
 
@@ -1302,6 +1322,7 @@ def test_associativity_table_that_does_not_reach_a_word(monkeypatch, name, g):
     the full triple loop."""
     seen = _recorded_third_factors(monkeypatch)
     la = build_algebra(present(g))
+    products = _override_products(la)
     index = la.basis_index
     for c, (src, word) in enumerate(la.basis):
         if len(word) < 2:
@@ -1311,8 +1332,8 @@ def test_associativity_table_that_does_not_reach_a_word(monkeypatch, name, g):
         kept = la.mult(prefix, x)
         assert kept == {c: la.field.one}
         for corrupt in ({}, {c: 2}):
-            la._mult_cache[prefix, x] = corrupt
+            products[prefix, x] = corrupt
             seen.clear()
             assert la.check_associativity() == _associative_brute_force(la)
             assert c in seen[0]
-        la._mult_cache[prefix, x] = kept
+        del products[prefix, x]

@@ -329,7 +329,7 @@ def test_truncation_read_from_a_table(monkeypatch):
     graphs = [g for _, g in desk_graphs()] + list(census(3, 2))
     for g in graphs:
         assert verify_graph(g, max_degree=3).ok
-        g.has_truncated_edge()
+        g.truncated_ends(g.edge_ids[0])
         assert evaluated[id(g)] == 2 * len(g.edge_ids), g.edge_ids
 
 

@@ -7,7 +7,8 @@ Run from the repository root:
 
 The base revision is extracted with ``git archive`` into a temporary
 directory, removed at the end, also when the run fails or is stopped by
-SIGTERM, so no worktree is registered.  Both sides
+SIGTERM, so no worktree is registered; a root that is no git work tree
+is refused with one line on standard error and exit 2.  Both sides
 run their own, unchanged ``perfbench/run.py`` with ``--trace 0``, one run
 at a time, each run as long as ``run_seconds`` in ``BENCHMARK.json``.  Every workload and seed gets ``PAIRS`` pairs; pair p
 runs the base first when p is even and the working tree first when p is
@@ -49,6 +50,13 @@ PAIRS = 10
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def _in_work_tree() -> bool:
+    try:
+        return _git("rev-parse", "--is-inside-work-tree") == "true"
+    except subprocess.CalledProcessError:
+        return False
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -132,6 +140,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--out", required=True, help="the JSON file to write")
     args = ap.parse_args(argv)
+    if not _in_work_tree():
+        sys.stderr.write(f"{ROOT} is not a git work tree, so it has no base revision\n")
+        return 2
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)

@@ -35,7 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from brauergraph.census import census  # noqa: E402
 from brauergraph.classify import koszul_report  # noqa: E402
-from brauergraph.graph import BrauerGraphError, HypothesisError, is_reduced  # noqa: E402
+from brauergraph.graph import BrauerGraphError, HypothesisError  # noqa: E402
 from brauergraph.oracle.algebra import build_algebra  # noqa: E402
 from brauergraph.oracle.ext import ProjResolution  # noqa: E402
 from brauergraph.oracle.fields import field_from_spec  # noqa: E402
@@ -116,12 +116,12 @@ def combinatorics_doc(g, degree: int) -> dict:
     if resolver is not None:
         doc["resolutions"] = {e: [s.to_json() for s in resolver(g, e, degree)]
                               for e in g.edge_ids}
-    if not g.has_truncated_edge():
+    if not g.regimes.truncated:
         doc["certificates"] = {
             e: [sorted((i, _certificate(c)) for i, c in level.items())
                 for level in edge_certificates(g, e, degree)]
             for e in g.edge_ids}
-    if is_reduced(g):
+    if g.regimes.reduced:
         doc["walks"] = {e: _or_refusal(lambda: asdict(g.brauer_walk(e)))
                         for e in g.edge_ids}
         doc["syzygies"] = {e: _or_refusal(lambda: iterate_syzygy(g, e, degree).to_json())
