@@ -112,6 +112,7 @@ class FiniteDimAlgebra:
         self._shifted_rows: dict[tuple[str, str, int], list[dict]] = {}
         self._projective_degrees: dict[tuple[str, Optional[int]],
                                        dict[str, list[Optional[int]]]] = {}
+        self._path_forms: dict[Path, dict[int, object]] = {}
 
     def _check_quantizer(self):
         """A quantizer value that is zero or has no inverse over the field
@@ -408,6 +409,15 @@ class FiniteDimAlgebra:
 
     def path_to_vec(self, p: Path) -> dict[int, object]:
         return self.word_to_vec(p.source, self._path_key(p))
+
+    def path_form(self, p: Path) -> dict[int, object]:
+        """``path_to_vec`` of ``p``, kept per path: the path matrices of
+        every complex over this algebra read their entries' normal forms
+        here.  The caller must not change the dict."""
+        form = self._path_forms.get(p)
+        if form is None:
+            form = self._path_forms[p] = self.path_to_vec(p)
+        return form
 
     def relation_holds(self, r: Relation) -> bool:
         """Is the relation's normal form zero in the algebra?"""

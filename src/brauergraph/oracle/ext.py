@@ -201,7 +201,7 @@ def _path_images(P: ProjectiveSum, Q: ProjectiveSum, differential: dict) -> list
     for (row, col), (sign, path) in differential.items():
         offset = Q.offsets[row][P.generators[col][0]]
         image = images[col]
-        for j, c in la.path_to_vec(path).items():
+        for j, c in la.path_form(path).items():
             k = offset + la.word_position[j]
             c = c if sign > 0 else f.neg(c)
             image[k] = f.add(image[k], c) if k in image else c

@@ -21,8 +21,18 @@ reads it, while the resolution, obstruction, Nakayama-degree and
 linearity checks read only covers, summands and differentials, so a walk
 grown by them alone never computes it.
 
-The certificate check reads every certificate of an edge off one
-follows-chain (``resolution.edge_certificates``), evaluates each element
+The pieces of the combinatorial complexes are built once per call too.
+The resolvers and the certificates run inside one ``resolution.shared``
+block over the presentation's quiver: they read one follows-chain per
+edge and one table of differential entries, at most two paths per
+half-edge.  The complexes read each entry's normal form off the call's
+algebra (``FiniteDimAlgebra.path_form``), and each trace's dimensions are
+read through one segment table (``strings.dimensions``).  All of these
+die with the call.
+
+The certificate check reads every certificate of an edge off the
+follows-chain its resolution read (``resolution.edge_certificates``),
+evaluates each element
 once, and its Yoneda products, like the closure of the obstruction check,
 read the lifts that the resolutions keep: each level of each basis
 class's lift is solved once per call.  A certificate whose factors do not
@@ -49,8 +59,9 @@ from ..resolution import (
     ext_dim,
     generation_degrees,
     obstruction_element,
+    shared,
 )
-from ..strings import dimension, iterate_syzygy, realize, syzygy
+from ..strings import dimensions, iterate_syzygy, realize, syzygy
 from .algebra import build_algebra, expected_projective_dims
 from .ext import (
     ExtElement,
@@ -202,16 +213,18 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
         _check_strings(report, g, la, max_degree, traces, walks)
 
     if resolver is not None:
-        steps = {e: resolver(g, e, max_degree + 1) for e in g.edge_ids}
-        complexes = {e: ProjResolution.from_steps(la, e, steps[e]) for e in g.edge_ids}
-        # the flip fault corrupts only the complexes examined by
-        # _check_resolution, never the shared ones
-        examined = dict(complexes)
-        if flip is not None:
-            examined[flip[0]] = ProjResolution.from_steps(la, flip[0],
-                                                          _flip(steps[flip[0]], flip))
-        _check_resolution(report, g, la, max_degree, examined, walks, traces)
-        _check_certificates(report, g, la, min(4, max_degree), complexes)
+        with shared(g, pres.quiver):
+            steps = {e: resolver(g, e, max_degree + 1) for e in g.edge_ids}
+            complexes = {e: ProjResolution.from_steps(la, e, steps[e])
+                         for e in g.edge_ids}
+            # the flip fault corrupts only the complexes examined by
+            # _check_resolution, never the shared ones
+            examined = dict(complexes)
+            if flip is not None:
+                examined[flip[0]] = ProjResolution.from_steps(
+                    la, flip[0], _flip(steps[flip[0]], flip))
+            _check_resolution(report, g, la, max_degree, examined, walks, traces)
+            _check_certificates(report, g, la, min(4, max_degree), complexes)
 
     if regimes.syzygies and regimes.mixed:
         _check_obstruction(report, g, la, walks)
@@ -228,11 +241,12 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
 def _check_strings(report: DiffReport, g, la, n_max: int, traces, walks):
     for e in g.edge_ids:
         trace = traces[e]
+        dims = dimensions(g, trace.descriptors)
         syzygies = walks[e].grow(n_max - 1).syzygies
         for n in range(1, n_max + 1):
             om = syzygies[n]
             pred = trace.descriptors[n]
-            want = (dimension(g, pred), dict(pred.top()), dict(pred.socle()))
+            want = (dims[n], dict(pred.top()), dict(pred.socle()))
             got = (om.total_dim, dict(om.top()), dict(om.socle()))
             if want != got:
                 report.add(
@@ -256,7 +270,7 @@ def _check_strings(report: DiffReport, g, la, n_max: int, traces, walks):
             sig = trace.descriptors[n]
             m = realize(g, sig, la)
             if (m.total_dim, dict(m.top()), dict(m.socle())) != (
-                dimension(g, sig), dict(sig.top()), dict(sig.socle())
+                dims[n], dict(sig.top()), dict(sig.socle())
             ):
                 report.add("realize",
                            f"explicit module for {sig} disagrees with the descriptor")

@@ -17,11 +17,20 @@ arrow when it points toward zero; diagonal entries of even differentials
 carry a minus sign.  With multiplicity one this is the classical resolution
 of a reduced graph without truncated edges; in general it covers every
 graph whose vertices all satisfy valency x multiplicity = d.
+
+So the entries form a table of at most two paths per half-edge, keyed by
+the half-edge and whether the entry points toward zero, and every edge's
+resolution reads it.  Inside ``shared`` (one block per ``verify_graph``
+call) the table, the given quiver and one chain per edge serve every
+resolver and certificate call of the graph, and die with the block;
+outside it each call builds its own.
 """
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .graph import BrauerGraph, HalfEdge, HypothesisError
 from .presentation import Path, Quiver, arrow_run, build_quiver
@@ -95,8 +104,8 @@ class GenerationCertificate:
 
 
 class _Chain:
-    """Edges at positions -N..N around a start edge, and the half-edges
-    that link them.
+    """Edges at positions -N..N around a start edge (N is ``depth``), and
+    the half-edges that link them.
 
     ``gap[r]`` for -N <= r < N is the half-edge crossed between positions r
     and r+1.  It belongs to the edge nearer position zero, and its successor
@@ -107,7 +116,7 @@ class _Chain:
     """
 
     def __init__(self, g: BrauerGraph, e: str, n: int):
-        self.g = g
+        self.depth = n
         self.edge: dict[int, str] = {0: e}
         self.gap: dict[int, HalfEdge] = {}
         for sign, h in zip((-1, 1), g.half_edges_of(e)):
@@ -116,21 +125,74 @@ class _Chain:
                 h = g.follow(h)
                 self.edge[r + sign] = h.edge
 
-    def entry(self, q: Quiver, r: int, s: int) -> Path:
-        """The differential entry from the summand at position r to the one
-        at s = r +- 1, read at the vertex of the gap between them: one arrow
-        when it points away from position zero, the run of length (valency x
-        multiplicity) - 1 after it when it points toward zero."""
-        g = self.g
-        v, pos = g.position(self.gap[min(r, s)])
-        if abs(s) > abs(r):
-            return arrow_run(g, q, v, pos, 1)
-        return arrow_run(g, q, v, pos + 1, g.valency(v) * g.multiplicity(v) - 1)
+
+class _Tables:
+    """What the resolutions of one graph share: the quiver (built on first
+    read when none is given), the differential entries keyed by (linking
+    half-edge, toward position zero?) and the chain of each start edge."""
+
+    def __init__(self, g: BrauerGraph, quiver: Optional[Quiver] = None):
+        self.g = g
+        self.quiver = quiver
+        self.entries: dict[tuple[HalfEdge, bool], Path] = {}
+        self.chains: dict[str, _Chain] = {}
+
+    def chain(self, e: str, n: int) -> _Chain:
+        """A chain around ``e`` through positions -n..n; a deeper one kept
+        serves."""
+        chain = self.chains.get(e)
+        if chain is None or chain.depth < n:
+            chain = self.chains[e] = _Chain(self.g, e, n)
+        return chain
+
+    def entry(self, h: HalfEdge, toward: bool) -> Path:
+        """The entry across the linking half-edge ``h``, read at its vertex:
+        the run of length (valency x multiplicity) - 1 after ``h``'s arrow
+        when it points toward position zero, that one arrow otherwise."""
+        path = self.entries.get((h, toward))
+        if path is None:
+            g = self.g
+            if self.quiver is None:
+                self.quiver = build_quiver(g)
+            v, pos = g.position(h)
+            path = (arrow_run(g, self.quiver, v, pos + 1,
+                              g.valency(v) * g.multiplicity(v) - 1) if toward
+                    else arrow_run(g, self.quiver, v, pos, 1))
+            self.entries[h, toward] = path
+        return path
 
 
-def _resolve(g: BrauerGraph, q: Quiver, e: str, n_max: int,
+_SHARED = threading.local()  # .tables: those of the innermost open ``shared`` block
+
+
+@contextmanager
+def shared(g: BrauerGraph, quiver: Quiver) -> Iterator[None]:
+    """Inside the block, every resolution and certificate of ``g`` in this
+    thread reads one entry table, one chain per edge and ``quiver``, the
+    quiver of ``g``'s presentation; nothing of it outlives the block."""
+    outer = getattr(_SHARED, "tables", None)
+    _SHARED.tables = _Tables(g, quiver)
+    try:
+        yield
+    finally:
+        _SHARED.tables = outer
+
+
+def _tables(g: BrauerGraph) -> _Tables:
+    """The tables of the innermost open ``shared`` block when they are
+    ``g``'s, else new ones."""
+    tables = getattr(_SHARED, "tables", None)
+    return tables if tables is not None and tables.g is g else _Tables(g)
+
+
+def _resolve(tables: _Tables, e: str, n_max: int,
              graded_d: Optional[int]) -> list[ResolutionStep]:
-    chain = _Chain(g, e, n_max)
+    chain = tables.chain(e, n_max)
+    # the entries out of the summand at position r toward r - 1 and r + 1:
+    # toward zero exactly on the side of r's own sign
+    rows = range(-n_max + 1, n_max)
+    down = {r: tables.entry(chain.gap[r - 1], r > 0) for r in rows}
+    up = {r: tables.entry(chain.gap[r], r < 0) for r in rows}
     steps = [ResolutionStep(0, ((0, e),), {},
                             ((0, 0),) if graded_d is not None else None)]
     for n in range(1, n_max + 1):
@@ -139,8 +201,8 @@ def _resolve(g: BrauerGraph, q: Quiver, e: str, n_max: int,
         sign_diag = -1 if n % 2 == 0 else 1
         for i in range(n):
             r = -n + 1 + 2 * i  # position of row summand in the previous step
-            diff[(i, i)] = (sign_diag, chain.entry(q, r, r - 1))
-            diff[(i, i + 1)] = (1, chain.entry(q, r, r + 1))
+            diff[(i, i)] = (sign_diag, down[r])
+            diff[(i, i + 1)] = (1, up[r])
         gen = None
         if graded_d is not None:
             gen = tuple(
@@ -157,7 +219,7 @@ def resolve_simple(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep]:
     if not g.regimes.resolve_simple:
         raise HypothesisError("resolve_simple requires a reduced graph with no "
                               "truncated edges and the trivial quantizer")
-    return _resolve(g, build_quiver(g), e, n_max, g.regimes.degree)
+    return _resolve(_tables(g), e, n_max, g.regimes.degree)
 
 
 def resolve_simple_2d(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep]:
@@ -170,7 +232,7 @@ def resolve_simple_2d(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep
         raise HypothesisError("resolve_simple_2d requires the trivial quantizer, no "
                               "truncated edges and valency x multiplicity = d >= 3 "
                               "at every vertex")
-    return _resolve(g, build_quiver(g), e, n_max, g.regimes.degree)
+    return _resolve(_tables(g), e, n_max, g.regimes.degree)
 
 
 def explicit_resolver(g: BrauerGraph) -> Optional[Callable]:
@@ -238,11 +300,12 @@ def edge_certificates(g: BrauerGraph, e: str,
 
     All of them are read off one chain, degree by degree, so the left
     factor of each certificate is the lower-degree certificate already
-    built, not a copy of it.
+    built, not a copy of it.  Inside ``shared`` that chain is the one the
+    resolvers read.
     """
     if g.regimes.truncated:
         raise HypothesisError("certificates require a graph with no truncated edges")
-    chain = _Chain(g, e, n_max)
+    chain = _tables(g).chain(e, n_max)
     certs: list[dict[int, GenerationCertificate]] = []
     for n in range(n_max + 1):
         level: dict[int, GenerationCertificate] = {}

@@ -133,23 +133,48 @@ def validate_acceptable(g: BrauerGraph, sigma: StringDescriptor) -> bool:
     return True
 
 
-def _segments(g: BrauerGraph, sigma: StringDescriptor) -> Iterator[tuple]:
+def _segment(g: BrauerGraph, segments: dict, x: str, y: str) -> tuple[str, int, int, int]:
+    """Adjacent entries x, y -> (their shared vertex v, valency(v), x's
+    position at v, y's position at v), read off the graph on its first
+    lookup and kept in ``segments``."""
+    seg = segments.get((x, y))
+    if seg is None:
+        v = g.link(x, y)
+        seg = segments[x, y] = (v, g.valency(v), g.position(g.half_at(x, v))[1],
+                                g.position(g.half_at(y, v))[1])
+    return seg
+
+
+def _segments(g: BrauerGraph, segments: dict, sigma: StringDescriptor) -> Iterator[tuple]:
     """Per adjacent entry pair, its uniserial segment: the indices of the
     top (plus) and socle (minus) entries, their shared vertex v, the top
-    entry's position at v and the successor steps from it to the socle."""
+    entry's position at v and the successor steps from it to the socle.
+    Each pair is read through ``segments``; the descriptors of one trace
+    share one table, so each segment is derived once however many of them
+    cross it."""
     entries = sigma.entries
     for i in range(len(entries) - 1):
-        top, soc = (i, i + 1) if entries[i][1] == PLUS else (i + 1, i)
-        v = g.link(entries[i][0], entries[i + 1][0])
-        _, pos = g.position(g.half_at(entries[top][0], v))
-        _, end = g.position(g.half_at(entries[soc][0], v))
-        yield top, soc, v, pos, (end - pos) % g.valency(v)
+        (x, sign), (y, _) = entries[i], entries[i + 1]
+        v, val, px, py = _segment(g, segments, x, y)
+        if sign == PLUS:
+            yield i, i + 1, v, px, (py - px) % val
+        else:
+            yield i + 1, i, v, py, (px - py) % val
+
+
+def dimensions(g: BrauerGraph, sigmas: Iterable[StringDescriptor]) -> list[int]:
+    """The total number of composition factors of each descriptor: 1 plus
+    its segments' steps.  The descriptors share one segment table, so a
+    trace's segments are each derived once."""
+    _require_strings(g)
+    segments: dict = {}
+    return [1 + sum(steps for *_, steps in _segments(g, segments, sigma))
+            for sigma in sigmas]
 
 
 def dimension(g: BrauerGraph, sigma: StringDescriptor) -> int:
     """Total number of composition factors: 1 plus the segments' steps."""
-    _require_strings(g)
-    return 1 + sum(steps for *_, steps in _segments(g, sigma))
+    return dimensions(g, [sigma])[0]
 
 
 # ----------------------------------------------------------------------
@@ -168,18 +193,37 @@ def syzygy_of_simple(g: BrauerGraph, e: str) -> StringDescriptor:
     return StringDescriptor((arms[0], (e, MINUS), *arms[1:]))
 
 
-def _left_action(g: BrauerGraph, sigma: StringDescriptor):
-    """Decide how the left end rewrites: (edges to prepend, drop first entry?)."""
-    (s1, e1), (s2, _) = sigma.entries[0], sigma.entries[1]
-    h = g.half_at(s1, g.link(s1, s2))  # s1's half-edge at the shared vertex
-    if e1 == PLUS:
+def _end_action(g: BrauerGraph, segments: dict, end: tuple[str, int], beside: str):
+    """How an end entry rewrites, given the edge of the entry beside it:
+    (entries to add beyond the end, drop the end entry?)."""
+    s1, sign = end
+    v, _, p1, _ = _segment(g, segments, s1, beside)
+    h = g.rotation[v][p1]  # s1's half-edge at the shared vertex
+    if sign == PLUS:
         if g.edge_is_truncated(s1):
             return [], False
         return [(g.successor_half(h.other()).edge, PLUS)], False
     t = g.successor_half(h).edge
-    if t == s2:
+    if t == beside:
         return [], True
     return [(t, PLUS)], True
+
+
+def _syzygy(g: BrauerGraph, segments: dict, sigma: StringDescriptor) -> StringDescriptor:
+    """``syzygy``, with both ends read through ``segments``."""
+    if sigma.is_simple:
+        return syzygy_of_simple(g, sigma.entries[0][0])
+    entries = sigma.entries
+    left_ext, left_drop = _end_action(g, segments, entries[0], entries[1][0])
+    right_ext, right_drop = _end_action(g, segments, entries[-1], entries[-2][0])
+    last = len(entries) - 1
+    out = (left_ext
+           + [(e, -s) for i, (e, s) in enumerate(entries)
+              if not (i == 0 and left_drop or i == last and right_drop)]
+           + right_ext)
+    if len(out) == 1:
+        return StringDescriptor.simple(out[0][0])
+    return StringDescriptor(tuple(out))
 
 
 def syzygy(g: BrauerGraph, sigma: StringDescriptor) -> StringDescriptor:
@@ -187,31 +231,22 @@ def syzygy(g: BrauerGraph, sigma: StringDescriptor) -> StringDescriptor:
 
     A simple module goes to the radical of its cover.  A longer string
     keeps every entry with its sign flipped, except that each end is
-    rewritten: the left end by the one-sided rule, the right end by the
-    same rule applied through reversal, each adding at most one new entry
-    beyond its end and dropping at most its end entry.  A result that collapses to
-    one entry is the simple module at that edge.
+    rewritten by the same one-sided rule, read off the end entry and the
+    one beside it, each adding at most one new entry beyond its end and
+    dropping at most its end entry.  A result that collapses to one entry
+    is the simple module at that edge.
     """
     _require_strings(g)
-    if sigma.is_simple:
-        return syzygy_of_simple(g, sigma.entries[0][0])
-    left_ext, left_drop = _left_action(g, sigma)
-    right_ext, right_drop = _left_action(g, sigma.reverse())
-    last = len(sigma) - 1
-    entries = (left_ext
-               + [(e, -s) for i, (e, s) in enumerate(sigma.entries)
-                  if not (i == 0 and left_drop or i == last and right_drop)]
-               + right_ext)
-    if len(entries) == 1:
-        return StringDescriptor.simple(entries[0][0])
-    return StringDescriptor(tuple(entries))
+    return _syzygy(g, {}, sigma)
 
 
 def _syzygies(g: BrauerGraph, e: str) -> Iterator[StringDescriptor]:
-    """Omega^1, Omega^2, ... of the simple module at ``e``, without end."""
+    """Omega^1, Omega^2, ... of the simple module at ``e``, without end,
+    every step reading one segment table."""
+    segments: dict = {}
     cur = StringDescriptor.simple(e)
     while True:
-        cur = syzygy(g, cur)
+        cur = _syzygy(g, segments, cur)
         yield cur
 
 
@@ -263,7 +298,7 @@ def realize(g: BrauerGraph, sigma: StringDescriptor, la):
 
     nodes: list[str] = [e for e, _ in sigma.entries]  # vertex (= edge of g) per node
     chains: list[tuple[list[int], tuple]] = []  # (node ids top->socle, path arrows)
-    for top, soc, v, start, steps in _segments(g, sigma):
+    for top, soc, v, start, steps in _segments(g, {}, sigma):
         arrows = arrow_run(g, quiver, v, start, steps).arrows
         chain = [top]
         for a in arrows[:-1]:

@@ -1,6 +1,15 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from brauergraph.graph import BrauerGraphError, HypothesisError, cycle_graph
+from brauergraph.graph import (
+    BrauerGraphError,
+    HypothesisError,
+    cycle_graph,
+    loop_graph,
+    triangle_graph,
+)
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.oracle.ext import ProjResolution
 from brauergraph.presentation import present
@@ -8,12 +17,14 @@ from brauergraph.resolution import (
     CanonicalExtElement,
     delta,
     edge_certificates,
+    explicit_resolver,
     ext_dim,
     generation_certificate,
     generation_degrees,
     obstruction_element,
     resolve_simple,
     resolve_simple_2d,
+    shared,
 )
 
 
@@ -159,3 +170,25 @@ def test_two_cycle_multiplicity_family():
     res = ProjResolution.from_steps(la, "e1", steps)
     assert res.complex_is_zero() == []
     assert res.exactness_defects(3) == []
+
+
+DEEP = json.loads(Path(__file__).with_name("resolutions_deep.json").read_text())
+DEEP_GRAPHS = {"triangle": triangle_graph, "cycle6": lambda: cycle_graph(6),
+               "cycle8_m2": lambda: cycle_graph(8, 2), "loop_m2": lambda: loop_graph(2),
+               "two_cycle_m2": lambda: cycle_graph(2, 2)}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP))
+def test_deep_resolutions_pinned(case):
+    """Every simple's resolution, well past the golden CLI's degree 4,
+    equals the record in ``resolutions_deep.json``, step by step."""
+    name, n = case.split("@")
+    g = DEEP_GRAPHS[name]()
+    resolver = explicit_resolver(g)
+    assert sorted(DEEP[case]) == sorted(g.edge_ids)
+    for e, want in DEEP[case].items():
+        assert [s.to_json() for s in resolver(g, e, int(n))] == want, (case, e)
+    # the same inside one shared table, as ``verify_graph`` reads them
+    with shared(g, present(g).quiver):
+        inside = {e: [s.to_json() for s in resolver(g, e, int(n))] for e in g.edge_ids}
+    assert inside == DEEP[case]

@@ -100,8 +100,9 @@ def test_iterate_and_period(triangle, a4):
 def test_period_stops_at_first_return(monkeypatch, n_vertices, per):
     """period walks the syzygies only until the simple comes back."""
     calls = []
-    real = strings.syzygy
-    monkeypatch.setattr(strings, "syzygy", lambda g, s: calls.append(s) or real(g, s))
+    real = strings._syzygy  # the step every syzygy walk takes
+    monkeypatch.setattr(strings, "_syzygy",
+                        lambda g, segments, s: calls.append(s) or real(g, segments, s))
     g = path_graph(n_vertices)
     assert period(g, "e1") == per
     assert len(calls) == per

@@ -14,6 +14,7 @@ from brauergraph.graph import (
     BrauerGraph,
     HalfEdge,
     cycle_graph,
+    loop_graph,
     star_graph,
     to_dict,
     triangle_graph,
@@ -252,31 +253,73 @@ def test_each_lift_level_solved_once(monkeypatch, g, max_degree):
     assert len(solved) == len(set(solved))
 
 
-@pytest.mark.parametrize("g", [triangle_graph(), cycle_graph(6), cycle_graph(8, 2)],
-                         ids=["triangle", "cycle6", "cycle8_m2"])
-def test_one_chain_per_edge_for_certificates(monkeypatch, g):
-    """``_check_certificates`` reads every certificate of an edge off one
-    follows-chain."""
+@pytest.mark.parametrize("g", [triangle_graph(), cycle_graph(6), cycle_graph(8, 2),
+                               loop_graph(2)],
+                         ids=["triangle", "cycle6", "cycle8_m2", "loop_m2"])
+def test_one_chain_per_edge_per_call(monkeypatch, g):
+    """The resolver and ``_check_certificates`` read every edge's
+    resolution and certificates off one follows-chain per call."""
     chains = []
-    inside = [0]
-    chain_init, check = resolution._Chain.__init__, verify._check_certificates
+    chain_init = resolution._Chain.__init__
 
     def counted_init(self, g, e, n):
-        if inside[0]:
-            chains.append(e)
+        chains.append(e)
         chain_init(self, g, e, n)
 
-    def marked_check(*args):
+    monkeypatch.setattr(resolution._Chain, "__init__", counted_init)
+    assert verify_graph(g, max_degree=4).ok
+    assert sorted(chains) == sorted(g.edge_ids)
+
+
+@pytest.mark.parametrize("g, max_degree, entries", [
+    (cycle_graph(6), 8, 24),
+    (loop_graph(2), 8, 4),
+], ids=["cycle6@8", "loop_m2@8"])
+def test_each_entry_built_once(monkeypatch, g, max_degree, entries):
+    """Every differential entry is one arrow or one run at the vertex of a
+    linking half-edge, so a call builds at most two entry paths per
+    half-edge, one per direction, however many edges and degrees read them.
+    Here every half-edge links in both directions."""
+    calls = []
+    arrow_run = resolution.arrow_run
+
+    def counted(*args):
+        calls.append(args[2:])
+        return arrow_run(*args)
+
+    monkeypatch.setattr(resolution, "arrow_run", counted)
+    assert verify_graph(g, max_degree=max_degree).ok
+    half_edges = sum(len(halves) for halves in g.rotation.values())
+    assert len(calls) == entries == 2 * half_edges
+
+
+@pytest.mark.parametrize("g, max_degree", [(cycle_graph(6), 8), (loop_graph(2), 8)],
+                         ids=["cycle6@8", "loop_m2@8"])
+def test_each_entry_normal_form_once(monkeypatch, g, max_degree):
+    """``_path_images`` reads each entry path's normal form off the algebra
+    of the call, which computes it once."""
+    calls, entries = [], set()
+    inside = [0]
+    path_to_vec, path_images = FiniteDimAlgebra.path_to_vec, ext._path_images
+
+    def counted(self, p):
+        if inside[0]:
+            calls.append(p)
+        return path_to_vec(self, p)
+
+    def marked(P, Q, differential):
+        entries.update(path for _, path in differential.values())
         inside[0] += 1
         try:
-            return check(*args)
+            return path_images(P, Q, differential)
         finally:
             inside[0] -= 1
 
-    monkeypatch.setattr(resolution._Chain, "__init__", counted_init)
-    monkeypatch.setattr(verify, "_check_certificates", marked_check)
-    assert verify_graph(g, max_degree=4).ok
-    assert sorted(chains) == sorted(g.edge_ids)
+    monkeypatch.setattr(FiniteDimAlgebra, "path_to_vec", counted)
+    monkeypatch.setattr(ext, "_path_images", marked)
+    assert verify_graph(g, max_degree=max_degree).ok
+    assert calls
+    assert len(calls) == len(set(calls)) == len(entries)
 
 
 def test_uncomposable_certificate_is_a_diff(monkeypatch, tmp_path):
