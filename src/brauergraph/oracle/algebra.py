@@ -31,7 +31,9 @@ The arrow rows of each projective are the normal forms of the children of
 the basis words, with no word built or looked up.  Two tables, built on
 first use, are shared by every sum of projectives over the algebra:
 ``shifted_rows``, keyed by (edge, arrow, offset), and
-``projective_degrees``, keyed by (edge, generation degree).  A relation
+``projective_degrees``, keyed by (edge, generation degree).  A third,
+``push_plan``, keyed by edge, lists the steps along which every module map
+out of a sum of projectives pushes a generator's image.  A relation
 path is read as arrow indices through ``Quiver.index_at``, with no
 ``Arrow`` hashed.
 
@@ -113,6 +115,8 @@ class FiniteDimAlgebra:
         self._projective_degrees: dict[tuple[str, Optional[int]],
                                        dict[str, list[Optional[int]]]] = {}
         self._path_forms: dict[Path, dict[int, object]] = {}
+        self._push_plans: dict[str, tuple[list[tuple[int, str]],
+                                          dict[str, list[int]]]] = {}
 
     def _check_quantizer(self):
         """A quantizer value that is zero or has no inverse over the field
@@ -392,6 +396,28 @@ class FiniteDimAlgebra:
                 rows = [{offset + j: x for j, x in row.items()} for row in rows]
             self._shifted_rows[key] = rows
         return rows
+
+    def push_plan(self, e: str) -> tuple[list[tuple[int, str]], dict[str, list[int]]]:
+        """How a vector is pushed along the basis words of the projective at
+        ``e``, computed on first use: (steps, slots).  Slot 0 is the empty
+        word; step k, a (parent slot, arrow name) pair, makes slot k + 1,
+        the word of its parent followed by the arrow.  The slots are the
+        basis words and every prefix they need, shortest first, so a parent
+        comes before its children.  ``slots[v]`` lists the slot of each
+        basis word from e to v, in ``projective_words`` order."""
+        plan = self._push_plans.get(e)
+        if plan is None:
+            words = self.projective_words[e]
+            needed = {self.basis[i][1][:n] for ws in words.values() for i in ws
+                      for n in range(len(self.basis[i][1]) + 1)}
+            order = sorted(needed, key=lambda w: (len(w), w))
+            slot = {w: k for k, w in enumerate(order)}
+            arrows = self.quiver.arrows
+            steps = [(slot[w[:-1]], arrows[w[-1]].name) for w in order[1:]]
+            plan = steps, {v: [slot[self.basis[i][1]] for i in ws]
+                           for v, ws in words.items()}
+            self._push_plans[e] = plan
+        return plan
 
     def projective_degrees(self, e: str, d: Optional[int]) -> dict[str, list[Optional[int]]]:
         """Per vertex, the degree of each basis word of the projective at

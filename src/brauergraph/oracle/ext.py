@@ -32,11 +32,15 @@ resolution keeps in ``lifts`` the levels of the lift of each of its basis
 classes, keyed by (degree, generator index, target resolution, held by a
 weak reference); a level is solved only past the deepest one kept, and
 every read of a level goes through ``lift_through``.  The lift is linear
-in the class (psi_0 is, composing is, and ``linalg.solve_left`` returns the
-solution supported on the pivot columns, which is linear in its right-hand
-side), so ``yoneda_multiply`` is bilinear: it reads y off level
-``y.degree`` of each basis class e_i's lift and sums over the coefficients
-of x, which equals lifting x whole.  A lift through a complex that is not
+in the class (psi_0 is, composing is, and each level solves against the
+kept elimination of the differential's block, ``ModuleMap.elimination``,
+whose solution is the unique one supported on the block's greedy
+independent rows - those that are no combination of the rows before them
+- and so linear in its right-hand side), so ``yoneda_multiply`` is
+bilinear: it reads y off level ``y.degree`` of each basis class e_i's
+lift and sums over the coefficients of x, which equals lifting x whole.
+The elimination is kept with the differential, so each block is
+eliminated once however many classes are lifted through it.  A lift through a complex that is not
 exact fails with the same ``RuntimeError`` at the level that cannot be
 solved.
 
@@ -266,18 +270,18 @@ def _lift_level(src: ProjResolution, n: int, i: int, target_res: ProjResolution,
     """Level k of the lift of basis class i of degree n, from level k - 1
     ``psi``: each generator of Q^{n+k} goes to a solution against the
     target's differential of its image under the differential and ``psi``."""
-    f = src.la.field
     # composing reads psi's blocks, so every level but the deepest builds them
     rhs = src.maps[n + k].compose(psi)
     g = target_res.maps[k]
     generators = src.modules[n + k].generators
-    # one system per vertex: every generator there solves against g's block
+    # one system per vertex: every generator there solves against g's block,
+    # whose elimination g keeps for every class lifted through it
     by_vertex: dict[str, list[int]] = {}
     for j, (gv, _) in enumerate(generators):
         by_vertex.setdefault(gv, []).append(j)
     images: list = [None] * len(generators)
     for gv, js in by_vertex.items():
-        ys = linalg.solve_left(g.blocks[gv], [rhs.images[j] for j in js], f)
+        ys = g.elimination(gv).solve([rhs.images[j] for j in js])
         if ys is None:
             raise RuntimeError("comparison lifting failed; complex not exact?")
         for j, y in zip(js, ys):

@@ -7,19 +7,27 @@ modules are stored in the row-vector convention: a map sends the row
 vector v to v*A, so its kernel is the left kernel of A and its image is
 the row space.
 
-Every elimination of the oracle runs one forward step, ``_forward``: it
-reduces each row by the pivot rows found so far until its least column is
-no pivot, and makes it the pivot row of that column.  Its pivot columns
-are those of the reduced row echelon form, since back-substitution changes
-no pivot column.  So the readers that need only the pivot columns run the
-forward step alone: ``rank`` (the socles of modules and the ranks of a
-map's blocks), ``Module.top_positions`` (tops and the pivots of a
-projective cover) and ``SparseReducer``, which asks whether a row enlarges
-a span, for the Ext closure.  ``rref`` is the forward step followed by one
-back-substitution, giving the reduced row echelon form, which is unique;
-it serves the readers of the reduced rows: ``left_kernel`` and
-``solve_left``, which read the rows of the reduced transpose, and the
-algebra's normal forms, which read its pivot rows.
+Every elimination of the oracle is a forward step, in one of two forms.
+The untracked one, ``_forward``, reduces each row by the pivot rows found
+so far until its least column is no pivot, and makes it the pivot row of
+that column.  Its pivot columns are those of the reduced row echelon form,
+since back-substitution changes no pivot column.  So the readers that need
+only the pivot columns run it alone: ``rank`` (the socles of modules and
+the ranks of a map's blocks), ``Module.top_positions`` (tops and the
+pivots of a projective cover) and ``SparseReducer``, which asks whether a
+row enlarges a span, for the Ext closure.  ``rref`` is this forward step
+followed by one back-substitution, giving the reduced row echelon form,
+which is unique; the algebra reads its normal forms off its pivot rows.
+
+The tracked one, ``Elimination``, runs the same step over the rows of a
+matrix in index order and keeps, with each pivot row, its combination of
+the original rows.  It answers the left kernel and any number of left
+solves against one matrix without transposing it: the rows that reduce to
+zero give the reduced kernel basis, and a solve reduces its right-hand
+side by the kept pivot rows.  ``left_kernel`` and ``solve_left`` are
+one-shot readers of it; the module maps of ``oracle/modules.py`` keep one
+per block, so the kernel of a cover and every lift through a differential
+read the same elimination.
 """
 from __future__ import annotations
 
@@ -89,58 +97,97 @@ def rank(rows: Iterable, field) -> int:
     return len(pivots)
 
 
-def _columns(rows: list[dict]) -> dict:
-    """The transpose: column -> {row index: coefficient}."""
-    columns: dict = {}
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            columns.setdefault(j, {})[i] = x
-    return columns
+class Elimination:
+    """The tracked forward step over the rows of a matrix A, kept to answer
+    its left kernel and any number of left solves.
+
+    The rows are eliminated in index order, each with its combination of
+    the original rows (a dict row index -> coefficient): a row is reduced by
+    the pivot rows found so far until its least column is no pivot, and its
+    combination by the same multiples of theirs.  A row that stays nonzero
+    becomes the pivot row of that column, scaled to 1 there together with
+    its combination, so a pivot row is always its combination times A.  The
+    pivot rows come from the greedy independent rows, those that are no
+    combination of the rows before them, and every combination is supported
+    on those rows.
+
+    A row i that reduces to zero is a combination of the independent rows
+    before it: its combination is a kernel row, 1 at its free position i,
+    its largest index, and supported on i and the independent rows.  These
+    rows, one per dependent row in increasing order, are the reduced basis
+    of {v : v A = 0} (``kernel``, with their free positions in ``free``).
+
+    A solve of v A = b reduces b by the pivot rows and sums their
+    combinations with the same multiples; b is in the row space exactly
+    when it reduces to zero.  The solution is supported on the independent
+    rows, so it is the unique one there, and linear in b.
+
+    The rows given are read, never rewritten: a row is copied before it is
+    first reduced, and one that becomes a pivot row as it is, needing no
+    reduction and no scaling, is kept shared."""
+
+    def __init__(self, rows: list[dict], field):
+        f = field
+        self.field = f
+        # pivot column -> (pivot row, its combination of the rows of A)
+        self._pivots: dict[object, tuple[dict, dict]] = {}
+        self.kernel: list[dict] = []
+        self.free: list[int] = []
+        pivots = self._pivots
+        for i, row in enumerate(rows):
+            r, comb = row, {i: f.one}
+            while r:
+                c = min(r)
+                p = pivots.get(c)
+                if p is None:
+                    x = r[c]
+                    if x != f.one:
+                        inv = f.inv(x)
+                        r = {j: f.mul(inv, y) for j, y in r.items()}
+                        comb = {j: f.mul(inv, y) for j, y in comb.items()}
+                    pivots[c] = (r, comb)
+                    break
+                if r is row:  # copied before its first subtraction
+                    r = dict(row)
+                x = r[c]
+                _subtract(r, x, p[0], f)
+                _subtract(comb, x, p[1], f)
+            else:
+                self.free.append(i)
+                self.kernel.append(comb)
+
+    def solve(self, bs: Iterable) -> Optional[list[dict]]:
+        """One solution v of v A = b for every row b of ``bs``, supported on
+        the independent rows, or None when any b is not in the row space."""
+        f = self.field
+        pivots = self._pivots
+        solutions = []
+        for b in bs:
+            r, v = dict(b), {}
+            while r:
+                c = min(r)
+                p = pivots.get(c)
+                if p is None:
+                    return None
+                x = r[c]
+                _subtract(r, x, p[0], f)
+                _subtract(v, f.neg(x), p[1], f)
+            solutions.append(v)
+        return solutions
 
 
 def left_kernel(rows: list[dict], field) -> list[dict]:
-    """Reduced basis of {v : v A = 0}, A the rows, v over the row indices.
-
-    There is one basis vector per row index that is no pivot of the
-    transposed reduced form, in increasing order: it has a 1 there, its
-    largest index, and minus that column of the reduced form at the
-    pivots."""
-    f = field
-    red, pivots = rref(_columns(rows).values(), f)
-    basis = {i: {i: f.one} for i in range(len(rows))}
-    for pc in pivots:
-        del basis[pc]
-    for r, pc in zip(red, pivots):
-        for i, x in r.items():
-            if i != pc:
-                basis[i][pc] = f.neg(x)
-    return list(basis.values())
+    """Reduced basis of {v : v A = 0}, A the rows, v over the row indices:
+    one row per dependent row index, in increasing order, read off one
+    ``Elimination``."""
+    return Elimination(rows, field).kernel
 
 
 def solve_left(a: list[dict], bs: list[dict], field) -> Optional[list[dict]]:
     """One solution v of v A = b for every row b of ``bs``, or None when any
-    of them is inconsistent; each v is a row over the indices of A's rows.
-
-    A is row reduced once, transposed, with every b as one more column
-    after A's rows; a pivot in the columns of A does not depend on the
-    columns after it, so each solution is the one a reduction with b alone
-    would give, and a pivot in a column of b makes that b inconsistent.
-    """
-    f = field
-    nrows = len(a)
-    columns = _columns(a)
-    for k, b in enumerate(bs, nrows):
-        for j, x in b.items():
-            columns.setdefault(j, {})[k] = x
-    red, pivots = rref(columns.values(), f)
-    if pivots and pivots[-1] >= nrows:
-        return None
-    solutions: list[dict] = [{} for _ in bs]
-    for r, pc in zip(red, pivots):
-        for k, x in r.items():
-            if k >= nrows:
-                solutions[k - nrows][pc] = x
-    return solutions
+    of them is inconsistent; each v is a row over the indices of A's rows,
+    supported on its independent rows, read off one ``Elimination``."""
+    return Elimination(a, field).solve(bs)
 
 
 class SparseReducer:

@@ -20,8 +20,12 @@ per module off one forward step (``Module.top_positions``), the socle is n
 minus the rank of the arrow rows out of a vertex side by side, the
 exactness ranks are those of the blocks, and a kernel is one left kernel
 per vertex, of the cover's whole block there.  Ranks and tops need only
-pivot columns, so they run the forward step alone; kernels read the
-reduced rows.
+pivot columns, so they run the untracked forward step alone.  Kernels and
+solves read the tracked one, ``linalg.Elimination``: a map builds it for
+a block on first read (``ModuleMap.elimination``) and keeps it, so the
+kernel of a cover reads its block's elimination, and every lift through a
+differential solves against the one elimination of the differential's
+block there.
 
 When the algebra is length graded, basis vectors carry degrees and arrows
 raise degree by one.  A cover is then homogeneous, so the reduced kernel
@@ -44,9 +48,12 @@ module map out of such a sum is fixed by where each generator goes, and
 into such a map: projective covers here, and the path-matrix differentials
 and lifted chain maps of ``oracle/ext.py``, are all built by it.  The map
 keeps the images and pushes them along each summand's basis words into
-per-vertex blocks only when the blocks are first read; every pushed prefix
-is a sparse vector, multiplied by the target's arrow rows over its
-nonzeros, and stored as the block row of its word.  Composing multiplies
+per-vertex blocks only when the blocks are first read.  The pushing
+follows the algebra's plan for the summand's edge
+(``FiniteDimAlgebra.push_plan``, built once per algebra): a flat list of
+steps, shortest word first, each multiplying the sparse vector of a
+shorter word by one arrow's rows of the target over its nonzeros; the
+vectors of the basis words are the block rows.  Composing multiplies
 each generator image by the block rows of the next map at its edge, and
 such a map is zero exactly when every image is; the ranks of a map's
 blocks are computed once and shared by its image and kernel dimensions.
@@ -55,7 +62,8 @@ blocks are computed once and shared by its image and kernel dimensions.
 resolution; the walk that alternates them is ``ProjResolution.from_oracle``
 in ``oracle/ext.py``, and ``min_resolution`` here is a view of that walk.
 The kernel inclusion is the one map whose source is not projective, and it
-is given by its blocks: the reduced kernel basis.  Each basis row has a 1
+is given by its blocks: the reduced kernel basis, read off the
+elimination of the cover's block at each vertex.  Each basis row has a 1
 at its free position and no other row an entry there, so the syzygy
 action is read off the arrow images (each basis row times the projective's
 arrow rows) at those positions, and multiplying the coordinates back by
@@ -150,7 +158,8 @@ class ModuleMap:
     out of a ``ProjectiveSum`` is stored as ``images``, one target row per
     generator, and its blocks are pushed from them on first read; a map out
     of any other module (a kernel inclusion) is given by its blocks and has
-    no images.
+    no images.  The tracked elimination of a block is built on first read
+    and kept with the map.
     """
 
     def __init__(self, source: Module, target: Module,
@@ -164,18 +173,43 @@ class ModuleMap:
 
     @cached_property
     def blocks(self) -> dict[str, list[dict]]:
-        """Each summand's basis word w goes to its generator's image times w."""
+        """Each summand's basis word w goes to its generator's image times w,
+        pushed along the algebra's plan for the summand's edge
+        (``FiniteDimAlgebra.push_plan``): each step multiplies the vector of
+        a shorter word by one arrow's rows in the target."""
         source, target = self.source, self.target
         la = source.la
+        f, action = la.field, target.action
         blocks: dict[str, list[dict]] = {v: [] for v in la.quiver.vertices}
         for (e, _), image in zip(source.generators, self.images):
-            pushed = {(): image}
-            for v, words in la.projective_words[e].items():
-                if not image:  # a generator sent to zero sends every word to zero
-                    blocks[v].extend({} for _ in words)
-                    continue
-                blocks[v].extend(_push(target, pushed, la.basis[i][1]) for i in words)
+            steps, slots = la.push_plan(e)
+            if not image:  # a generator sent to zero sends every word to zero
+                for v, at in slots.items():
+                    blocks[v].extend({} for _ in at)
+                continue
+            vecs = [image]
+            for parent, a in steps:
+                vec = vecs[parent]
+                vecs.append(_times(vec, action[a], f) if vec else vec)
+            for v, at in slots.items():
+                blocks[v].extend([vecs[k] for k in at])
         return blocks
+
+    @cached_property
+    def _eliminations(self) -> dict[str, linalg.Elimination]:
+        """The eliminations built so far, per vertex; most maps, the kept
+        lift levels among them, never build one."""
+        return {}
+
+    def elimination(self, v: str) -> linalg.Elimination:
+        """The tracked elimination of the block at ``v``, built on first
+        read and kept for the map's life: the kernel and every solve
+        against the block read it."""
+        elim = self._eliminations.get(v)
+        if elim is None:
+            elim = linalg.Elimination(self.blocks[v], self.source.la.field)
+            self._eliminations[v] = elim
+        return elim
 
     @cached_property
     def ranks(self) -> dict[str, int]:
@@ -250,16 +284,6 @@ def map_from_generators(source: ProjectiveSum, target: Module,
     return ModuleMap(source, target, images=images)
 
 
-def _push(mod: Module, pushed: dict[tuple, dict], arrows: tuple[int, ...]) -> dict:
-    """``pushed[()]`` times the path ``arrows`` in ``mod``, as a sparse vector;
-    ``pushed`` keeps the image of every prefix walked so far."""
-    if arrows not in pushed:
-        vec = _push(mod, pushed, arrows[:-1])
-        a = mod.la.quiver.arrows[arrows[-1]]
-        pushed[arrows] = _times(vec, mod.action[a.name], mod.la.field) if vec else vec
-    return pushed[arrows]
-
-
 def _times(vec: dict, rows: list[dict], f) -> dict:
     """The sparse row ``vec`` times the sparse rows ``rows``, over the
     nonzeros of both.  A product of two nonzeros is nonzero, so only an
@@ -295,29 +319,33 @@ def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]
 
 
 def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
-    """Kernel with its inclusion: one left kernel per vertex, its rows in
-    degree order.  ``phi`` is a cover, so it is homogeneous: the block row
-    of a basis word in degree d lies in the target's degree d.  So the
-    reduced kernel of a vertex's block splits by degree, and each kernel
-    row lies in the degree of its free position, its largest index.  The
-    rows are listed by (degree, free position); an ungraded module has the
-    single degree None."""
+    """Kernel with its inclusion: one left kernel per vertex, read off the
+    elimination of ``phi``'s block there, its rows in degree order.
+    ``phi`` is a cover, so it is homogeneous: the block row of a basis word
+    in degree d lies in the target's degree d.  So the reduced kernel of a
+    vertex's block splits by degree, and each kernel row lies in the degree
+    of its free position, its largest index, which the elimination lists
+    with it.  The rows are listed by (degree, free position); an ungraded
+    module has the single degree None."""
     P = phi.source
     la = P.la
     f = la.field
     basis: dict[str, list[dict]] = {}  # per vertex, the kernel basis rows
     degrees: dict[str, list[Optional[int]]] = {}
+    free: dict[str, dict[int, int]] = {}  # per vertex, free position -> basis index
     for v in la.quiver.vertices:
         degs = P.degrees[v]
-        # left_kernel lists its rows by free position; a stable sort by the
-        # degree there gives the order (degree, free position)
-        basis[v] = sorted(linalg.left_kernel(phi.blocks[v], f),
-                          key=lambda row: (degs[max(row)] is None, degs[max(row)]))
-        degrees[v] = [degs[max(row)] for row in basis[v]]
-    # a kernel basis row has a 1 at its free position, its largest index, and
-    # every other row of its vertex no entry there: the coordinates of a
-    # vector in their span are its entries at the free positions
-    free = {v: {max(row): k for k, row in enumerate(rows)} for v, rows in basis.items()}
+        elim = phi.elimination(v)
+        # the kernel rows come by free position; a stable sort by the degree
+        # there gives the order (degree, free position)
+        order = sorted(zip(elim.free, elim.kernel),
+                       key=lambda fr: (degs[fr[0]] is None, degs[fr[0]]))
+        basis[v] = [row for _, row in order]
+        degrees[v] = [degs[i] for i, _ in order]
+        free[v] = {i: k for k, (i, _) in enumerate(order)}
+    # a kernel basis row has a 1 at its free position and every other row of
+    # its vertex no entry there: the coordinates of a vector in their span
+    # are its entries at the free positions
     action = {}
     for a in la.quiver.arrows:
         at = free[a.target]

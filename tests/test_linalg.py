@@ -123,6 +123,55 @@ def test_sparse_reduction_matches_gauss_jordan(name, data):
         assert product == b
 
 
+def _right_hand_sides(f, rows, ncols):
+    """Rows of width ``ncols``: combinations of ``rows``, always consistent,
+    and arbitrary rows, mostly not."""
+    def combination(coeffs):
+        b = [f.zero] * ncols
+        for c, row in zip(coeffs, rows):
+            b = [f.add(x, f.mul(c, y)) for x, y in zip(b, row)]
+        return b
+
+    consistent = st.lists(_entries(f), min_size=len(rows),
+                          max_size=len(rows)).map(combination)
+    arbitrary = st.lists(_entries(f), min_size=ncols, max_size=ncols)
+    return st.one_of(consistent, arbitrary)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+@given(data=st.data())
+def test_kept_elimination_answers_interleaved_batches(name, data):
+    """One kept ``Elimination`` answers batch after batch of right-hand
+    sides, some consistent and some not, with its kernel read between them:
+    each batch gets the dense references' solutions, or None when one of
+    its rows is inconsistent; the kernel is the reference kernel, each row
+    1 at its free position, its largest index; and neither the caller's
+    rows nor the right-hand sides are rewritten."""
+    f = FIELDS[name]
+    ncols, rows, _ = data.draw(_system(f))
+    sparse = _sparse(rows, f)
+    before = [dict(row) for row in sparse]
+    elim = linalg.Elimination(sparse, f)
+    want_kernel = _reference_left_kernel(rows, ncols, f)
+    batches = data.draw(st.lists(st.lists(_right_hand_sides(f, rows, ncols), max_size=3),
+                                 min_size=1, max_size=4))
+    for batch in batches:
+        assert [_dense(v, len(rows), f) for v in elim.kernel] == want_kernel
+        assert all(max(v) == i and v[i] == f.one for i, v in zip(elim.free, elim.kernel))
+        bs = _sparse(batch, f)
+        bs_before = [dict(b) for b in bs]
+        got = elim.solve(bs)
+        assert bs == bs_before
+        want = [_reference_solve(rows, ncols, b, f) for b in batch]
+        if any(v is None for v in want):
+            assert got is None
+            continue
+        assert all(not f.is_zero(x) for v in got for x in v.values())
+        assert [_dense(v, len(rows), f) for v in got] == want
+    assert [_dense(v, len(rows), f) for v in elim.kernel] == want_kernel
+    assert sparse == before
+
+
 @pytest.mark.parametrize("name", list(FIELDS))
 @given(data=st.data())
 def test_reducer_membership_matches_gauss_jordan(name, data):

@@ -41,6 +41,7 @@ from brauergraph.oracle.modules import (
     ProjectiveSum,
     kernel_module,
     map_from_generators,
+    _times,
     min_resolution,
     projective_cover,
 )
@@ -1281,6 +1282,54 @@ def test_kernel_per_vertex_matches_the_slot_reference(field):
                 K, incl = kernel_module(phi)
                 assert (incl.blocks, K.degrees, K.action) == _slot_kernel(phi)
     assert ungraded
+
+
+def _recursive_blocks(phi):
+    """The blocks of a map out of a sum of projectives, each basis word's
+    row pushed by recursion on its prefixes, memoised per generator and
+    prefix: the reference for the algebra's push plans."""
+    la = phi.source.la
+    f, action = la.field, phi.target.action
+    blocks = {v: [] for v in la.quiver.vertices}
+
+    def push(pushed, arrows):
+        if arrows not in pushed:
+            vec = push(pushed, arrows[:-1])
+            a = la.quiver.arrows[arrows[-1]]
+            pushed[arrows] = _times(vec, action[a.name], f) if vec else vec
+        return pushed[arrows]
+
+    for (e, _), image in zip(phi.source.generators, phi.images):
+        pushed = {(): image}
+        for v, words in la.projective_words[e].items():
+            blocks[v].extend(push(pushed, la.basis[i][1]) for i in words)
+    return blocks
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["q", "f2"])
+def test_plan_pushed_blocks_match_a_recursive_push(field):
+    """Over every census(3,2) algebra and edge, the blocks pushed along the
+    algebra's plans equal the recursive push, for a cover into a kernel
+    module, the differentials of the oracle walk and of ``from_steps``
+    into sums of projectives, and a cover with one generator sent to zero;
+    each edge's plan is built once per algebra."""
+    from_steps = 0
+    for g in census(3, 2):
+        la = build_algebra(present(g), field)
+        resolver = explicit_resolver(g)
+        for e in g.edge_ids:
+            walk = ProjResolution.from_oracle(la, e, 2)
+            _, cover, _ = projective_cover(walk.syzygies[1])
+            zeroed = map_from_generators(cover.source, cover.target,
+                                         [{}] + cover.images[1:])
+            maps = [cover, zeroed, walk.maps[1], walk.maps[2]]
+            if resolver is not None:
+                maps += ProjResolution.from_steps(la, e, resolver(g, e, 3)).maps[1:]
+                from_steps += 1
+            for phi in maps:
+                assert phi.blocks == _recursive_blocks(phi)
+            assert la.push_plan(e) is la.push_plan(e)
+    assert from_steps
 
 
 def _recorded_third_factors(monkeypatch) -> list[set]:

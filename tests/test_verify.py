@@ -160,36 +160,64 @@ def test_each_simple_resolved_once(monkeypatch, g, max_degree, covers, kernels, 
     assert calls == {"cover": covers, "kernel": kernels, "from_steps": complexes}
 
 
-@pytest.mark.parametrize("g, max_degree, solves", [
-    (triangle_graph(), 8, 90),
-    (cycle_graph(6), 8, 180),
-    (pendant_triangle(), 6, 253),
+@pytest.mark.parametrize("g, max_degree, solves, eliminations", [
+    (triangle_graph(), 8, 90, 90),
+    (cycle_graph(6), 8, 180, 324),
+    (pendant_triangle(), 6, 253, 153),
 ], ids=["triangle@8", "cycle6@8", "pendant_triangle@6"])
-def test_solve_left_calls(monkeypatch, g, max_degree, solves):
-    """Only lifting solves linear systems: ``kernel_module`` reads the
-    syzygy action off the reduced kernel basis and solves none, and each
-    level of a basis class's lift is solved once."""
-    calls = {"all": 0, "in_kernel": 0}
-    inside = [0]
-    solve_left, kernel = linalg.solve_left, modules.kernel_module
+def test_blocks_eliminated_once(monkeypatch, g, max_degree, solves, eliminations):
+    """Each (map, vertex) block is eliminated at most once per call, however
+    many kernels and lifts read it; only lifting solves: ``kernel_module``
+    reads the syzygy action off the reduced kernel basis and solves
+    nothing, and each level of a basis class's lift is solved once, with
+    one solve per vertex of its generators."""
+    blocks: list = []  # the rows of every elimination built, kept alive
+    calls = {"solves": 0, "in_kernel": 0, "outside_lifts": 0}
+    levels: list = []  # (source, degree, class, target, level) per level solved
+    inside = {"kernel": 0, "lift": 0}
+    elimination, solve = linalg.Elimination.__init__, linalg.Elimination.solve
+    kernel, lift_level = modules.kernel_module, ext._lift_level
 
-    def counted_solve_left(*args):
-        calls["all"] += 1
-        calls["in_kernel"] += inside[0] > 0
-        return solve_left(*args)
+    def counted_elimination(self, rows, field):
+        blocks.append(rows)
+        elimination(self, rows, field)
+
+    def counted_solve(self, bs):
+        calls["solves"] += 1
+        calls["in_kernel"] += inside["kernel"] > 0
+        calls["outside_lifts"] += inside["lift"] == 0
+        return solve(self, bs)
 
     def marked_kernel(phi):
-        inside[0] += 1
+        inside["kernel"] += 1
         try:
             return kernel(phi)
         finally:
-            inside[0] -= 1
+            inside["kernel"] -= 1
 
-    monkeypatch.setattr(linalg, "solve_left", counted_solve_left)
+    def marked_lift_level(src, n, i, target_res, k, psi):
+        levels.append((src, n, i, target_res, k))
+        before = calls["solves"]
+        inside["lift"] += 1
+        try:
+            out = lift_level(src, n, i, target_res, k, psi)
+        finally:
+            inside["lift"] -= 1
+        vertices = {gv for gv, _ in src.modules[n + k].generators}
+        assert calls["solves"] - before == len(vertices)
+        return out
+
+    monkeypatch.setattr(linalg.Elimination, "__init__", counted_elimination)
+    monkeypatch.setattr(linalg.Elimination, "solve", counted_solve)
+    monkeypatch.setattr(ext, "_lift_level", marked_lift_level)
     for namespace in (modules, ext):
         monkeypatch.setattr(namespace, "kernel_module", marked_kernel)
     assert verify_graph(g, max_degree=max_degree).ok
-    assert calls == {"all": solves, "in_kernel": 0}
+    # the rows of one (map, vertex) block are one list object
+    assert len({id(rows) for rows in blocks}) == len(blocks) == eliminations
+    keys = [(id(src), n, i, id(t), k) for src, n, i, t, k in levels]
+    assert len(set(keys)) == len(keys)
+    assert calls == {"solves": solves, "in_kernel": 0, "outside_lifts": 0}
 
 
 @pytest.mark.parametrize("g, max_degree, products", [
