@@ -272,16 +272,44 @@ class BrauerGraph:
         halves = self.rotation[v]
         return halves[(i + 1) % len(halves)]
 
-    def link(self, x: str, y: str) -> str:
-        """The unique common endpoint of two distinct edges in a reduced graph."""
+    @cached_property
+    def _meetings(self) -> dict[tuple[str, str], tuple[str, int, int, int]]:
+        """Each ordered pair of distinct edges, neither a loop, with exactly
+        one common endpoint v -> (v, valency(v), the first edge's position at
+        v, the second's), built once per graph on first use.  It is kept on
+        the graph so that every syzygy, dimension and realization of the
+        string calculus reads one table.  Only the string calculus builds it,
+        on the few graphs of its regime, with at most valency squared entries
+        per vertex, so sweeps that keep and revisit their graphs gain next to
+        nothing from it."""
+        ends = {e: set(ab) for e, ab in self.edge_ends.items() if ab[0] != ab[1]}
+        table = {}
+        for v, halves in self.rotation.items():
+            met = [(h.edge, i) for i, h in enumerate(halves) if h.edge in ends]
+            for x, i in met:
+                for y, j in met:
+                    if x != y and ends[x] & ends[y] == {v}:
+                        table[x, y] = (v, len(halves), i, j)
+        return table
+
+    def meet(self, x: str, y: str) -> tuple[str, int, int, int]:
+        """Where two distinct edges, neither a loop, meet at their one common
+        endpoint v: (v, valency(v), x's position at v, y's position at v).
+        Every other pair is refused, naming why."""
+        seg = self._meetings.get((x, y))
+        if seg is not None:
+            return seg
         if x == y:
             raise BrauerGraphError(f"edges must be distinct, got {x!r} twice")
-        shared = [v for v in set(self.ends(x)) if v in set(self.ends(y))]
+        shared = set(self.ends(x)) & set(self.ends(y))
         if len(shared) != 1:
             raise BrauerGraphError(
                 f"edges {x!r} and {y!r} share {len(shared)} vertices; need exactly one"
             )
-        return shared[0]
+        (v,) = shared
+        for e in (x, y):
+            self.half_at(e, v)  # a loop has two half-edges at v
+        raise BrauerGraphError(f"edges {x!r} and {y!r} do not meet in the rotation at {v!r}")
 
     def follow(self, h: HalfEdge) -> HalfEdge:
         """One step of a follows-walk: the half-edge after ``h`` at its

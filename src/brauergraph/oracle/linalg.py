@@ -24,10 +24,10 @@ matrix in index order and keeps, with each pivot row, its combination of
 the original rows.  It answers the left kernel and any number of left
 solves against one matrix without transposing it: the rows that reduce to
 zero give the reduced kernel basis, and a solve reduces its right-hand
-side by the kept pivot rows.  ``left_kernel`` and ``solve_left`` are
-one-shot readers of it; the module maps of ``oracle/modules.py`` keep one
-per block, so the kernel of a cover and every lift through a differential
-read the same elimination.
+side by the kept pivot rows.  ``solve_left`` is a one-shot reader of
+it; the module maps of ``oracle/modules.py`` keep one per block, so the
+kernel of a cover and every lift through a differential read the same
+elimination.
 """
 from __future__ import annotations
 
@@ -174,13 +174,6 @@ class Elimination:
                 _subtract(v, f.neg(x), p[1], f)
             solutions.append(v)
         return solutions
-
-
-def left_kernel(rows: list[dict], field) -> list[dict]:
-    """Reduced basis of {v : v A = 0}, A the rows, v over the row indices:
-    one row per dependent row index, in increasing order, read off one
-    ``Elimination``."""
-    return Elimination(rows, field).kernel
 
 
 def solve_left(a: list[dict], bs: list[dict], field) -> Optional[list[dict]]:

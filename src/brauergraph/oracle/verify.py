@@ -26,9 +26,8 @@ The resolvers and the certificates run inside one ``resolution.shared``
 block over the presentation's quiver: they read one follows-chain per
 edge and one table of differential entries, at most two paths per
 half-edge.  The complexes read each entry's normal form off the call's
-algebra (``FiniteDimAlgebra.path_form``), and each trace's dimensions are
-read through one segment table (``strings.dimensions``).  All of these
-die with the call.
+algebra (``FiniteDimAlgebra.path_form``).  All of these die with the
+call.
 
 The certificate check reads every certificate of an edge off the
 follows-chain its resolution read (``resolution.edge_certificates``),
@@ -61,7 +60,7 @@ from ..resolution import (
     obstruction_element,
     shared,
 )
-from ..strings import dimensions, iterate_syzygy, realize, syzygy
+from ..strings import dimension, iterate_syzygy, realize, syzygy
 from .algebra import build_algebra, expected_projective_dims
 from .ext import (
     ExtElement,
@@ -241,12 +240,11 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
 def _check_strings(report: DiffReport, g, la, n_max: int, traces, walks):
     for e in g.edge_ids:
         trace = traces[e]
-        dims = dimensions(g, trace.descriptors)
         syzygies = walks[e].grow(n_max - 1).syzygies
         for n in range(1, n_max + 1):
             om = syzygies[n]
             pred = trace.descriptors[n]
-            want = (dims[n], dict(pred.top()), dict(pred.socle()))
+            want = (dimension(g, pred), dict(pred.top()), dict(pred.socle()))
             got = (om.total_dim, dict(om.top()), dict(om.socle()))
             if want != got:
                 report.add(
@@ -270,7 +268,7 @@ def _check_strings(report: DiffReport, g, la, n_max: int, traces, walks):
             sig = trace.descriptors[n]
             m = realize(g, sig, la)
             if (m.total_dim, dict(m.top()), dict(m.socle())) != (
-                dims[n], dict(sig.top()), dict(sig.socle())
+                dimension(g, sig), dict(sig.top()), dict(sig.socle())
             ):
                 report.add("realize",
                            f"explicit module for {sig} disagrees with the descriptor")

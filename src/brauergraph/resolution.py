@@ -253,6 +253,8 @@ def explicit_resolver(g: BrauerGraph) -> Optional[Callable]:
 def ext_dim(g: BrauerGraph, s: str, t: str, n: int) -> int:
     """dim Ext^n between the simples at ``s`` and ``t``: the number of plus
     entries equal to ``t`` in the degree-n syzygy descriptor of ``s``."""
+    for e in (s, t):
+        g.ends(e)  # an unknown edge is refused, in degree 0 too
     trace = iterate_syzygy(g, s, n)
     return trace.descriptors[n].top()[t]
 

@@ -8,10 +8,11 @@ flipping every interior sign; iterating from a simple module reproduces
 the minimal resolution degree by degree.
 
 Every step around a vertex reads half-edge positions with
-``BrauerGraph.successor_half``.  The segment between adjacent entries with
-shared vertex v runs from the plus entry's position p at v through
-(q - p) mod valency(v) successor steps to the minus entry's position q,
-one quiver arrow ``(v, p + k)`` per step.
+``BrauerGraph.successor_half``.  The segment between adjacent entries x, y
+runs at their shared vertex v, read with its valency and both positions
+off the graph's one meeting table (``BrauerGraph.meet``), from the plus
+entry's position p at v through (q - p) mod valency(v) successor steps to
+the minus entry's position q, one quiver arrow ``(v, p + k)`` per step.
 
 Reduced graph means multiplicity one everywhere, no loops, no multiple
 edges; with the trivial quantizer that is the calculus's domain,
@@ -119,62 +120,38 @@ def validate_acceptable(g: BrauerGraph, sigma: StringDescriptor) -> bool:
         return entries[0][0] in g.edge_ends
     alphas = []
     for (x, sx), (y, sy) in zip(entries, entries[1:]):
-        if sx == sy:
+        if sx == sy or x == y:
             return False
-        if x == y:
+        try:
+            alphas.append(g.meet(x, y)[0])
+        except BrauerGraphError:
+            for e in (x, y):
+                g.ends(e)  # an unknown edge is refused, not unacceptable
             return False
-        shared = [v for v in set(g.ends(x)) if v in set(g.ends(y))]
-        if len(shared) != 1:
-            return False
-        alphas.append(shared[0])
     for a, b in zip(alphas, alphas[1:]):
         if a == b:
             return False
     return True
 
 
-def _segment(g: BrauerGraph, segments: dict, x: str, y: str) -> tuple[str, int, int, int]:
-    """Adjacent entries x, y -> (their shared vertex v, valency(v), x's
-    position at v, y's position at v), read off the graph on its first
-    lookup and kept in ``segments``."""
-    seg = segments.get((x, y))
-    if seg is None:
-        v = g.link(x, y)
-        seg = segments[x, y] = (v, g.valency(v), g.position(g.half_at(x, v))[1],
-                                g.position(g.half_at(y, v))[1])
-    return seg
-
-
-def _segments(g: BrauerGraph, segments: dict, sigma: StringDescriptor) -> Iterator[tuple]:
+def _segments(g: BrauerGraph, sigma: StringDescriptor) -> Iterator[tuple]:
     """Per adjacent entry pair, its uniserial segment: the indices of the
     top (plus) and socle (minus) entries, their shared vertex v, the top
-    entry's position at v and the successor steps from it to the socle.
-    Each pair is read through ``segments``; the descriptors of one trace
-    share one table, so each segment is derived once however many of them
-    cross it."""
+    entry's position at v and the successor steps from it to the socle."""
     entries = sigma.entries
     for i in range(len(entries) - 1):
         (x, sign), (y, _) = entries[i], entries[i + 1]
-        v, val, px, py = _segment(g, segments, x, y)
+        v, val, px, py = g.meet(x, y)
         if sign == PLUS:
             yield i, i + 1, v, px, (py - px) % val
         else:
             yield i + 1, i, v, py, (px - py) % val
 
 
-def dimensions(g: BrauerGraph, sigmas: Iterable[StringDescriptor]) -> list[int]:
-    """The total number of composition factors of each descriptor: 1 plus
-    its segments' steps.  The descriptors share one segment table, so a
-    trace's segments are each derived once."""
-    _require_strings(g)
-    segments: dict = {}
-    return [1 + sum(steps for *_, steps in _segments(g, segments, sigma))
-            for sigma in sigmas]
-
-
 def dimension(g: BrauerGraph, sigma: StringDescriptor) -> int:
     """Total number of composition factors: 1 plus the segments' steps."""
-    return dimensions(g, [sigma])[0]
+    _require_strings(g)
+    return 1 + sum(steps for *_, steps in _segments(g, sigma))
 
 
 # ----------------------------------------------------------------------
@@ -193,11 +170,11 @@ def syzygy_of_simple(g: BrauerGraph, e: str) -> StringDescriptor:
     return StringDescriptor((arms[0], (e, MINUS), *arms[1:]))
 
 
-def _end_action(g: BrauerGraph, segments: dict, end: tuple[str, int], beside: str):
+def _end_action(g: BrauerGraph, end: tuple[str, int], beside: str):
     """How an end entry rewrites, given the edge of the entry beside it:
     (entries to add beyond the end, drop the end entry?)."""
     s1, sign = end
-    v, _, p1, _ = _segment(g, segments, s1, beside)
+    v, _, p1, _ = g.meet(s1, beside)
     h = g.rotation[v][p1]  # s1's half-edge at the shared vertex
     if sign == PLUS:
         if g.edge_is_truncated(s1):
@@ -207,23 +184,6 @@ def _end_action(g: BrauerGraph, segments: dict, end: tuple[str, int], beside: st
     if t == beside:
         return [], True
     return [(t, PLUS)], True
-
-
-def _syzygy(g: BrauerGraph, segments: dict, sigma: StringDescriptor) -> StringDescriptor:
-    """``syzygy``, with both ends read through ``segments``."""
-    if sigma.is_simple:
-        return syzygy_of_simple(g, sigma.entries[0][0])
-    entries = sigma.entries
-    left_ext, left_drop = _end_action(g, segments, entries[0], entries[1][0])
-    right_ext, right_drop = _end_action(g, segments, entries[-1], entries[-2][0])
-    last = len(entries) - 1
-    out = (left_ext
-           + [(e, -s) for i, (e, s) in enumerate(entries)
-              if not (i == 0 and left_drop or i == last and right_drop)]
-           + right_ext)
-    if len(out) == 1:
-        return StringDescriptor.simple(out[0][0])
-    return StringDescriptor(tuple(out))
 
 
 def syzygy(g: BrauerGraph, sigma: StringDescriptor) -> StringDescriptor:
@@ -237,16 +197,26 @@ def syzygy(g: BrauerGraph, sigma: StringDescriptor) -> StringDescriptor:
     is the simple module at that edge.
     """
     _require_strings(g)
-    return _syzygy(g, {}, sigma)
+    if sigma.is_simple:
+        return syzygy_of_simple(g, sigma.entries[0][0])
+    entries = sigma.entries
+    left_ext, left_drop = _end_action(g, entries[0], entries[1][0])
+    right_ext, right_drop = _end_action(g, entries[-1], entries[-2][0])
+    last = len(entries) - 1
+    out = (left_ext
+           + [(e, -s) for i, (e, s) in enumerate(entries)
+              if not (i == 0 and left_drop or i == last and right_drop)]
+           + right_ext)
+    if len(out) == 1:
+        return StringDescriptor.simple(out[0][0])
+    return StringDescriptor(tuple(out))
 
 
 def _syzygies(g: BrauerGraph, e: str) -> Iterator[StringDescriptor]:
-    """Omega^1, Omega^2, ... of the simple module at ``e``, without end,
-    every step reading one segment table."""
-    segments: dict = {}
+    """Omega^1, Omega^2, ... of the simple module at ``e``, without end."""
     cur = StringDescriptor.simple(e)
     while True:
-        cur = _syzygy(g, segments, cur)
+        cur = syzygy(g, cur)
         yield cur
 
 
@@ -298,7 +268,7 @@ def realize(g: BrauerGraph, sigma: StringDescriptor, la):
 
     nodes: list[str] = [e for e, _ in sigma.entries]  # vertex (= edge of g) per node
     chains: list[tuple[list[int], tuple]] = []  # (node ids top->socle, path arrows)
-    for top, soc, v, start, steps in _segments(g, {}, sigma):
+    for top, soc, v, start, steps in _segments(g, sigma):
         arrows = arrow_run(g, quiver, v, start, steps).arrows
         chain = [top]
         for a in arrows[:-1]:

@@ -71,6 +71,43 @@ def test_follow_permutes_half_edges(small_census):
         assert sorted(map(g.follow, halves)) == sorted(halves)
 
 
+def _reference_meet(g, x, y):
+    """Where x and y meet, from their ends and half-edge positions."""
+    if x == y:
+        raise BrauerGraphError(f"edges must be distinct, got {x!r} twice")
+    shared = set(g.ends(x)) & set(g.ends(y))
+    if len(shared) != 1:
+        raise BrauerGraphError(
+            f"edges {x!r} and {y!r} share {len(shared)} vertices; need exactly one")
+    (v,) = shared
+    return (v, g.valency(v), g.position(g.half_at(x, v))[1],
+            g.position(g.half_at(y, v))[1])
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except BrauerGraphError as exc:
+        return str(exc)
+
+
+def test_meet_reads_ends_and_positions(small_census):
+    """On every census(4,2) graph and the loop, each ordered pair of edges,
+    an unknown one too, meets where its ends and half-edge positions say, or
+    is refused with the same message: twice the same edge, no or two common
+    ends, a loop."""
+    for g in small_census + [loop_graph(), loop_graph(2)]:
+        edges = g.edge_ids + ["nope"]
+        for x in edges:
+            for y in edges:
+                assert _outcome(g.meet, x, y) == _outcome(_reference_meet, g, x, y)
+    # a malformed rotation that leaves a half-edge out is refused, not read
+    doc = to_dict(triangle_graph())
+    doc["rotation"]["alpha"] = doc["rotation"]["alpha"][:1]
+    with pytest.raises(BrauerGraphError, match="do not meet in the rotation at 'alpha'"):
+        from_dict(doc).meet("e1", "e3")
+
+
 def test_brauer_walk(a4, a2):
     walk = a4.brauer_walk("e1")
     assert walk.edges == ("e1", "e2", "e3")

@@ -106,7 +106,7 @@ def test_sparse_reduction_matches_gauss_jordan(name, data):
     assert [_dense(r, ncols, f) for r in red] == want_red
     assert all(not f.is_zero(x) for r in red for x in r.values())
     assert linalg.rank(sparse, f) == len(want_pivots)
-    kernel = linalg.left_kernel(sparse, f)
+    kernel = linalg.Elimination(sparse, f).kernel
     assert [_dense(v, len(rows), f) for v in kernel] == _reference_left_kernel(rows, ncols, f)
     got = linalg.solve_left(sparse, _sparse(bs, f), f)
     want = [_reference_solve(rows, ncols, b, f) for b in bs]
@@ -202,13 +202,13 @@ def test_sparse_reduction_edge_cases(name):
     one = f.one
     assert linalg.rref([], f) == ([], [])
     assert linalg.rank([], f) == 0
-    assert linalg.left_kernel([], f) == []
+    assert linalg.Elimination([], f).kernel == []
     assert linalg.solve_left([], [], f) == []
     zero_rows = [{}, {}, {}]
     assert linalg.rref(zero_rows, f) == ([], [])
     assert linalg.rank(zero_rows, f) == 0
     # rows of width 0 are zero rows: every unit vector is in the left kernel
-    assert linalg.left_kernel(zero_rows, f) == [{0: one}, {1: one}, {2: one}]
+    assert linalg.Elimination(zero_rows, f).kernel == [{0: one}, {1: one}, {2: one}]
     assert linalg.solve_left(zero_rows, [{}, {}], f) == [{}, {}]
     assert linalg.solve_left(zero_rows, [{1: one}], f) is None
     # the caller's rows are read, never rewritten: they may be shared, as the
@@ -221,7 +221,7 @@ def test_sparse_reduction_edge_cases(name):
     linalg.rref(rows, f)
     linalg.rref(rows[1:], f, {0: {0: one, 2: one}})
     linalg.rank(rows, f)
-    linalg.left_kernel(rows, f)
+    linalg.Elimination(rows, f)
     linalg.solve_left(rows, bs, f)
     assert rows + bs == before
 

@@ -56,7 +56,7 @@ def test_linalg_basics():
     f = QQ
     m = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
     assert linalg.rank(m, f) == 1
-    k = linalg.left_kernel(m, f)
+    k = linalg.Elimination(m, f).kernel
     assert len(k) == 1
     v = k[0]
     assert v.get(0, 0) * 1 + v.get(1, 0) * 2 == 0
@@ -1247,7 +1247,7 @@ def _slot_kernel(phi) -> tuple[dict, dict, dict]:
             slots.setdefault(d, []).append(i)
         for d in sorted(slots, key=lambda x: (x is None, x)):
             rows = slots[d]
-            kern = linalg.left_kernel([block[i] for i in rows], f)
+            kern = linalg.Elimination([block[i] for i in rows], f).kernel
             basis[v].extend({rows[k]: x for k, x in kv.items()} for kv in kern)
             degrees[v].extend([d] * len(kern))
     action = {}

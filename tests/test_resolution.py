@@ -88,6 +88,10 @@ def test_ext_dim(triangle, a4):
     assert ext_dim(a4, "e1", "e3", 3) == 1
     for n in range(7):
         assert sum(ext_dim(triangle, "e1", t, n) for t in triangle.edge_ids) == n + 1
+    for s, t in [("nope", "e1"), ("e1", "nope")]:
+        for n in (0, 2):
+            with pytest.raises(BrauerGraphError, match="unknown edge 'nope'"):
+                ext_dim(triangle, s, t, n)
 
 
 def test_delta():

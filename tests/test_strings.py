@@ -4,7 +4,13 @@ from hypothesis import strategies as st
 
 from brauergraph import strings
 from brauergraph.census import census
-from brauergraph.graph import HypothesisError, is_reduced, path_graph, star_graph
+from brauergraph.graph import (
+    BrauerGraphError,
+    HypothesisError,
+    is_reduced,
+    path_graph,
+    star_graph,
+)
 from brauergraph.oracle.algebra import build_algebra
 from brauergraph.oracle.ext import ProjResolution
 from brauergraph.oracle.fields import QQ, PrimeField
@@ -29,6 +35,28 @@ def test_validate_acceptable(triangle, a4):
     assert not validate_acceptable(triangle, bad_signs)
     bad_links = StringDescriptor.of(("e1", "+"), ("e2", "-"), ("e1", "+"))
     assert not validate_acceptable(a4, bad_links)
+
+
+@pytest.mark.parametrize("pair, message", [
+    ((("e1", "+"), ("e3", "-")), "edges 'e1' and 'e3' share 0 vertices; need exactly one"),
+    ((("e1", "+"), ("e1", "-")), "edges must be distinct, got 'e1' twice"),
+    ((("e1", "+"), ("e9", "-")), "unknown edge 'e9'"),
+], ids=["apart", "twice", "unknown"])
+def test_string_refusals(pair, message):
+    """A descriptor whose adjacent entries do not meet at one vertex is
+    refused by ``syzygy`` and ``dimension``, naming why; ``validate_acceptable``
+    refuses an unknown edge and calls the others unacceptable."""
+    g = path_graph(5)
+    sigma = StringDescriptor.of(*pair)
+    for op in (syzygy, dimension):
+        with pytest.raises(BrauerGraphError) as exc:
+            op(g, sigma)
+        assert str(exc.value) == message
+    if message.startswith("unknown"):
+        with pytest.raises(BrauerGraphError, match=message):
+            validate_acceptable(g, sigma)
+    else:
+        assert validate_acceptable(g, sigma) is False
 
 
 def test_reverse_and_star_flip(triangle):
@@ -98,15 +126,17 @@ def test_iterate_and_period(triangle, a4):
 
 @pytest.mark.parametrize("n_vertices, per", [(4, 6), (5, 8)])
 def test_period_stops_at_first_return(monkeypatch, n_vertices, per):
-    """period walks the syzygies only until the simple comes back."""
+    """period walks the syzygies only until the simple comes back, and a
+    trace to degree n takes n steps; every step is the public ``syzygy``."""
     calls = []
-    real = strings._syzygy  # the step every syzygy walk takes
-    monkeypatch.setattr(strings, "_syzygy",
-                        lambda g, segments, s: calls.append(s) or real(g, segments, s))
+    real = strings.syzygy
+    monkeypatch.setattr(strings, "syzygy", lambda g, s: calls.append(s) or real(g, s))
     g = path_graph(n_vertices)
     assert period(g, "e1") == per
     assert len(calls) == per
+    calls.clear()
     assert iterate_syzygy(g, "e1", 2 * per).period == per
+    assert len(calls) == 2 * per
 
 
 def test_realize(triangle, a4):

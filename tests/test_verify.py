@@ -404,6 +404,27 @@ def test_truncation_read_from_a_table(monkeypatch):
         assert evaluated[id(g)] == 2 * len(g.edge_ids), g.edge_ids
 
 
+def test_meeting_table_built_only_by_the_string_calculus(monkeypatch):
+    """The graph's meeting table is built at most once per graph, and only
+    by the string calculus: over census(3,2), ``verify_graph`` builds it on
+    exactly the graphs whose simples' syzygies are strings, never outside
+    ``Regimes.strings``."""
+    built = Counter()
+    build = BrauerGraph._meetings.func
+
+    def counted(self):
+        built[id(self)] += 1
+        return build(self)
+
+    monkeypatch.setattr(BrauerGraph._meetings, "func", counted)
+    graphs = list(census(3, 2))
+    for g in graphs:
+        assert verify_graph(g, max_degree=3).ok
+    assert len(built) == 4  # the reduced graphs but the single edge
+    assert {id(g) for g in graphs if g.regimes.syzygies} == set(built)
+    assert set(built.values()) == {1}
+
+
 def test_verify_leaves_no_reference_cycles():
     """Kept lifts refer to their target resolutions weakly, so everything a
     ``verify_graph`` call builds is freed by reference counting when it
