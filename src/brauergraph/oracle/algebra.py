@@ -560,8 +560,6 @@ def build_algebra(pres: Presentation, field=QQ,
 
 def expected_projective_dims(g: BrauerGraph) -> dict[str, int]:
     """Dimensions forced by the composition-series description of projectives."""
-    if g.is_a2_trivial():
-        return {g.edge_ids[0]: 2}
     out = {}
     for e in g.edge_ids:
         trunc = g.truncated_ends(e)

@@ -22,12 +22,12 @@ linearity checks read only covers, summands and differentials, so a walk
 grown by them alone never computes it.
 
 The pieces of the combinatorial complexes are built once per call too.
-The resolvers and the certificates run inside one ``resolution.shared``
-block over the presentation's quiver: they read one follows-chain per
-edge and one table of differential entries, at most two paths per
-half-edge.  The complexes read each entry's normal form off the call's
-algebra (``FiniteDimAlgebra.path_form``).  All of these die with the
-call.
+The call builds one ``resolution.Tables`` over the presentation's quiver
+and passes it to every resolver and certificate call: they read one
+follows-chain per edge and one table of differential entries, at most
+two paths per half-edge.  The complexes read each entry's normal form off
+the call's algebra (``FiniteDimAlgebra.path_form``).  All of these die
+with the call.
 
 The certificate check reads every certificate of an edge off the
 follows-chain its resolution read (``resolution.edge_certificates``),
@@ -52,13 +52,13 @@ from ..classify import (
 from ..graph import BrauerGraph, HypothesisError, validate
 from ..presentation import present
 from ..resolution import (
+    Tables,
     delta,
     edge_certificates,
     explicit_resolver,
     ext_dim,
     generation_degrees,
     obstruction_element,
-    shared,
 )
 from ..strings import dimension, iterate_syzygy, realize, syzygy
 from .algebra import build_algebra, expected_projective_dims
@@ -173,21 +173,20 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
 
     # minimal generating set against ideal membership, read off an algebra
     # of the full presentation: dropping a relation renumbers the others
-    if not pres.a2_case:
-        verdicts = (la if drop is None else build_algebra(pres, field_obj)).redundant
-        retained_ids = {id(r) for r in pres.minimal_relations}
-        for i, r in enumerate(pres.all_relations):
-            if r.kind != "two":
-                continue
-            retained = id(r) in retained_ids
-            redundant = verdicts[i]
-            if retained == redundant:
-                report.add(
-                    "minimal-generators",
-                    f"relation {i} at edge {r.edge}: combinatorics "
-                    f"{'keeps' if retained else 'drops'} it but the oracle says "
-                    f"{'redundant' if redundant else 'essential'}",
-                )
+    verdicts = (la if drop is None else build_algebra(pres, field_obj)).redundant
+    retained_ids = {id(r) for r in pres.minimal_relations}
+    for i, r in enumerate(pres.all_relations):
+        if r.kind != "two":
+            continue
+        retained = id(r) in retained_ids
+        redundant = verdicts[i]
+        if retained == redundant:
+            report.add(
+                "minimal-generators",
+                f"relation {i} at edge {r.edge}: combinatorics "
+                f"{'keeps' if retained else 'drops'} it but the oracle says "
+                f"{'redundant' if redundant else 'essential'}",
+            )
 
     # classification consistency
     kr = koszul_report(g, pres)
@@ -212,18 +211,18 @@ def verify_graph(g: BrauerGraph, max_degree: int = 4, field_obj=QQ,
         _check_strings(report, g, la, max_degree, traces, walks)
 
     if resolver is not None:
-        with shared(g, pres.quiver):
-            steps = {e: resolver(g, e, max_degree + 1) for e in g.edge_ids}
-            complexes = {e: ProjResolution.from_steps(la, e, steps[e])
-                         for e in g.edge_ids}
-            # the flip fault corrupts only the complexes examined by
-            # _check_resolution, never the shared ones
-            examined = dict(complexes)
-            if flip is not None:
-                examined[flip[0]] = ProjResolution.from_steps(
-                    la, flip[0], _flip(steps[flip[0]], flip))
-            _check_resolution(report, g, la, max_degree, examined, walks, traces)
-            _check_certificates(report, g, la, min(4, max_degree), complexes)
+        tables = Tables(g, pres.quiver)
+        steps = {e: resolver(g, e, max_degree + 1, tables=tables) for e in g.edge_ids}
+        complexes = {e: ProjResolution.from_steps(la, e, steps[e])
+                     for e in g.edge_ids}
+        # the flip fault corrupts only the complexes examined by
+        # _check_resolution, never the shared ones
+        examined = dict(complexes)
+        if flip is not None:
+            examined[flip[0]] = ProjResolution.from_steps(
+                la, flip[0], _flip(steps[flip[0]], flip))
+        _check_resolution(report, g, la, max_degree, examined, walks, traces)
+        _check_certificates(report, g, la, min(4, max_degree), complexes, tables)
 
     if regimes.syzygies and regimes.mixed:
         _check_obstruction(report, g, la, walks)
@@ -323,11 +322,11 @@ def _check_resolution(report: DiffReport, g, la, n_max: int, complexes, walks, t
                                f"degree {n} of {e}: canonical count {total} != {n + 1}")
 
 
-def _check_certificates(report: DiffReport, g, la, cert_cap: int, resolutions):
+def _check_certificates(report: DiffReport, g, la, cert_cap: int, resolutions, tables):
     f = la.field
     products = {}
     for e in g.edge_ids:
-        certs = edge_certificates(g, e, cert_cap)
+        certs = edge_certificates(g, e, cert_cap, tables=tables)
         for n in range(1, cert_cap + 1):
             for i, cert in certs[n].items():
                 try:

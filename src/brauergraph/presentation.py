@@ -15,8 +15,9 @@ Relations come in three kinds:
 * ``three`` - a composable arrow pair vanishes unless the second arrow is
   the rotational continuation of the first.
 
-The single-edge graph with trivial multiplicities gets the loop quiver
-with the square of its loop as the only relation.
+The single edge with trivial multiplicities (``Regimes.single_edge``) gets
+the loop quiver with the square of its loop as the only relation; every
+other rule treats it like any other graph.
 """
 from __future__ import annotations
 
@@ -74,10 +75,9 @@ class Quiver:
     arrow and to its index in ``arrows``; ``arrows_from`` lists the arrows
     leaving each quiver vertex."""
 
-    def __init__(self, vertices: list[str], arrows: list[Arrow], a2_case: bool = False):
+    def __init__(self, vertices: list[str], arrows: list[Arrow]):
         self.vertices = list(vertices)
         self.arrows = list(arrows)
-        self.a2_case = a2_case
         self.arrow_at: dict[tuple[str, int], Arrow] = {
             (a.vertex, a.pos): a for a in self.arrows
         }
@@ -122,13 +122,11 @@ class Homogeneity:
 
 class Presentation:
     def __init__(self, graph: BrauerGraph, quiver: Quiver,
-                 all_relations: list[Relation], minimal: list[Relation],
-                 a2_case: bool):
+                 all_relations: list[Relation], minimal: list[Relation]):
         self.graph = graph
         self.quiver = quiver
         self.all_relations = all_relations
         self.minimal_relations = minimal
-        self.a2_case = a2_case
 
 
 # ----------------------------------------------------------------------
@@ -136,10 +134,10 @@ class Presentation:
 
 
 def build_quiver(g: BrauerGraph) -> Quiver:
-    if g.is_a2_trivial():
+    if g.regimes.single_edge:
         e = g.edge_ids[0]
         loop = Arrow(vertex=g.ends(e)[0], pos=0, source=e, target=e, name="x")
-        return Quiver([e], [loop], a2_case=True)
+        return Quiver([e], [loop])
 
     raw: list[tuple[str, int, str, str]] = []
     for v in g.vertex_ids:
@@ -167,7 +165,7 @@ def build_quiver(g: BrauerGraph) -> Quiver:
             seen[(src, tgt)] = k + 1
             name = f"a({src},{tgt}#{k})"
         arrows.append(Arrow(vertex=v, pos=r, source=src, target=tgt, name=name))
-    return Quiver(list(g.edge_ids), arrows, a2_case=False)
+    return Quiver(list(g.edge_ids), arrows)
 
 
 def arrow_run(g: BrauerGraph, q: Quiver, vertex: str, start_pos: int, length: int) -> Path:
@@ -194,7 +192,7 @@ def cycle_half(g: BrauerGraph, q: Quiver, h: HalfEdge) -> Path:
 
 def relations_all(g: BrauerGraph, q: Optional[Quiver] = None) -> list[Relation]:
     q = q or build_quiver(g)
-    if q.a2_case:
+    if g.regimes.single_edge:
         x = q.arrows[0]
         e = g.edge_ids[0]
         square = Path(e, e, (x, x))
@@ -257,20 +255,17 @@ def far_successor_truncated(g: BrauerGraph, e: str) -> bool:
     return g.is_truncated(h.edge, g.vertex_of(h))
 
 
-def minimal_relations(g: BrauerGraph, q: Quiver, rels: list[Relation]) -> list[Relation]:
-    """Of the relations ``rels`` of ``g`` over ``q``, keep every kind-one and
+def minimal_relations(g: BrauerGraph, rels: list[Relation]) -> list[Relation]:
+    """Of the relations ``rels`` of ``g``, keep every kind-one and
     kind-three relation; keep a kind-two relation exactly when
     ``far_successor_truncated`` holds for its edge."""
-    if q.a2_case:
-        return list(rels)
     return [r for r in rels if r.kind != "two" or far_successor_truncated(g, r.edge)]
 
 
 def present(g: BrauerGraph) -> Presentation:
     q = build_quiver(g)
     rels = relations_all(g, q)
-    minimal = minimal_relations(g, q, rels)
-    return Presentation(g, q, rels, minimal, q.a2_case)
+    return Presentation(g, q, rels, minimal_relations(g, rels))
 
 
 def homogeneity(g: BrauerGraph, pres: Optional[Presentation] = None) -> Homogeneity:

@@ -20,17 +20,15 @@ graph whose vertices all satisfy valency x multiplicity = d.
 
 So the entries form a table of at most two paths per half-edge, keyed by
 the half-edge and whether the entry points toward zero, and every edge's
-resolution reads it.  Inside ``shared`` (one block per ``verify_graph``
-call) the table, the given quiver and one chain per edge serve every
-resolver and certificate call of the graph, and die with the block;
-outside it each call builds its own.
+resolution reads it.  A ``Tables`` holds that table, a quiver and one
+chain per edge; the resolvers and ``edge_certificates`` read the one a
+caller passes (``verify_graph`` builds one per call), and a call given
+none builds its own.
 """
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .graph import BrauerGraph, HalfEdge, HypothesisError
 from .presentation import Path, Quiver, arrow_run, build_quiver
@@ -126,7 +124,7 @@ class _Chain:
                 self.edge[r + sign] = h.edge
 
 
-class _Tables:
+class Tables:
     """What the resolutions of one graph share: the quiver (built on first
     read when none is given), the differential entries keyed by (linking
     half-edge, toward position zero?) and the chain of each start edge."""
@@ -162,30 +160,17 @@ class _Tables:
         return path
 
 
-_SHARED = threading.local()  # .tables: those of the innermost open ``shared`` block
+def _tables(g: BrauerGraph, tables: Optional[Tables]) -> Tables:
+    """``tables`` when they are ``g``'s, new ones when None; tables of
+    another graph are refused."""
+    if tables is None:
+        return Tables(g)
+    if tables.g is not g:
+        raise ValueError("the tables are those of another graph")
+    return tables
 
 
-@contextmanager
-def shared(g: BrauerGraph, quiver: Quiver) -> Iterator[None]:
-    """Inside the block, every resolution and certificate of ``g`` in this
-    thread reads one entry table, one chain per edge and ``quiver``, the
-    quiver of ``g``'s presentation; nothing of it outlives the block."""
-    outer = getattr(_SHARED, "tables", None)
-    _SHARED.tables = _Tables(g, quiver)
-    try:
-        yield
-    finally:
-        _SHARED.tables = outer
-
-
-def _tables(g: BrauerGraph) -> _Tables:
-    """The tables of the innermost open ``shared`` block when they are
-    ``g``'s, else new ones."""
-    tables = getattr(_SHARED, "tables", None)
-    return tables if tables is not None and tables.g is g else _Tables(g)
-
-
-def _resolve(tables: _Tables, e: str, n_max: int,
+def _resolve(tables: Tables, e: str, n_max: int,
              graded_d: Optional[int]) -> list[ResolutionStep]:
     chain = tables.chain(e, n_max)
     # the entries out of the summand at position r toward r - 1 and r + 1:
@@ -213,16 +198,18 @@ def _resolve(tables: _Tables, e: str, n_max: int,
     return steps
 
 
-def resolve_simple(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep]:
+def resolve_simple(g: BrauerGraph, e: str, n_max: int,
+                   tables: Optional[Tables] = None) -> list[ResolutionStep]:
     """Minimal resolution of the simple at ``e`` on a reduced graph with no
     truncated edges and the trivial quantizer."""
     if not g.regimes.resolve_simple:
         raise HypothesisError("resolve_simple requires a reduced graph with no "
                               "truncated edges and the trivial quantizer")
-    return _resolve(_tables(g), e, n_max, g.regimes.degree)
+    return _resolve(_tables(g, tables), e, n_max, g.regimes.degree)
 
 
-def resolve_simple_2d(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep]:
+def resolve_simple_2d(g: BrauerGraph, e: str, n_max: int,
+                      tables: Optional[Tables] = None) -> list[ResolutionStep]:
     """Minimal resolution when every vertex has valency x multiplicity = d >= 3.
 
     Loops and multiple edges are fine: the chain walks half-edges.  It also
@@ -232,7 +219,7 @@ def resolve_simple_2d(g: BrauerGraph, e: str, n_max: int) -> list[ResolutionStep
         raise HypothesisError("resolve_simple_2d requires the trivial quantizer, no "
                               "truncated edges and valency x multiplicity = d >= 3 "
                               "at every vertex")
-    return _resolve(_tables(g), e, n_max, g.regimes.degree)
+    return _resolve(_tables(g, tables), e, n_max, g.regimes.degree)
 
 
 def explicit_resolver(g: BrauerGraph) -> Optional[Callable]:
@@ -266,6 +253,7 @@ def delta(n: int, d: int) -> int:
 
 def generation_degrees(g: BrauerGraph, e: str, n: int) -> list[int]:
     """Degrees of the graded generators of the n-th projective."""
+    g.ends(e)  # an unknown edge is refused
     if not g.regimes.graded_positions:
         raise HypothesisError("generation degrees via positions need no truncated "
                               "edges and a uniform degree")
@@ -287,8 +275,9 @@ def generation_certificate(g: BrauerGraph, elem: CanonicalExtElement) -> Generat
     return cert
 
 
-def edge_certificates(g: BrauerGraph, e: str,
-                      n_max: int) -> list[dict[int, GenerationCertificate]]:
+def edge_certificates(g: BrauerGraph, e: str, n_max: int,
+                      tables: Optional[Tables] = None
+                      ) -> list[dict[int, GenerationCertificate]]:
     """The certificates of every canonical class of the simple at ``e`` in
     degrees 0..n_max: entry n maps each position to its certificate.
 
@@ -302,12 +291,12 @@ def edge_certificates(g: BrauerGraph, e: str,
 
     All of them are read off one chain, degree by degree, so the left
     factor of each certificate is the lower-degree certificate already
-    built, not a copy of it.  Inside ``shared`` that chain is the one the
-    resolvers read.
+    built, not a copy of it.  Given ``tables`` (``g``'s), that chain is the
+    one the resolvers read off them.
     """
     if g.regimes.truncated:
         raise HypothesisError("certificates require a graph with no truncated edges")
-    chain = _tables(g).chain(e, n_max)
+    chain = _tables(g, tables).chain(e, n_max)
     certs: list[dict[int, GenerationCertificate]] = []
     for n in range(n_max + 1):
         level: dict[int, GenerationCertificate] = {}

@@ -117,7 +117,8 @@ def validate_acceptable(g: BrauerGraph, sigma: StringDescriptor) -> bool:
     _require_strings(g)
     entries = sigma.entries
     if len(entries) == 1:
-        return entries[0][0] in g.edge_ends
+        g.ends(entries[0][0])  # an unknown edge is refused, as below
+        return True
     alphas = []
     for (x, sx), (y, sy) in zip(entries, entries[1:]):
         if sx == sy or x == y:
@@ -151,6 +152,8 @@ def _segments(g: BrauerGraph, sigma: StringDescriptor) -> Iterator[tuple]:
 def dimension(g: BrauerGraph, sigma: StringDescriptor) -> int:
     """Total number of composition factors: 1 plus the segments' steps."""
     _require_strings(g)
+    if sigma.is_simple:
+        g.ends(sigma.entries[0][0])  # an unknown edge is refused
     return 1 + sum(steps for *_, steps in _segments(g, sigma))
 
 

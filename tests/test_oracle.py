@@ -47,7 +47,7 @@ from brauergraph.oracle.modules import (
 )
 from brauergraph.oracle.verify import DiffReport, _check_certificates, _flip
 from brauergraph.presentation import Arrow, Presentation, Relation, present
-from brauergraph.resolution import explicit_resolver, resolve_simple
+from brauergraph.resolution import Tables, explicit_resolver, resolve_simple
 from brauergraph.strings import iterate_syzygy, realize
 from conftest import desk_graphs, pendant_triangle, reduced_desk_graphs
 
@@ -469,7 +469,7 @@ def test_kind_two_verdicts_match_the_reference(field):
         pres = present(g)
         for drop in [None, *range(len(pres.all_relations))]:
             kept = [r for i, r in enumerate(pres.all_relations) if i != drop]
-            sub = Presentation(g, pres.quiver, kept, kept, pres.a2_case)
+            sub = Presentation(g, pres.quiver, kept, kept)
             for i, redundant in build_algebra(pres, field, kept).redundant.items():
                 assert redundant == is_redundant_relation(sub, i, field), (name, drop, i)
 
@@ -488,7 +488,7 @@ def test_verdict_on_a_translate_with_two_tags(field):
     monomials = [Relation("two", "e1", comm.vertices, ((Fraction(1), p),))
                  for _, p in comm.terms]
     relations = [*pres.all_relations, *monomials]
-    sub = Presentation(g, pres.quiver, relations, relations, pres.a2_case)
+    sub = Presentation(g, pres.quiver, relations, relations)
     la = build_algebra(pres, field, relations)
     tagged = {len(pres.all_relations), len(pres.all_relations) + 1}
     assert set(la.redundant) == tagged
@@ -1189,7 +1189,7 @@ def test_module_layer_never_rewrites_the_shared_rows(field):
             for res in complexes.values():
                 assert res.complex_is_zero() == []
                 assert res.exactness_defects(4) == []
-            _check_certificates(report, g, la, 4, complexes)
+            _check_certificates(report, g, la, 4, complexes, Tables(g, la.quiver))
             assert report.ok, report.entries
         for e in g.edge_ids:
             ProjResolution.from_oracle(la, e, 4).syzygies

@@ -9,6 +9,7 @@ from brauergraph.graph import (
     to_dict,
     triangle_graph,
 )
+from brauergraph.oracle.algebra import expected_projective_dims
 from brauergraph.presentation import (
     Path,
     _power,
@@ -26,7 +27,7 @@ from brauergraph.presentation import (
 
 def test_quiver_a2_is_loop(a2):
     q = build_quiver(a2)
-    assert q.a2_case
+    assert a2.regimes.single_edge
     assert len(q.vertices) == 1 and len(q.arrows) == 1
     assert q.arrows[0].source == q.arrows[0].target == "e1"
 
@@ -118,10 +119,11 @@ def test_inhomogeneous():
 
 def test_a2_special_case(a2):
     pres = present(a2)
-    assert pres.a2_case
+    assert a2.regimes.single_edge
     (rel,) = pres.all_relations
     assert rel.kind == "two" and rel.lengths() == (2,)
     assert pres.minimal_relations == pres.all_relations
+    assert expected_projective_dims(a2) == {"e1": 2}
 
 
 def test_dot_and_json(triangle):

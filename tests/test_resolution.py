@@ -15,6 +15,7 @@ from brauergraph.oracle.ext import ProjResolution
 from brauergraph.presentation import present
 from brauergraph.resolution import (
     CanonicalExtElement,
+    Tables,
     delta,
     edge_certificates,
     explicit_resolver,
@@ -24,7 +25,6 @@ from brauergraph.resolution import (
     obstruction_element,
     resolve_simple,
     resolve_simple_2d,
-    shared,
 )
 
 
@@ -36,6 +36,18 @@ def test_unknown_edge_refused(triangle):
                  lambda: edge_certificates(triangle, "zz", 0)):
         with pytest.raises(BrauerGraphError, match="unknown edge 'zz'"):
             call()
+
+
+def test_tables_of_another_graph_refused(triangle):
+    """The resolvers and the certificates read the tables they are given
+    only when those are the graph's own; another graph's are refused, not
+    rebuilt."""
+    g = cycle_graph(3, 2)
+    for call in (lambda t: resolve_simple(triangle, "e1", 2, tables=t),
+                 lambda t: resolve_simple_2d(g, "e1", 2, tables=t),
+                 lambda t: edge_certificates(triangle, "e1", 2, tables=t)):
+        with pytest.raises(ValueError, match="another graph"):
+            call(Tables(triangle_graph()))
 
 
 def test_resolve_triangle_first_steps(triangle):
@@ -105,6 +117,8 @@ def test_generation_degrees(triangle, triangle_m2):
     assert generation_degrees(triangle_m2, "e1", 3) == [3, 5]
     assert generation_degrees(triangle_m2, "e1", 4) == [4, 6, 8]
     assert max(generation_degrees(triangle_m2, "e1", 4)) == delta(4, 4)
+    with pytest.raises(BrauerGraphError, match="unknown edge 'zz'"):
+        generation_degrees(triangle, "zz", 3)
 
 
 def test_certificates(triangle):
@@ -192,7 +206,8 @@ def test_deep_resolutions_pinned(case):
     assert sorted(DEEP[case]) == sorted(g.edge_ids)
     for e, want in DEEP[case].items():
         assert [s.to_json() for s in resolver(g, e, int(n))] == want, (case, e)
-    # the same inside one shared table, as ``verify_graph`` reads them
-    with shared(g, present(g).quiver):
-        inside = {e: [s.to_json() for s in resolver(g, e, int(n))] for e in g.edge_ids}
+    # the same off one shared table, as ``verify_graph`` reads them
+    tables = Tables(g, present(g).quiver)
+    inside = {e: [s.to_json() for s in resolver(g, e, int(n), tables=tables)]
+              for e in g.edge_ids}
     assert inside == DEEP[case]

@@ -41,13 +41,16 @@ def test_validate_acceptable(triangle, a4):
     ((("e1", "+"), ("e3", "-")), "edges 'e1' and 'e3' share 0 vertices; need exactly one"),
     ((("e1", "+"), ("e1", "-")), "edges must be distinct, got 'e1' twice"),
     ((("e1", "+"), ("e9", "-")), "unknown edge 'e9'"),
-], ids=["apart", "twice", "unknown"])
+    ((("e9", "+"),), "unknown edge 'e9'"),
+], ids=["apart", "twice", "unknown", "unknown-simple"])
 def test_string_refusals(pair, message):
     """A descriptor whose adjacent entries do not meet at one vertex is
     refused by ``syzygy`` and ``dimension``, naming why; ``validate_acceptable``
-    refuses an unknown edge and calls the others unacceptable."""
+    and ``realize`` refuse an unknown edge, one entry long or longer, and
+    call the others unacceptable."""
     g = path_graph(5)
     sigma = StringDescriptor.of(*pair)
+    la = build_algebra(present(g))
     for op in (syzygy, dimension):
         with pytest.raises(BrauerGraphError) as exc:
             op(g, sigma)
@@ -55,8 +58,12 @@ def test_string_refusals(pair, message):
     if message.startswith("unknown"):
         with pytest.raises(BrauerGraphError, match=message):
             validate_acceptable(g, sigma)
+        with pytest.raises(BrauerGraphError, match=message):
+            realize(g, sigma, la)
     else:
         assert validate_acceptable(g, sigma) is False
+        with pytest.raises(HypothesisError, match="not acceptable"):
+            realize(g, sigma, la)
 
 
 def test_reverse_and_star_flip(triangle):

@@ -15,6 +15,7 @@ from brauergraph.graph import (
     HalfEdge,
     cycle_graph,
     loop_graph,
+    path_graph,
     star_graph,
     to_dict,
     triangle_graph,
@@ -362,9 +363,9 @@ def test_uncomposable_certificate_is_a_diff(monkeypatch, tmp_path):
         return resolution.GenerationCertificate(
             cert.element, tuple(swapped(f) for f in reversed(cert.factors)))
 
-    def swapped_certificates(g, e, n_max):
+    def swapped_certificates(g, e, n_max, tables=None):
         return [{i: swapped(c) for i, c in level.items()}
-                for level in edge_certificates(g, e, n_max)]
+                for level in edge_certificates(g, e, n_max, tables=tables)]
 
     monkeypatch.setattr(verify, "edge_certificates", swapped_certificates)
     g = cycle_graph(4)
@@ -374,6 +375,25 @@ def test_uncomposable_certificate_is_a_diff(monkeypatch, tmp_path):
     path.write_text(json.dumps(to_dict(g)))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["verify", "--max", "3", "--input", str(path)]) == cli.EXIT_MISMATCH
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["q", "f2", "f3"])
+def test_single_edge_minimal_generators_checked(monkeypatch, field):
+    """The minimal-generator check runs on the single edge too: the square
+    of its loop is essential, so a generating set that drops it is a
+    ``minimal-generators`` diff (and, with no relation left, a
+    ``classification`` one)."""
+    assert verify_graph(path_graph(2), 3, field).ok
+    minimal_relations = presentation.minimal_relations
+
+    def dropped(g, rels):
+        return [r for r in minimal_relations(g, rels) if r.kind != "two"]
+
+    monkeypatch.setattr(presentation, "minimal_relations", dropped)
+    rep = verify_graph(path_graph(2), 3, field)
+    assert [e["check"] for e in rep.entries] == ["minimal-generators", "classification"]
+    assert rep.entries[0]["detail"] == ("relation 0 at edge e1: combinatorics drops "
+                                        "it but the oracle says essential")
 
 
 def test_d_homogeneous_graph_must_be_a_star(monkeypatch):
@@ -455,8 +475,9 @@ def test_lift_through_an_inexact_complex_is_a_diff(monkeypatch, tmp_path):
             del diff[min(diff)]
             return dataclasses.replace(s, differential=diff)
 
-        def resolve(g, e, n):
-            return [drop_one(s) if s.degree == 1 else s for s in resolver(g, e, n)]
+        def resolve(g, e, n, tables=None):
+            return [drop_one(s) if s.degree == 1 else s
+                    for s in resolver(g, e, n, tables=tables)]
         return None if resolver is None else resolve
 
     monkeypatch.setattr(verify, "explicit_resolver", dropped)

@@ -42,6 +42,7 @@ from brauergraph.oracle.fields import field_from_spec  # noqa: E402
 from brauergraph.oracle.verify import verify_graph  # noqa: E402
 from brauergraph.presentation import present, relation_to_dict  # noqa: E402
 from brauergraph.resolution import (  # noqa: E402
+    Tables,
     edge_certificates,
     explicit_resolver,
     obstruction_element,
@@ -104,8 +105,11 @@ def combinatorics_doc(g, degree: int) -> dict:
     the certificate trees where no edge is truncated, and on a reduced graph
     the walk, syzygy trace and period of every edge and the obstruction
     element.  The period walks the syzygies until the first return to the
-    simple, so every syzygy step the ``syzygy`` command can reach is read."""
+    simple, so every syzygy step the ``syzygy`` command can reach is read.
+    Every resolution and certificate reads one ``Tables`` over the
+    presentation's quiver, as in ``verify_graph``."""
     pres = present(g)
+    tables = Tables(g, pres.quiver)
     report = koszul_report(g, pres)
     doc = {
         "relations": [relation_to_dict(r) for r in pres.all_relations],
@@ -114,12 +118,12 @@ def combinatorics_doc(g, degree: int) -> dict:
     }
     resolver = explicit_resolver(g)
     if resolver is not None:
-        doc["resolutions"] = {e: [s.to_json() for s in resolver(g, e, degree)]
+        doc["resolutions"] = {e: [s.to_json() for s in resolver(g, e, degree, tables=tables)]
                               for e in g.edge_ids}
     if not g.regimes.truncated:
         doc["certificates"] = {
             e: [sorted((i, _certificate(c)) for i, c in level.items())
-                for level in edge_certificates(g, e, degree)]
+                for level in edge_certificates(g, e, degree, tables=tables)]
             for e in g.edge_ids}
     if g.regimes.reduced:
         doc["walks"] = {e: _or_refusal(lambda: asdict(g.brauer_walk(e)))
