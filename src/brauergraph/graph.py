@@ -55,7 +55,8 @@ class Regimes:
     once (``BrauerGraph.regimes``).  Every guard of the combinatorial layer
     and every precondition of ``verify_graph`` reads this record, so a
     regime is widened here alone.  The first fields are facts of the graph,
-    the others the domains of operations, each resolver's its own."""
+    the others the domains of operations, each resolver's its own.
+    ``reduced`` gates only the string calculus and ``resolve_simple``."""
 
     reduced: bool            # multiplicity one, no loops, no multiple edges
     trivial_quantizer: bool
@@ -321,9 +322,9 @@ class BrauerGraph:
         from the half-edge of ``e`` at its nontruncated end, step with
         ``follow`` until the reached edge is truncated at the reached vertex.
         This ends within 2|E| steps: ``follow`` permutes the half-edges and
-        takes the half-edge of ``e`` at its truncated end to the start."""
-        if not self.regimes.reduced:
-            raise HypothesisError("brauer_walk requires a reduced graph")
+        takes the half-edge of ``e`` at its truncated end to the start.  It
+        answers on every graph, but for an edge that is not truncated and for
+        the single edge, which is truncated at both ends."""
         trunc = self.truncated_ends(e)
         if not trunc:
             raise HypothesisError(f"edge {e!r} is not truncated at either endpoint")
@@ -424,6 +425,10 @@ def validate(g: BrauerGraph) -> ValidationReport:
         if ok_structure:
             if not g.incident(e, v) or g.edge_is_truncated(e):
                 report.add(f"quantizer key outside X_Gamma: ({e}, {v})")
+            elif g.is_loop(e):
+                # both terms of the loop's relation read this one key
+                report.add(f"quantizer key ({e}, {v}) is on a loop, whose two "
+                           "half-edges share it")
     return report
 
 
@@ -599,6 +604,9 @@ def from_dict(doc: dict) -> BrauerGraph:
             e, v = (_as_string(_member(q, key, "quantizer entry #{}", k + 1),
                                "{} of quantizer entry #{}", key, k + 1)
                     for key in ("edge", "vertex"))
+            if (e, v) in quantizer:
+                raise BrauerGraphError(
+                    f"quantizer entry #{k + 1} repeats edge {e!r} at vertex {v!r}")
             quantizer[(e, v)] = _as_fraction(
                 _member(q, "value", "quantizer entry of edge {!r} at vertex {!r}", e, v),
                 "quantizer value of edge {!r} at vertex {!r}", e, v)

@@ -56,6 +56,9 @@ class Rationals:
 
 class PrimeField:
     def __init__(self, p: int):
+        # below the bound, trial division up to sqrt(p) takes at most 46,339 steps
+        if p >= 2**31:
+            raise ValueError(f"{p} is too large: a prime field needs p < 2**31")
         if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p

@@ -327,9 +327,8 @@ def edge_certificates(g: BrauerGraph, e: str, n_max: int,
 
 def obstruction_element(g: BrauerGraph) -> Optional[dict]:
     """A walk between truncated edges through nontruncated ones, with the
-    high-degree cohomology class it witnesses; None when no such walk exists."""
-    if not g.regimes.reduced:
-        raise HypothesisError("the obstruction search requires a reduced graph")
+    high-degree cohomology class it witnesses.  Every graph where truncated
+    and nontruncated edges coexist has one; every other graph has None."""
     if not g.regimes.mixed:
         return None
     for e in g.edge_ids:

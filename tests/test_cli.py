@@ -188,6 +188,7 @@ def test_fault_that_corrupts_nothing_rejected(tmp_path, g, fault):
     (["verify", "--input", "missing.bg.json"], 1),
     (["classify", "--input", "missing.bg.json"], 1),
     (["verify", "--input-dir", "missing"], 1),
+    (["verify", "--field", "fp:2305843009213693951"], 2),
 ])
 def test_bad_input_exits_without_traceback(graph_files, tmp_path, args, code):
     """A bad option value is a usage error (2), unreadable input is invalid
@@ -365,12 +366,15 @@ def _set_quantizer(doc, value):
      ["edge of quantizer entry #1", "string"]),
     (lambda doc: doc.update(quantizer=[{"edge": "e1", "vertex": ["alpha"], "value": 2}]),
      ["vertex of quantizer entry #1", "string", "['alpha']"]),
+    (lambda doc: doc.update(quantizer=[{"edge": "e1", "vertex": "alpha", "value": 2},
+                                       {"edge": "e1", "vertex": "alpha", "value": 3}]),
+     ["quantizer entry #2", "repeats", "'e1'", "'alpha'"]),
 ], ids=["rotation-list", "quantizer-zero-denominator", "multiplicity-float",
         "multiplicity-bool", "quantizer-object", "vertices-object", "edge-one-end",
         "half-edge-one-entry", "vertex-without-id", "quantizer-without-value",
         "edges-number", "document-list", "vertex-id-object", "vertex-id-number",
         "edge-id-number", "edge-end-number", "half-edge-edge-number",
-        "quantizer-edge-number", "quantizer-vertex-list"])
+        "quantizer-edge-number", "quantizer-vertex-list", "quantizer-repeated"])
 def test_malformed_graph_document(graph_files, tmp_path, corrupt, names):
     """A document that is JSON but not a graph exits 1 with one stderr line
     naming the field, and the vertex or edge where there is one, and no

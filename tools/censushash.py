@@ -102,10 +102,11 @@ def combinatorics_doc(g, degree: int) -> dict:
     """What the combinatorial layer answers for ``g`` through ``degree``:
     all and minimal relations, the Koszul report with its explanations and
     witnesses, the explicit resolution of every simple where ``g`` has one,
-    the certificate trees where no edge is truncated, and on a reduced graph
-    the walk, syzygy trace and period of every edge and the obstruction
-    element.  The period walks the syzygies until the first return to the
-    simple, so every syzygy step the ``syzygy`` command can reach is read.
+    the certificate trees where no edge is truncated, the walk of every edge
+    and the obstruction element (or their refusals), and on a reduced graph
+    the syzygy trace and period of every edge.  The period walks the
+    syzygies until the first return to the simple, so every syzygy step the
+    ``syzygy`` command can reach is read.
     Every resolution and certificate reads one ``Tables`` over the
     presentation's quiver, as in ``verify_graph``."""
     pres = present(g)
@@ -125,13 +126,12 @@ def combinatorics_doc(g, degree: int) -> dict:
             e: [sorted((i, _certificate(c)) for i, c in level.items())
                 for level in edge_certificates(g, e, degree, tables=tables)]
             for e in g.edge_ids}
+    doc["walks"] = {e: _or_refusal(lambda: asdict(g.brauer_walk(e))) for e in g.edge_ids}
+    doc["obstruction"] = _or_refusal(lambda: obstruction_element(g))
     if g.regimes.reduced:
-        doc["walks"] = {e: _or_refusal(lambda: asdict(g.brauer_walk(e)))
-                        for e in g.edge_ids}
         doc["syzygies"] = {e: _or_refusal(lambda: iterate_syzygy(g, e, degree).to_json())
                            for e in g.edge_ids}
         doc["periods"] = {e: _or_refusal(lambda: period(g, e)) for e in g.edge_ids}
-        doc["obstruction"] = _or_refusal(lambda: obstruction_element(g))
     return doc
 
 
