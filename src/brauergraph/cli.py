@@ -45,7 +45,9 @@ EXIT_MISMATCH = 3
 
 
 def _emit(doc, fmt: str, text_renderer=None) -> None:
-    if fmt == "text" and text_renderer is not None:
+    """``doc`` as JSON, or through ``text_renderer`` under ``--format text``,
+    which only the commands that pass one offer."""
+    if fmt == "text":
         sys.stdout.write(text_renderer(doc) + "\n")
     else:
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -81,14 +83,28 @@ def cmd_relations(args) -> int:
     doc = [relation_to_dict(r) for r in rels]
 
     def text(d):
-        lines = []
-        for r in d:
-            terms = " - ".join("".join(p) or "id" for p in r["paths"])
-            lines.append(f"[{r['kind']}] {terms}")
-        return "\n".join(lines)
+        return "\n".join(f"[{r['kind']}] " + _linear_combination(r["coefficients"], r["paths"])
+                         for r in d)
 
     _emit(doc, args.format, text)
     return EXIT_OK
+
+
+def _linear_combination(coefficients: list[str], paths: list[list[str]]) -> str:
+    """Each path with its signed coefficient: a coefficient of 1 is left
+    out, and a sign joins each term to the one before, so ``1, -1`` reads
+    ``p - q``."""
+    out = ""
+    for k, (c, p) in enumerate(zip(coefficients, paths)):
+        magnitude = c.removeprefix("-")
+        term = "".join(p) or "id"
+        if magnitude != "1":
+            term = f"{magnitude} {term}"
+        if k:
+            out += (" - " if c.startswith("-") else " + ") + term
+        else:
+            out += ("-" if c.startswith("-") else "") + term
+    return out
 
 
 def cmd_classify(args) -> int:
@@ -247,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("quiver", help="the quiver of the algebra")
-    common(p, formats=("json", "dot", "text"))
+    common(p, formats=("json", "dot"))
     p.set_defaults(func=cmd_quiver)
 
     p = sub.add_parser("relations", help="defining relations")
@@ -263,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("resolve", help="explicit minimal projective resolution")
-    common(p)
+    common(p, formats=("json",))
     p.add_argument("--edge", required=True)
     p.add_argument("--max", type=_degree, default=4)
     p.add_argument("--graded", action="store_true",
@@ -292,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs = p.add_mutually_exclusive_group(required=True)
     inputs.add_argument("--input", help="graph file (.bg.json)")
     inputs.add_argument("--input-dir", help="verify every .bg.json in a directory")
-    p.add_argument("--format", choices=["json", "text"], default="json")
+    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--field", type=_field, default="q", help="q or fp:<prime>")
     p.add_argument("--max", type=_degree, default=4)
     p.add_argument("--inject-flip", type=_flip_spec, metavar="EDGE:N:ROW:COL",

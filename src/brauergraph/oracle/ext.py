@@ -20,7 +20,11 @@ of ``lift_through`` (each generator goes to a solution of one linear
 system).  Lifting works on generator rows: the right-hand side for a
 generator of Q^{n+k} is its image under the differential followed by the
 previous level of the lift, one product per generator, and a level's blocks
-are built only when the next level composes through them.
+are built only when the next level composes through them.  Level one reads
+its right-hand side off the differential alone: psi_0 is the identity of
+the lifted class's summand onto the target's Q^0 and zero elsewhere, so
+the image's entries in that summand, shifted to Q^0, are the product, and
+psi_0's blocks are never built.
 
 A degree-n cohomology element of the simple at s is a functional on the
 generators of the n-th projective in a fixed resolution of s; the basis
@@ -48,10 +52,15 @@ Every vector here - a generator image, a lifting level's right-hand side
 or solution, the coefficients of an ``ExtElement`` - is a dict of its
 nonzeros, the oracle's one row form (``oracle/linalg.py``).
 
-The subalgebra generated in low degrees is closed degree by degree from
-its generators: each new span is the products of a lower span with one
-generator (``_closure_spans``), so each generator g is lifted once, to
-depth N - deg g, however many products read it.
+The subalgebra generated in low degrees is the direct sum of its (source,
+target) slices, since every product of basis classes has one source and
+one target.  ``element_in_span`` closes only the slice of the class it
+tests, and ``generated_subalgebra_dims`` sums the slices from every source
+to every target (``_Slices``).  A slice in degree d is spanned by the
+products y o g of a generator g from its source with the classes y of
+the slice of degree d - deg g from g's target, read recursively, so a
+generator is lifted only when such a y exists, and once, however many
+products read it.
 """
 from __future__ import annotations
 
@@ -269,9 +278,18 @@ def _lift_level(src: ProjResolution, n: int, i: int, target_res: ProjResolution,
                 k: int, psi: ModuleMap) -> ModuleMap:
     """Level k of the lift of basis class i of degree n, from level k - 1
     ``psi``: each generator of Q^{n+k} goes to a solution against the
-    target's differential of its image under the differential and ``psi``."""
-    # composing reads psi's blocks, so every level but the deepest builds them
-    rhs = src.maps[n + k].compose(psi)
+    target's differential of its image under the differential and ``psi``.
+
+    At k = 1 that image is read off the differential alone: psi_0 is the
+    identity of summand i onto the target's Q^0, the one projective at
+    summand i's edge, and zero on every other summand, so it keeps each
+    image's entries in summand i, shifted to Q^0, and psi_0's blocks are
+    never pushed."""
+    if k == 1:
+        rhs = _summand_part(src.maps[n + 1], i)
+    else:
+        # composing reads psi's blocks, so every level but the deepest builds them
+        rhs = src.maps[n + k].compose(psi).images
     g = target_res.maps[k]
     generators = src.modules[n + k].generators
     # one system per vertex: every generator there solves against g's block,
@@ -281,12 +299,27 @@ def _lift_level(src: ProjResolution, n: int, i: int, target_res: ProjResolution,
         by_vertex.setdefault(gv, []).append(j)
     images: list = [None] * len(generators)
     for gv, js in by_vertex.items():
-        ys = g.elimination(gv).solve([rhs.images[j] for j in js])
+        ys = g.elimination(gv).solve([rhs[j] for j in js])
         if ys is None:
             raise RuntimeError("comparison lifting failed; complex not exact?")
         for j, y in zip(js, ys):
             images[j] = y
     return map_from_generators(src.modules[n + k], target_res.modules[k], images)
+
+
+def _summand_part(phi: ModuleMap, i: int) -> list[dict]:
+    """The generator images of ``phi``, rows of its target Q at the
+    generators' edges, cut to summand i of Q and shifted to the projective
+    of summand i's edge alone, whose words at each vertex are laid out as
+    the summand's are."""
+    Q = phi.target
+    words = Q.la.projective_words[Q.generators[i][0]]
+    parts = []
+    for (gv, _), image in zip(phi.source.generators, phi.images):
+        lo = Q.offsets[i][gv]
+        hi = lo + len(words[gv])
+        parts.append({p - lo: c for p, c in image.items() if lo <= p < hi})
+    return parts
 
 
 def yoneda_multiply(y: ExtElement, x: ExtElement) -> ExtElement:
@@ -321,9 +354,10 @@ def yoneda_multiply(y: ExtElement, x: ExtElement) -> ExtElement:
 def generated_subalgebra_dims(resolutions: dict[str, ProjResolution],
                               max_gen_degree: int, n_max: int) -> dict[int, int]:
     """Total dimension, per degree up to ``n_max``, of the subalgebra of the
-    cohomology ring generated by classes of degree at most ``max_gen_degree``."""
-    spans = _closure_spans(resolutions, max_gen_degree, n_max)
-    return {d: len(spans[d]) for d in range(1, n_max + 1)}
+    cohomology ring generated by classes of degree at most ``max_gen_degree``:
+    the slices from every source that end anywhere, summed."""
+    slices = _Slices(resolutions, set(resolutions), max_gen_degree)
+    return {d: sum(len(slices.span(s, d)) for s in resolutions) for d in range(1, n_max + 1)}
 
 
 def full_ext_dims(resolutions: dict[str, ProjResolution], n_max: int) -> dict[int, int]:
@@ -335,45 +369,56 @@ def full_ext_dims(resolutions: dict[str, ProjResolution], n_max: int) -> dict[in
 
 def element_in_span(resolutions: dict[str, ProjResolution], elem: ExtElement,
                     max_gen_degree: int) -> bool:
-    """Is the class in the subalgebra generated below ``max_gen_degree``?"""
-    la = elem.res.la
-    f = la.field
-    d = elem.degree
-    spans = _closure_spans(resolutions, max_gen_degree, d)
-    reducer = linalg.SparseReducer(f)
-    for x in spans[d]:
-        reducer.add({(x.source, i): c for i, c in x.coeffs.items()})
-    return reducer.contains({(elem.source, i): c for i, c in elem.coeffs.items()})
+    """Is the class in the subalgebra generated below ``max_gen_degree``?
+    Only its slice is closed: the classes from its source that end in its
+    targets."""
+    slices = _Slices(resolutions, elem.targets(), max_gen_degree)
+    reducer = linalg.SparseReducer(elem.res.la.field)
+    for x in slices.span(elem.source, elem.degree):
+        reducer.add(x.coeffs)
+    return reducer.contains(elem.coeffs)
 
 
-def _closure_spans(resolutions, max_gen_degree, n_max):
-    """Per degree d up to ``n_max``, classes spanning degree d of the
-    subalgebra generated in degrees at most ``max_gen_degree``.
+class _Slices:
+    """The slices of the subalgebra generated in degrees at most
+    ``max_gen_degree`` that end in ``targets``: ``span(s, d)`` lists
+    independent classes spanning the degree-d classes from s that end in
+    ``targets``, each slice closed once, on first read.
 
-    In a generator degree the span is every basis class, and no products
-    are formed.  Above, every word in the generators ends in a generator
-    and the product is bilinear, so the span in degree d is spanned by
-    the products y o g with g a basis class of degree k <= max_gen_degree
-    (it has exactly one target) and y in the span of degree d - k
-    starting at that target.
+    Every product of basis classes has one source and one target, so the
+    subalgebra is the direct sum of its (source, target) slices.  In a
+    generator degree the slice is its basis classes, and no products are
+    formed.  Above, every word in the generators ends in a generator and
+    the product is bilinear, so the slice is spanned by the products y o g
+    with g a basis class of degree k <= max_gen_degree from s, which has
+    one target t, and y in the slice of degree d - k from t; g is lifted
+    only when that slice is not empty.
     """
-    f = next(iter(resolutions.values())).la.field
-    spans: dict[int, list[ExtElement]] = {}
-    for d in range(1, n_max + 1):
-        if d <= max_gen_degree:
-            spans[d] = [ExtElement(res, d, {i: f.one})
-                        for res in resolutions.values()
-                        for i in range(len(res.summands[d]))]
-            continue
-        reducer = linalg.SparseReducer(f)
-        spans[d] = []
-        for k in range(1, min(d, max_gen_degree + 1)):
-            for g in spans[k]:
-                (t,) = g.targets()
-                for y in spans[d - k]:
-                    if y.source != t:
-                        continue
-                    cand = yoneda_multiply(y, g)
-                    if reducer.add({(cand.source, i): c for i, c in cand.coeffs.items()}):
-                        spans[d].append(cand)
-    return spans
+
+    def __init__(self, resolutions: dict[str, ProjResolution], targets: set[str],
+                 max_gen_degree: int):
+        self.resolutions = resolutions
+        self.targets = targets
+        self.max_gen_degree = max_gen_degree
+        self.field = next(iter(resolutions.values())).la.field
+        self.spans: dict[tuple[str, int], list[ExtElement]] = {}
+
+    def span(self, s: str, d: int) -> list[ExtElement]:
+        if (s, d) in self.spans:
+            return self.spans[s, d]
+        f, res = self.field, self.resolutions[s]
+        if d <= self.max_gen_degree:
+            out = [ExtElement(res, d, {i: f.one})
+                   for i, (t, _, _) in enumerate(res.summands[d]) if t in self.targets]
+        else:
+            reducer = linalg.SparseReducer(f)
+            out = []
+            for k in range(1, min(d, self.max_gen_degree + 1)):
+                for i, (t, _, _) in enumerate(res.summands[k]):
+                    g = ExtElement(res, k, {i: f.one})
+                    for y in self.span(t, d - k):
+                        cand = yoneda_multiply(y, g)
+                        if reducer.add(cand.coeffs):
+                            out.append(cand)
+        self.spans[s, d] = out
+        return out

@@ -31,10 +31,11 @@ with the call.
 
 The certificate check reads every certificate of an edge off the
 follows-chain its resolution read (``resolution.edge_certificates``),
-evaluates each element
-once, and its Yoneda products, like the closure of the obstruction check,
-read the lifts that the resolutions keep: each level of each basis
-class's lift is solved once per call.  A certificate whose factors do not
+evaluates each element once, and its Yoneda products read the lifts that
+the resolutions keep: each level of each basis class's lift is solved
+once per call.  The obstruction check closes only the slice of its
+witness, the classes from the witness's source to its target, and its
+products read the same kept lifts.  A certificate whose factors do not
 compose, or whose lift fails through a complex that is not exact, is a
 ``certificate`` diff for its class, and the check goes on.
 """

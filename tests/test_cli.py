@@ -31,6 +31,12 @@ def graph_files(tmp_path):
     return paths
 
 
+def _subprocess_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(Path(brauergraph.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def invoke(argv):
     out = io.StringIO()
     err = io.StringIO()
@@ -76,6 +82,15 @@ def test_quiver_does_not_depend_on_the_multiplicity(tmp_path, graph_files, monke
     for fmt in ("json", "dot"):
         assert (invoke(["quiver", "--format", fmt, "--input", str(path)])
                 == invoke(["quiver", "--format", fmt, "--input", graph_files["triangle"]]))
+
+
+def test_package_runs_as_a_module(graph_files, tmp_path):
+    """``python -m brauergraph`` runs the command-line front end."""
+    proc = subprocess.run([sys.executable, "-m", "brauergraph", "walk", "--edge", "e1",
+                           "--input", graph_files["a4"]], cwd=tmp_path, env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == ["e1", "e2", "e3"]
 
 
 def test_quiver_dot(graph_files):
@@ -189,14 +204,16 @@ def test_fault_that_corrupts_nothing_rejected(tmp_path, g, fault):
     (["classify", "--input", "missing.bg.json"], 1),
     (["verify", "--input-dir", "missing"], 1),
     (["verify", "--field", "fp:2305843009213693951"], 2),
+    (["quiver", "--format", "text"], 2),
+    (["resolve", "--edge", "e1", "--format", "text"], 2),
+    (["verify", "--format", "text"], 2),
 ])
 def test_bad_input_exits_without_traceback(graph_files, tmp_path, args, code):
     """A bad option value is a usage error (2), unreadable input is invalid
     input (1); neither escapes as a Python traceback."""
     if "--input" not in args and "--input-dir" not in args:
         args = args + ["--input", graph_files["triangle"]]
-    src = str(Path(brauergraph.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _subprocess_env()
     proc = subprocess.run([sys.executable, "-m", "brauergraph.cli", *args], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
@@ -289,6 +306,29 @@ def test_text_format(graph_files):
     code, out, _ = invoke(["syzygy", "--edge", "e1", "--max", "3",
                            "--format", "text", "--input", graph_files["a4"]])
     assert code == 0 and "Omega^3: e3+" in out
+
+
+@pytest.mark.parametrize("quantizer, line", [
+    ({"alpha": "2"}, "[one] 2 a(e1,e3)a(e3,e1) - a(e1,e2)a(e2,e1)"),
+    ({"alpha": "-2"}, "[one] -2 a(e1,e3)a(e3,e1) - a(e1,e2)a(e2,e1)"),
+    ({"alpha": "-1"}, "[one] -a(e1,e3)a(e3,e1) - a(e1,e2)a(e2,e1)"),
+    ({"beta": "-1"}, "[one] a(e1,e3)a(e3,e1) + a(e1,e2)a(e2,e1)"),
+    ({"alpha": "2", "beta": "3/2"}, "[one] 2 a(e1,e3)a(e3,e1) - 3/2 a(e1,e2)a(e2,e1)"),
+], ids=["q2", "q-2", "q-1", "beta-1", "both"])
+def test_relations_text_shows_quantizer_coefficients(graph_files, tmp_path, quantizer, line):
+    """The text form of a quantized relation prints each path with its
+    signed coefficient, as the JSON form lists them; the other relations
+    read as they do unquantized."""
+    doc = to_dict(triangle_graph())
+    doc["quantizer"] = [{"edge": "e1", "vertex": v, "value": q} for v, q in quantizer.items()]
+    path = tmp_path / "quantized.bg.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = invoke(["relations", "--format", "text", "--input", str(path)])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == line
+    code, plain, _ = invoke(["relations", "--format", "text", "--input", graph_files["triangle"]])
+    assert lines[1:] == plain.splitlines()[1:]
 
 
 SUBCOMMANDS = {
@@ -457,8 +497,7 @@ def test_quantizer_degenerate_over_field_refused(tmp_path, value):
     doc["quantizer"] = [{"edge": "e1", "vertex": "alpha", "value": value}]
     path = tmp_path / "quantized.bg.json"
     path.write_text(json.dumps(doc))
-    src = str(Path(brauergraph.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _subprocess_env()
     proc = subprocess.run([sys.executable, "-m", "brauergraph.cli", "verify", "--input",
                            str(path), "--field", "fp:5", "--max", "2"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)

@@ -238,12 +238,12 @@ def _reduced(k: int) -> list:
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
 def test_period_agrees_with_the_oracle(field):
-    """On every edge of the reduced graphs of census(3,2) and census(4,2),
-    period(g, e) = p exactly when the oracle's first syzygy isomorphic to
-    the simple at e is its p-th, and None when none is within the bound
-    that ``period`` reads."""
+    """On every edge of the reduced graphs of census(4,2), which holds
+    census(3,2), period(g, e) = p exactly when the oracle's first syzygy
+    isomorphic to the simple at e is its p-th, and None when none is
+    within the bound that ``period`` reads."""
     checked = 0
-    for g in _reduced(3) + _reduced(4):
+    for g in _reduced(4):
         la = build_algebra(present(g), field)
         bound = 2 * len(g.edge_ids) * g.nilpotency_bound()
         for e in g.edge_ids:
@@ -254,7 +254,7 @@ def test_period_agrees_with_the_oracle(field):
                        if syzygies[k].total_dim == 1 and dict(syzygies[k].top()) == {e: 1}]
             assert returns == ([] if p is None else [p]), (g.edge_ends, e, p)
             checked += 1
-    assert checked == 42
+    assert checked == 31
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
