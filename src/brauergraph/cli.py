@@ -116,7 +116,7 @@ def cmd_classify(args) -> int:
         doc["witnesses"] = rep.witnesses
 
     def text(d):
-        return "\n".join(f"{k}: {v}" for k, v in sorted(d.items()))
+        return "\n".join(f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(d.items()))
 
     _emit(doc, args.format, text)
     return EXIT_OK

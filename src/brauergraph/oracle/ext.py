@@ -12,19 +12,19 @@ degree further.  So it is taken on the first read of ``syzygies`` (or by
 the next ``grow``), and a walk that is never read below its deepest cover
 never computes it.
 
-Every map between the projectives of a resolution is built by
-``modules.map_from_generators`` from the images of the generators: the
-covers of an oracle walk, the path matrices of ``from_steps`` (each
-column's generator goes to the signed sum of its paths) and the chain maps
-of ``lift_through`` (each generator goes to a solution of one linear
-system).  Lifting works on generator rows: the right-hand side for a
-generator of Q^{n+k} is its image under the differential followed by the
-previous level of the lift, one product per generator, and a level's blocks
-are built only when the next level composes through them.  Level one reads
-its right-hand side off the differential alone: psi_0 is the identity of
-the lifted class's summand onto the target's Q^0 and zero elsewhere, so
-the image's entries in that summand, shifted to Q^0, are the product, and
-psi_0's blocks are never built.
+Every map between the projectives of a resolution is a ``ModuleMap``
+given by ``images``, those of the generators: the covers of an oracle
+walk, the path matrices of ``from_steps`` (each column's generator goes to
+the signed sum of its paths) and the chain maps of ``lift_through`` (each
+generator goes to a solution of one linear system).  Lifting works on
+generator rows: the right-hand side for a generator of Q^{n+k} is its
+image under the differential followed by the previous level of the lift,
+one product per generator, and a level's blocks are built only when the
+next level composes through them.  A lift starts at level one, which
+reads its right-hand side off the differential alone: psi_0 would be the
+identity of the lifted class's summand onto the target's Q^0 and zero
+elsewhere, so each image's entries in that summand, shifted to Q^0, are
+the product, and psi_0 is never built.
 
 A degree-n cohomology element of the simple at s is a functional on the
 generators of the n-th projective in a fixed resolution of s; the basis
@@ -36,17 +36,17 @@ resolution keeps in ``lifts`` the levels of the lift of each of its basis
 classes, keyed by (degree, generator index, target resolution, held by a
 weak reference); a level is solved only past the deepest one kept, and
 every read of a level goes through ``lift_through``.  The lift is linear
-in the class (psi_0 is, composing is, and each level solves against the
-kept elimination of the differential's block, ``ModuleMap.elimination``,
-whose solution is the unique one supported on the block's greedy
-independent rows - those that are no combination of the rows before them
-- and so linear in its right-hand side), so ``yoneda_multiply`` is
-bilinear: it reads y off level ``y.degree`` of each basis class e_i's
-lift and sums over the coefficients of x, which equals lifting x whole.
-The elimination is kept with the differential, so each block is
-eliminated once however many classes are lifted through it.  A lift through a complex that is not
-exact fails with the same ``RuntimeError`` at the level that cannot be
-solved.
+in the class (level one's right-hand side is, composing is, and each level
+solves against the kept elimination of the differential's block,
+``ModuleMap.elimination``, whose solution is the unique one supported on
+the block's greedy independent rows - those that are no combination of the
+rows before them - and so linear in its right-hand side), so
+``yoneda_multiply`` is bilinear: it reads y off level ``y.degree`` of each
+basis class e_i's lift and sums over the coefficients of x, which equals
+lifting x whole.  The elimination is kept with the differential, so each
+block is eliminated once however many classes are lifted through it.  A
+lift through a complex that is not exact fails with the same
+``RuntimeError`` at the level that cannot be solved.
 
 Every vector here - a generator image, a lifting level's right-hand side
 or solution, the coefficients of an ``ExtElement`` - is a dict of its
@@ -76,7 +76,6 @@ from .modules import (
     ModuleMap,
     ProjectiveSum,
     kernel_module,
-    map_from_generators,
     projective_cover,
     simple_module,
 )
@@ -105,7 +104,7 @@ class ProjResolution:
         # first read of ``syzygies``
         self._pending: Optional[ModuleMap] = None
         self._inclusion: Optional[ModuleMap] = None  # last syzygy -> Q^{n-1}
-        # the levels psi_0, psi_1, ... of the lift of each basis class, kept
+        # the levels psi_1, psi_2, ... of the lift of each basis class, kept
         # by lift_through: (degree, generator index, weak reference to the
         # target resolution) -> levels; a weak key ties no resolution to
         # another, so no reference cycle outlives a verify call
@@ -123,8 +122,8 @@ class ProjResolution:
             P = ProjectiveSum(la, [(edge, deg) for edge, deg, _ in info])
             if res.modules:
                 Q = res.modules[-1]
-                res.maps.append(map_from_generators(
-                    P, Q, _path_images(P, Q, step.differential)))
+                res.maps.append(ModuleMap(
+                    P, Q, images=_path_images(P, Q, step.differential)))
             res.modules.append(P)
             res.summands.append(info)
         return res
@@ -256,35 +255,31 @@ def lift_through(src: ProjResolution, n: int, i: int, target_res: ProjResolution
     """Level m of the lift of basis class i of degree n of ``src`` through
     ``target_res``: the chain map Q^{n+m} of ``src`` -> Q^m of the target's.
 
-    Summand i must be the target resolution's simple.  The levels are kept
-    in ``src.lifts``, and only the levels past the deepest one kept are
-    solved."""
+    Summand i must be the target resolution's simple, and m at least 1.
+    The levels from 1 up are kept in ``src.lifts``, and only those past the
+    deepest one kept are solved."""
     if src.summands[n][i][0] != target_res.source:
         raise ValueError("element does not map into the requested simple")
+    if m < 1:
+        raise ValueError(f"a lift starts at level 1, not {m}")
     levels = src.lifts.setdefault((n, i, weakref.ref(target_res)), [])
-    if not levels:
-        # psi_0 sends generator i to the generator of the target's Q^0 and
-        # every other generator to zero
-        q0 = target_res.modules[0]
-        images: list[dict] = [{} for _ in src.modules[n].generators]
-        images[i] = {q0.generators[0][1]: src.la.field.one}
-        levels.append(map_from_generators(src.modules[n], q0, images))
-    for k in range(len(levels), m + 1):
-        levels.append(_lift_level(src, n, i, target_res, k, levels[-1]))
-    return levels[m]
+    for k in range(len(levels) + 1, m + 1):
+        levels.append(_lift_level(src, n, i, target_res, k, levels[-1] if levels else None))
+    return levels[m - 1]
 
 
 def _lift_level(src: ProjResolution, n: int, i: int, target_res: ProjResolution,
-                k: int, psi: ModuleMap) -> ModuleMap:
+                k: int, psi: Optional[ModuleMap]) -> ModuleMap:
     """Level k of the lift of basis class i of degree n, from level k - 1
-    ``psi``: each generator of Q^{n+k} goes to a solution against the
-    target's differential of its image under the differential and ``psi``.
+    ``psi`` (None at k = 1): each generator of Q^{n+k} goes to a solution
+    against the target's differential of its image under the differential
+    and psi_{k-1}.
 
     At k = 1 that image is read off the differential alone: psi_0 is the
     identity of summand i onto the target's Q^0, the one projective at
-    summand i's edge, and zero on every other summand, so it keeps each
-    image's entries in summand i, shifted to Q^0, and psi_0's blocks are
-    never pushed."""
+    summand i's edge, and zero on every other summand, so each image is the
+    generator's image under the differential cut to summand i and shifted
+    to Q^0."""
     if k == 1:
         rhs = _summand_part(src.maps[n + 1], i)
     else:
@@ -304,7 +299,7 @@ def _lift_level(src: ProjResolution, n: int, i: int, target_res: ProjResolution,
             raise RuntimeError("comparison lifting failed; complex not exact?")
         for j, y in zip(js, ys):
             images[j] = y
-    return map_from_generators(src.modules[n + k], target_res.modules[k], images)
+    return ModuleMap(src.modules[n + k], target_res.modules[k], images=images)
 
 
 def _summand_part(phi: ModuleMap, i: int) -> list[dict]:
@@ -325,14 +320,18 @@ def _summand_part(phi: ModuleMap, i: int) -> list[dict]:
 def yoneda_multiply(y: ExtElement, x: ExtElement) -> ExtElement:
     """Composite class y o x where x ends at the simple y starts from.
 
-    The product is bilinear: it is the sum, over the nonzero coefficients
-    c_i of ``x``, of c_i times ``y`` read off level ``y.degree`` of the
-    lift of the basis class e_i, which ``lift_through`` keeps."""
+    Q^0 has one generator, so a degree-0 ``y`` is c times the identity and
+    y o x = c x.  Otherwise the product is bilinear: the sum, over the
+    nonzero coefficients c_i of ``x``, of c_i times ``y`` read off level
+    ``y.degree`` of the lift of the basis class e_i, kept by ``lift_through``."""
     src, n, m = x.res, x.degree, y.degree
     f = src.la.field
     for t in x.targets():
         if y.res.source != t:
             raise ValueError("factors not composable")
+    if m == 0:
+        c = y.coeffs.get(0, f.zero)
+        return ExtElement(src, n, {j: f.mul(a, c) for j, a in x.coeffs.items()})
     # y's coefficients per vertex: (position in the block there, coefficient)
     y_at: dict[str, list[tuple[int, object]]] = {}
     for i, c in y.coeffs.items():

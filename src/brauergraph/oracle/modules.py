@@ -44,16 +44,16 @@ lists with them.  A module is not changed after it is built: its rows may
 be shared with other modules and with the algebra, and every reader,
 ``oracle/linalg.py`` included, copies a row before it rewrites it.  A
 module map out of such a sum is fixed by where each generator goes, and
-``map_from_generators`` is the one constructor that turns generator images
-into such a map: projective covers here, and the path-matrix differentials
-and lifted chain maps of ``oracle/ext.py``, are all built by it.  The map
-keeps the images and pushes them along each summand's basis words into
-per-vertex blocks only when the blocks are first read.  The pushing
-follows the algebra's plan for the summand's edge
-(``FiniteDimAlgebra.push_plan``, built once per algebra): a flat list of
-steps, shortest word first, each multiplying the sparse vector of a
-shorter word by one arrow's rows of the target over its nonzeros; the
-vectors of the basis words are the block rows.  Composing multiplies
+``ModuleMap(source, target, images=...)`` is the one constructor of such
+a map, from the generator images: projective covers here, and the
+path-matrix differentials and lifted chain maps of ``oracle/ext.py``, are
+all built by it.  The map keeps the images and pushes them along each
+summand's basis words into per-vertex blocks only when the blocks are
+first read.  The pushing follows the algebra's plan for the summand's
+edge (``FiniteDimAlgebra.push_plan``, built once per algebra): a flat
+list of steps, shortest word first, each multiplying the sparse vector
+of a shorter word by one arrow's rows of the target over its nonzeros;
+the vectors of the basis words are the block rows.  Composing multiplies
 each generator image by the block rows of the next map at its edge, and
 such a map is zero exactly when every image is; the ranks of a map's
 blocks are computed once and shared by its image and kernel dimensions.
@@ -155,10 +155,12 @@ class ModuleMap:
 
     ``blocks[v]`` has one row per basis vector of the source at v, in the
     target's block at v; rows may be shared and are never changed.  A map
-    out of a ``ProjectiveSum`` is stored as ``images``, one target row per
-    generator, and its blocks are pushed from them on first read; a map out
-    of any other module (a kernel inclusion) is given by its blocks and has
-    no images.  The tracked elimination of a block is built on first read
+    out of a ``ProjectiveSum`` is given by ``images``: ``images[k]`` is the
+    image of summand k's generator, a row in the target's block at the
+    summand's edge, and each basis word w of the summand goes to
+    ``images[k]`` times w when the blocks are pushed, on first read.  A map
+    out of any other module (a kernel inclusion) is given by its blocks and
+    has no images.  The tracked elimination of a block is built on first read
     and kept with the map.
     """
 
@@ -223,7 +225,7 @@ class ModuleMap:
         f = self.source.la.field
         images = [_times(image, then.blocks[e], f)
                   for (e, _), image in zip(self.source.generators, self.images)]
-        return map_from_generators(self.source, then.target, images)
+        return ModuleMap(self.source, then.target, images=images)
 
     def is_zero(self) -> bool:
         """A map out of a sum of projectives is zero exactly when it kills
@@ -275,15 +277,6 @@ class ProjectiveSum(Module):
         super().__init__(la, degrees, action)
 
 
-def map_from_generators(source: ProjectiveSum, target: Module,
-                        images: list[dict]) -> ModuleMap:
-    """The module map out of a sum of projectives that sends the generator of
-    summand k to ``images[k]``, a row vector in the target's block at that
-    summand's edge; each basis word w of the summand goes to ``images[k]``
-    times w when the blocks are first read."""
-    return ModuleMap(source, target, images=images)
-
-
 def _times(vec: dict, rows: list[dict], f) -> dict:
     """The sparse row ``vec`` times the sparse rows ``rows``, over the
     nonzeros of both.  A product of two nonzeros is nonzero, so only an
@@ -315,7 +308,7 @@ def projective_cover(mod: Module) -> tuple[ProjectiveSum, ModuleMap, list[tuple]
             summands.append((v, mod.degrees[v][i]))
             images.append({i: f.one})
     P = ProjectiveSum(la, summands)
-    return P, map_from_generators(P, mod, images), summands
+    return P, ModuleMap(P, mod, images=images), summands
 
 
 def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:

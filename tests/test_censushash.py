@@ -1,6 +1,8 @@
 import importlib.util
 import os
 
+import pytest
+
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "tools", "censushash.py")
 _spec = importlib.util.spec_from_file_location("censushash", _PATH)
@@ -34,3 +36,20 @@ def test_census_3_2_hashes_over_f2(capsys):
                                                     "algebra 5abbda6126019a26",
                                                     "combinatorics 71e4b67810562455",
                                                     "oracle 3f928a73b1fed074"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "0"], ["--k", "6"], ["--m", "0"], ["--degree", "-1"], ["--field", "fp:4"],
+], ids=["k0", "k6", "m0", "degree-1", "fp4"])
+def test_bad_values_exit_with_usage(capsys, argv):
+    """An edge count outside 1..MAX_EDGES, a multiplicity below 1, a
+    negative degree or a field that is not one exits 2 with the usage line,
+    before any census is read: no digest is printed, and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        censushash.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 2
+    assert f": error: argument {argv[0]}: " in err.splitlines()[-1]

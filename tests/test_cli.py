@@ -60,6 +60,21 @@ def test_classify_explain(graph_files):
     assert doc["koszul"] is False
 
 
+@pytest.mark.parametrize("graph", ["triangle", "a4"])
+def test_classify_text_is_one_json_value_per_key(graph_files, graph):
+    """Every line of ``classify --explain --format text`` reads
+    ``key: <JSON>``, the keys sorted, and the values read back equal the
+    ``--format json`` document."""
+    args = ["classify", "--explain", "--input", graph_files[graph]]
+    code, out, _ = invoke(args + ["--format", "text"])
+    assert code == 0
+    lines = out.splitlines()
+    keys = [line.split(": ", 1)[0] for line in lines]
+    assert keys == sorted(keys)
+    text = {k: json.loads(v) for k, v in (line.split(": ", 1) for line in lines)}
+    assert text == json.loads(invoke(args)[1])
+
+
 def test_walk(graph_files):
     code, out, _ = invoke(["walk", "--edge", "e1", "--input", graph_files["a4"]])
     assert code == 0

@@ -40,7 +40,6 @@ from brauergraph.oracle.modules import (
     ModuleMap,
     ProjectiveSum,
     kernel_module,
-    map_from_generators,
     _times,
     min_resolution,
     projective_cover,
@@ -158,7 +157,7 @@ def test_oracle_entries_over_q_are_exact(name, g):
             matrices.extend(_dense_block(phi, v) for v in phi.blocks)
         for n in range(3):
             for i, (t, _, _) in enumerate(res.summands[n]):
-                for m in range(3 - n + 1):
+                for m in range(1, 3 - n + 1):
                     psi = lift_through(res, n, i, walks[t], m)
                     matrices.extend(_dense_block(psi, v) for v in psi.blocks)
     assert all(_is_canonical_rational(x) for m in matrices for row in m for x in row)
@@ -805,7 +804,7 @@ def test_oracle_maps_commute_with_arrows(name, g, field):
         for res in resolutions.values():
             for n in range(3):
                 for i, (t, _, _) in enumerate(res.summands[n]):
-                    for m in range(3 - n + 1):
+                    for m in range(1, 3 - n + 1):
                         assert _commutes(lift_through(res, n, i, resolutions[t], m)), (n, i, m)
 
 
@@ -876,9 +875,9 @@ def test_maps_are_their_generator_images(name, g, field):
         for res in resolutions.values():
             for n in range(3):
                 for i, (t, _, _) in enumerate(res.summands[n]):
-                    for m in range(3 - n + 1):
+                    for m in range(1, 3 - n + 1):
                         psi = lift_through(res, n, i, resolutions[t], m)
-                        _check_images(psi, resolutions[t].maps[m] if m else None)
+                        _check_images(psi, resolutions[t].maps[m])
 
 
 def _assert_rows_hold_no_zero(rows, width, field, where):
@@ -920,7 +919,7 @@ def test_block_rows_hold_no_zero(name, g, field):
         for res in resolutions.values():
             for n in range(3):
                 for i, (t, _, _) in enumerate(res.summands[n]):
-                    maps.extend(lift_through(res, n, i, resolutions[t], m) for m in range(4 - n))
+                    maps.extend(lift_through(res, n, i, resolutions[t], m) for m in range(1, 4 - n))
     for phi in maps:
         if phi.images is not None:
             assert len(phi.images) == len(phi.source.generators)
@@ -1032,7 +1031,7 @@ def _whole_lift(x, target_res, m):
     _, t_gen = q0.generators[0]
     images = [{t_gen: x.coeffs[i]} if e == t and i in x.coeffs else {}
               for i, (e, _) in enumerate(src.modules[n].generators)]
-    psi = map_from_generators(src.modules[n], q0, images)
+    psi = ModuleMap(src.modules[n], q0, images=images)
     for k in range(1, m + 1):
         rhs = src.maps[n + k].compose(psi)
         g = target_res.maps[k]
@@ -1046,7 +1045,7 @@ def _whole_lift(x, target_res, m):
             assert ys is not None
             for j, y in zip(js, ys):
                 images[j] = y
-        psi = map_from_generators(src.modules[n + k], target_res.modules[k], images)
+        psi = ModuleMap(src.modules[n + k], target_res.modules[k], images=images)
     return psi
 
 
@@ -1122,13 +1121,19 @@ def test_lift_through_a_flipped_complex_is_refused(triangle):
 
 def test_lift_and_product_refuse_mismatched_simples(triangle):
     """A class whose summand is not the target's simple is not lifted, and
-    no level is kept for it; factors that do not compose are refused."""
+    no level is kept for it; a lift starts at level 1, so level 0 is
+    refused and keeps no level either; factors that do not compose are
+    refused."""
     la = build_algebra(present(triangle))
     walks = {e: ProjResolution.from_oracle(la, e, 3) for e in triangle.edge_ids}
     res = walks["e1"]
     i = next(i for i, (t, _, _) in enumerate(res.summands[1]) if t != "e1")
     with pytest.raises(ValueError, match="does not map into the requested simple"):
         lift_through(res, 1, i, walks["e1"], 1)
+    assert res.lifts == {}
+    t = res.summands[1][i][0]
+    with pytest.raises(ValueError, match="starts at level 1"):
+        lift_through(res, 1, i, walks[t], 0)
     assert res.lifts == {}
     x = ExtElement(res, 1, {i: la.field.one})
     y = ExtElement(walks["e1"], 1, {0: la.field.one})
@@ -1320,8 +1325,7 @@ def test_plan_pushed_blocks_match_a_recursive_push(field):
         for e in g.edge_ids:
             walk = ProjResolution.from_oracle(la, e, 2)
             _, cover, _ = projective_cover(walk.syzygies[1])
-            zeroed = map_from_generators(cover.source, cover.target,
-                                         [{}] + cover.images[1:])
+            zeroed = ModuleMap(cover.source, cover.target, images=[{}] + cover.images[1:])
             maps = [cover, zeroed, walk.maps[1], walk.maps[2]]
             if resolver is not None:
                 maps += ProjResolution.from_steps(la, e, resolver(g, e, 3)).maps[1:]

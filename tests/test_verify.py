@@ -301,15 +301,21 @@ def test_each_lift_level_solved_once(monkeypatch, run):
 def test_level_one_lifts_read_off_the_differential(monkeypatch, g, max_degree, field):
     """The right-hand side of each level-one lift is the differential's
     images cut to the lifted class's summand: it equals the differential
-    composed with psi_0, and the level solved from it closes the square
-    psi_1 o f^1 = f^{n+1} o psi_0."""
+    composed with psi_0, built here as the identity of summand i onto the
+    target's Q^0 and zero elsewhere, and the level solved from it closes
+    the square psi_1 o f^1 = f^{n+1} o psi_0."""
     checked = []
     lift_level = ext._lift_level
 
     def checked_level(src, n, i, target_res, k, psi):
         out = lift_level(src, n, i, target_res, k, psi)
         if k == 1:
-            rhs = src.maps[n + 1].compose(psi).images
+            assert psi is None
+            q0 = target_res.modules[0]
+            images = [{} for _ in src.modules[n].generators]
+            images[i] = {q0.generators[0][1]: src.la.field.one}
+            psi0 = modules.ModuleMap(src.modules[n], q0, images=images)
+            rhs = src.maps[n + 1].compose(psi0).images
             assert ext._summand_part(src.maps[n + 1], i) == rhs
             assert out.compose(target_res.maps[1]).images == rhs
             checked.append(len(rhs))

@@ -33,12 +33,12 @@ from dataclasses import asdict
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from brauergraph.census import census  # noqa: E402
+from brauergraph.census import MAX_EDGES, census  # noqa: E402
+from brauergraph.cli import _degree, _field  # noqa: E402
 from brauergraph.classify import koszul_report  # noqa: E402
 from brauergraph.graph import BrauerGraphError, HypothesisError  # noqa: E402
 from brauergraph.oracle.algebra import build_algebra  # noqa: E402
 from brauergraph.oracle.ext import ProjResolution  # noqa: E402
-from brauergraph.oracle.fields import field_from_spec  # noqa: E402
 from brauergraph.oracle.verify import verify_graph  # noqa: E402
 from brauergraph.presentation import present, relation_to_dict  # noqa: E402
 from brauergraph.resolution import (  # noqa: E402
@@ -150,16 +150,29 @@ def census_hashes(k: int, m: int, degree: int, field) -> tuple[str, str, str, st
     return tuple(d.hexdigest()[:16] for d in digests)
 
 
+def _int_in(lo: int, hi=None):
+    """An argparse type: an int at least ``lo``, and at most ``hi`` when given."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < lo or (hi is not None and n > hi):
+            bound = f"in {lo}..{hi}" if hi is not None else f"at least {lo}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {n}")
+        return n
+    return integer
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--k", type=int, default=4, help="edges at most (default 4)")
-    ap.add_argument("--m", type=int, default=2, help="multiplicity at most (default 2)")
-    ap.add_argument("--degree", type=int, default=3, help="verify_graph max_degree, and the degree the combinatorics are "
+    ap.add_argument("--k", type=_int_in(1, MAX_EDGES), default=4,
+                    help=f"edges at most, 1..{MAX_EDGES} (default 4)")
+    ap.add_argument("--m", type=_int_in(1), default=2, help="multiplicity at most (default 2)")
+    ap.add_argument("--degree", type=_degree, default=3,
+                    help="verify_graph max_degree, and the degree the combinatorics are "
                          "read through (default 3)")
-    ap.add_argument("--field", default="q", help="q or fp:<prime> (default q)")
+    ap.add_argument("--field", type=_field, default="q", help="q or fp:<prime> (default q)")
     args = ap.parse_args(argv)
     report, algebra, combinatorics, oracle = census_hashes(
-        args.k, args.m, args.degree, field_from_spec(args.field))
+        args.k, args.m, args.degree, args.field)
     print(f"report {report}")
     print(f"algebra {algebra}")
     print(f"combinatorics {combinatorics}")
